@@ -3,7 +3,10 @@
 Gaussian blocks use exact EM; binomial and multinomial blocks use a quadratic
 variational bound on the logistic/softmax likelihood, fitted by conditional
 maximization (xi -> alpha -> loadings -> means). The latent posterior stays
-Gaussian for any mix of block kinds, so one E-step serves them all.
+Gaussian for any mix of block kinds, so one accumulation (``_accumulate``)
+serves the E-step, the bound and the joint model's Metropolis targets, and one
+conditional sweep (``_conditional_sweep``) is the M-step of ``fit_fa``, of the
+joint model's Monte-Carlo EM and of the single-block ``*_mstep`` functions.
 """
 
 from __future__ import annotations
@@ -120,30 +123,40 @@ def lambda_of_xi(xi):
 # per-block quadratic contributions to the latent posterior
 # ---------------------------------------------------------------------------
 
-def _centered_counts(block: CovariateBlock, params: BlockParams,
-                     state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
-    """lam (d_x x N) and the centering term x - b/2 - 2 b lam * (mu [- alpha])."""
-    lam = lambda_of_xi(state.xi)
-    offset = params.mu[:, None]
-    if block.kind == "multinomial":
-        offset = offset - state.alpha[None, :]
-    c = block.values - block.b / 2.0 - 2.0 * block.b * lam * offset
-    return lam, c
+def _centered_counts(X: np.ndarray, b: int, xi: np.ndarray, shift: np.ndarray,
+                     alpha: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """lam (d_x x N) and the centering term x - b/2 - 2 b lam * (shift [- alpha])."""
+    lam = lambda_of_xi(xi)
+    if alpha is not None:
+        shift = shift - alpha[None, :]
+    return lam, X - b / 2.0 - 2.0 * b * lam * shift
 
 
-def _block_quadratic(block: CovariateBlock, params: BlockParams,
+def _block_quadratic(X: np.ndarray, b: int, params: BlockParams,
                      state: VariationalState | None):
     """Precision contribution (either (d_z,d_z) shared or (N,d_z,d_z)) and
-    linear contribution h (d_z x N) of one block's (bounded) likelihood."""
+    linear contribution h (d_z x N) of one block's (bounded) likelihood. A
+    block without a variational state is normal; one whose state carries
+    alpha is multinomial."""
     W = params.W
-    if block.kind == "normal":
+    if state is None:
         Wp = W / params.psi[:, None]
-        prec = W.T @ Wp
-        h = Wp.T @ (block.values - params.mu[:, None])
-        return prec, h
-    lam, c = _centered_counts(block, params, state)
-    prec = 2.0 * block.b * np.einsum("in,ij,ik->njk", lam, W, W)
-    h = W.T @ c
+        return W.T @ Wp, Wp.T @ (X - params.mu[:, None])
+    lam, c = _centered_counts(X, b, state.xi, params.mu[:, None], state.alpha)
+    return 2.0 * b * np.einsum("in,ij,ik->njk", lam, W, W), W.T @ c
+
+
+def _accumulate(blocks, block_params, variational) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior precision (N x d_z x d_z, prior included) and linear term
+    h (d_z x N) given all blocks."""
+    d_z = block_params[0].d_z
+    N = blocks[0].n_samples
+    prec = np.broadcast_to(np.eye(d_z), (N, d_z, d_z)).copy()
+    h = np.zeros((d_z, N))
+    for block, params, state in zip(blocks, block_params, variational):
+        p, hb = _block_quadratic(block.values, block.b, params, state)
+        prec += p  # (d_z,d_z) broadcasts over samples
+        h += hb
     return prec, h
 
 
@@ -159,13 +172,20 @@ def _posterior_from_quadratic(prec_total, h, d_z: int) -> LatentPosterior:
     return LatentPosterior(mean=mean, cov=C)
 
 
+def _single_block_estep(params: BlockParams, state: VariationalState | None,
+                        X: np.ndarray, b: int = 1) -> LatentPosterior:
+    """Posterior given one block: normal without a state, multinomial when the
+    state carries alpha, binomial otherwise."""
+    prec, h = _block_quadratic(np.asarray(X, dtype=float), b, params, state)
+    return _posterior_from_quadratic(prec + np.eye(params.d_z), h, params.d_z)
+
+
+binomial_estep = multinomial_estep = _single_block_estep
+
+
 def gaussian_estep(params: BlockParams, X: np.ndarray) -> LatentPosterior:
     """Exact posterior for a single normal block."""
-    d_z = params.d_z
-    Wp = params.W / params.psi[:, None]
-    prec = params.W.T @ Wp + np.eye(d_z)
-    h = Wp.T @ (np.asarray(X, dtype=float) - params.mu[:, None])
-    return _posterior_from_quadratic(prec, h, d_z)
+    return _single_block_estep(params, None, X)
 
 
 def gaussian_mstep(X: np.ndarray, posterior: LatentPosterior,
@@ -186,33 +206,10 @@ def gaussian_mstep(X: np.ndarray, posterior: LatentPosterior,
     return BlockParams(W=W, mu=mu, psi=psi)
 
 
-def binomial_estep(params: BlockParams, state: VariationalState,
-                   X: np.ndarray, b: int = 1) -> LatentPosterior:
-    block = CovariateBlock(name="_", kind="binomial", b=b, values=X,
-                           feature_names=[f"f{i}" for i in range(np.shape(X)[0])])
-    prec, h = _block_quadratic(block, params, state)
-    return _posterior_from_quadratic(prec + np.eye(params.d_z), h, params.d_z)
-
-
-def multinomial_estep(params: BlockParams, state: VariationalState,
-                      X: np.ndarray, b: int = 1) -> LatentPosterior:
-    block = CovariateBlock(name="_", kind="multinomial", b=b, values=X,
-                           feature_names=[f"f{i}" for i in range(np.shape(X)[0])])
-    prec, h = _block_quadratic(block, params, state)
-    return _posterior_from_quadratic(prec + np.eye(params.d_z), h, params.d_z)
-
-
 def diverse_estep(block_params, variational, blocks) -> LatentPosterior:
-    """Joint posterior given all blocks; accumulates each block's quadratic terms."""
-    d_z = block_params[0].d_z
-    N = blocks[0].n_samples
-    prec = np.broadcast_to(np.eye(d_z), (N, d_z, d_z)).copy()
-    h = np.zeros((d_z, N))
-    for block, params, state in zip(blocks, block_params, variational):
-        p, hb = _block_quadratic(block, params, state)
-        prec += p  # (d_z,d_z) broadcasts over samples
-        h += hb
-    return _posterior_from_quadratic(prec, h, d_z)
+    """Joint posterior given all blocks."""
+    prec, h = _accumulate(blocks, block_params, variational)
+    return _posterior_from_quadratic(prec, h, block_params[0].d_z)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +243,7 @@ def update_W(block_values: np.ndarray, b: int, params: BlockParams,
              alpha: np.ndarray | None = None) -> np.ndarray:
     """Per-feature d_z-dimensional solves via the Cholesky factor of the
     weighted second-moment accumulation."""
-    lam = lambda_of_xi(xi)
-    offset = params.mu[:, None] if alpha is None else params.mu[:, None] - alpha[None, :]
-    c = block_values - b / 2.0 - 2.0 * b * lam * offset
+    lam, c = _centered_counts(block_values, b, xi, params.mu[:, None], alpha)
     ezz = posterior.second_moments()
     M = 2.0 * b * np.einsum("in,njk->ijk", lam, ezz)
     r = c @ posterior.mean.T
@@ -263,12 +258,13 @@ def update_W(block_values: np.ndarray, b: int, params: BlockParams,
 def update_mu(block_values: np.ndarray, b: int, W: np.ndarray,
               posterior: LatentPosterior, xi: np.ndarray,
               alpha: np.ndarray | None = None) -> np.ndarray:
-    lam = lambda_of_xi(xi)
-    lin = W @ posterior.mean
-    if alpha is not None:
-        lin = lin - alpha[None, :]
-    num = (block_values - b / 2.0 - 2.0 * b * lam * lin).sum(axis=1)
-    return num / (2.0 * b * lam.sum(axis=1))
+    lam, c = _centered_counts(block_values, b, xi, W @ posterior.mean, alpha)
+    return c.sum(axis=1) / (2.0 * b * lam.sum(axis=1))
+
+
+def _psi_floor(X: np.ndarray) -> np.ndarray:
+    """The normal-block noise floor: a tiny fraction of each feature's variance."""
+    return np.maximum(HEYWOOD_REL_THRESHOLD * X.var(axis=1), PSI_FLOOR)
 
 
 def _zero_last_row(params: BlockParams) -> BlockParams:
@@ -279,48 +275,65 @@ def _zero_last_row(params: BlockParams) -> BlockParams:
     return replace(params, W=W, mu=mu)
 
 
+def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
+                       refresh) -> None:
+    """The conditional updates xi -> alpha -> W (and psi) -> mu over all
+    blocks, in place; ``data`` holds each block's (values, b). A block is
+    normal without a state and multinomial (last row of W and mu kept zero)
+    when its state carries alpha. The first phase with blocks to update uses
+    ``post``, each later one ``refresh(params, states)``."""
+    var = [i for i, s in enumerate(states) if s is not None]
+    multi = [i for i in var if states[i].alpha is not None]
+    fresh = [post]
+
+    def posterior():
+        return fresh.pop() if fresh else refresh(params, states)
+
+    if var:
+        post = posterior()
+        for i in var:
+            states[i] = replace(states[i], xi=update_xi(params[i], post, alpha=states[i].alpha))
+    if multi:
+        post = posterior()
+        for i in multi:
+            states[i] = replace(states[i], alpha=update_alpha(params[i], post, states[i].xi))
+    post = posterior()
+    for i, (X, b) in enumerate(data):
+        if states[i] is None:
+            params[i] = gaussian_mstep(X, post, psi_floor=_psi_floor(X))
+        else:
+            W = update_W(X, b, params[i], post, states[i].xi, alpha=states[i].alpha)
+            if i in multi:
+                W[-1, :] = 0.0
+            params[i] = replace(params[i], W=W)
+    if var:
+        post = posterior()
+        for i in var:
+            mu = update_mu(*data[i], params[i].W, post, states[i].xi, alpha=states[i].alpha)
+            if i in multi:
+                mu[-1] = 0.0
+            params[i] = replace(params[i], mu=mu)
+
+
 def binomial_mstep(params: BlockParams, posterior: LatentPosterior,
-                   X: np.ndarray, b: int = 1,
-                   refresh: bool = True) -> tuple[BlockParams, VariationalState]:
-    """Conditional updates xi^2 -> W -> mu. With ``refresh`` the posterior is
-    recomputed between updates so each one maximizes against the current
-    posterior (and hence cannot decrease the marginal bound)."""
-    X = np.asarray(X, dtype=float)
-    xi = update_xi(params, posterior)
-    state = VariationalState(xi=xi)
-    if refresh:
-        posterior = binomial_estep(params, state, X, b)
-    W = update_W(X, b, params, posterior, xi)
-    params = replace(params, W=W)
-    if refresh:
-        posterior = binomial_estep(params, state, X, b)
-    mu = update_mu(X, b, W, posterior, xi)
-    return replace(params, mu=mu), state
+                   X: np.ndarray, b: int = 1) -> tuple[BlockParams, VariationalState]:
+    """Conditional updates xi^2 -> W -> mu, as ``multinomial_mstep``."""
+    # no prior state: xi is re-estimated before anything reads it
+    return multinomial_mstep(params, VariationalState(xi=np.zeros(0)), posterior, X, b)
 
 
 def multinomial_mstep(params: BlockParams, state: VariationalState,
-                      posterior: LatentPosterior, X: np.ndarray, b: int = 1,
-                      refresh: bool = True) -> tuple[BlockParams, VariationalState]:
-    """Conditional updates xi^2 -> alpha -> W -> mu; the last row of W and mu
-    is re-zeroed exactly. xi^2 conditions on the previous alpha, which is why
-    the prior variational state is an argument here and not for binomial."""
+                      posterior: LatentPosterior, X: np.ndarray,
+                      b: int = 1) -> tuple[BlockParams, VariationalState]:
+    """The conditional sweep on one count block, xi^2 -> alpha -> W -> mu
+    (alpha and the zeroed last row of W and mu only when the state carries
+    alpha, on which xi^2 conditions), against the posterior recomputed between
+    the updates, so that none of them can decrease the marginal bound."""
     X = np.asarray(X, dtype=float)
-    xi = update_xi(params, posterior, alpha=state.alpha)
-    cur = VariationalState(xi=xi, alpha=state.alpha)
-    if refresh:
-        posterior = multinomial_estep(params, cur, X, b)
-    alpha = update_alpha(params, posterior, xi)
-    cur = VariationalState(xi=xi, alpha=alpha)
-    if refresh:
-        posterior = multinomial_estep(params, cur, X, b)
-    W = update_W(X, b, params, posterior, xi, alpha=alpha)
-    W[-1, :] = 0.0
-    params = replace(params, W=W)
-    if refresh:
-        posterior = multinomial_estep(params, cur, X, b)
-    mu = update_mu(X, b, W, posterior, xi, alpha=alpha)
-    mu[-1] = 0.0
-    return replace(params, mu=mu), cur
+    params, states = [params], [state]
+    _conditional_sweep([(X, b)], params, states, posterior,
+                       lambda p, s: _single_block_estep(p[0], s[0], X, b))
+    return params[0], states[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +371,9 @@ def variational_log_marginal(block_params, variational, blocks) -> float:
     """Sum over blocks/samples of the exact Gaussian marginal log-density
     (normal blocks) and the analytically integrated variational lower bound
     (binomial/multinomial blocks)."""
-    d_z = block_params[0].d_z
-    N = blocks[0].n_samples
-    prec = np.broadcast_to(np.eye(d_z), (N, d_z, d_z)).copy()
-    h = np.zeros((d_z, N))
-    const = np.zeros(N)
-    for block, params, state in zip(blocks, block_params, variational):
-        p, hb = _block_quadratic(block, params, state)
-        prec += p
-        h += hb
-        const += _block_constant(block, params, state)
+    prec, h = _accumulate(blocks, block_params, variational)
+    const = sum(_block_constant(block, params, state)
+                for block, params, state in zip(blocks, block_params, variational))
     sign, logdet = np.linalg.slogdet(prec)
     if np.any(sign <= 0):
         raise FloatingPointError("posterior precision not positive definite")
@@ -418,11 +424,9 @@ def ppca_init(X: np.ndarray, d_z: int) -> BlockParams:
         scale = s_sq[:d_z] / N - sigma_sq
         if np.any(scale < 0):
             logger.warning("rank-deficient data: negative loading scale in warm start")
-        W = U[:, :d_z] * scale[: min(d_z, U.shape[1])] if U.shape[1] >= d_z else None
-        if W is None or U.shape[1] < d_z:
-            W = np.zeros((d_x, d_z))
-            k = U.shape[1]
-            W[:, :k] = U[:, :k] * scale[:k]
+        k = min(d_z, U.shape[1])  # N < d_z leaves the trailing columns zero
+        W = np.zeros((d_x, d_z))
+        W[:, :k] = U[:, :k] * scale[:k]
         psi = np.full(d_x, sigma_sq)
     else:
         W = np.ones((d_x, d_z))
@@ -448,70 +452,31 @@ def _init_block(block: CovariateBlock, d_z: int) -> tuple[BlockParams, Variation
 
 def _heywood(block_params, blocks) -> bool:
     for params, block in zip(block_params, blocks):
-        if params.psi is None:
-            continue
-        var = block.values.var(axis=1)
         # the M-step clamps psi at exactly this floor, so equality means the
         # unclamped estimate collapsed
-        if np.any(params.psi <= np.maximum(HEYWOOD_REL_THRESHOLD * var, PSI_FLOOR)):
+        if params.psi is not None and np.any(params.psi <= _psi_floor(block.values)):
             return True
     return False
 
 
 def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 100,
            rel_tol: float = 1e-6) -> tuple[FaModel, LatentPosterior]:
-    """Alternate the joint E-step with per-block conditional M-steps until the
-    tracked objective stabilizes. The posterior is refreshed between the
-    conditional update phases so each phase is monotone in the bound."""
+    """Alternate the joint E-step with the conditional sweep until the tracked
+    objective stabilizes. The posterior is refreshed between the sweep's
+    phases so each phase is monotone in the bound."""
     if d_z < 1:
         raise ValueError("d_z must be >= 1")
     blocks = dataset.blocks
     inits = [_init_block(block, d_z) for block in blocks]
     params = [p for p, _ in inits]
     states = [s for _, s in inits]
-    has_var = any(s is not None for s in states)
+    data = [(block.values, block.b) for block in blocks]
     heywood = False
     prev_obj = None
     for _ in range(max_iters):
         post = diverse_estep(params, states, blocks)
-        if has_var:
-            # phase 1: variational xi (all non-normal blocks at once)
-            for i, block in enumerate(blocks):
-                if block.kind == "normal":
-                    continue
-                alpha = states[i].alpha if block.kind == "multinomial" else None
-                states[i] = replace(states[i], xi=update_xi(params[i], post, alpha=alpha))
-            post = diverse_estep(params, states, blocks)
-            # phase 2: multinomial alpha
-            if any(b.kind == "multinomial" for b in blocks):
-                for i, block in enumerate(blocks):
-                    if block.kind == "multinomial":
-                        states[i] = replace(
-                            states[i], alpha=update_alpha(params[i], post, states[i].xi))
-                post = diverse_estep(params, states, blocks)
-        # phase 3: loadings (and noise for normal blocks)
-        for i, block in enumerate(blocks):
-            if block.kind == "normal":
-                floor = HEYWOOD_REL_THRESHOLD * block.values.var(axis=1)
-                params[i] = gaussian_mstep(block.values, post,
-                                           psi_floor=np.maximum(floor, PSI_FLOOR))
-            else:
-                W = update_W(block.values, block.b, params[i], post,
-                             states[i].xi, alpha=states[i].alpha)
-                if block.kind == "multinomial":
-                    W[-1, :] = 0.0
-                params[i] = replace(params[i], W=W)
-        if has_var:
-            post = diverse_estep(params, states, blocks)
-            # phase 4: means for non-normal blocks (normal means are exact row means)
-            for i, block in enumerate(blocks):
-                if block.kind == "normal":
-                    continue
-                mu = update_mu(block.values, block.b, params[i].W, post,
-                               states[i].xi, alpha=states[i].alpha)
-                if block.kind == "multinomial":
-                    mu[-1] = 0.0
-                params[i] = replace(params[i], mu=mu)
+        _conditional_sweep(data, params, states, post,
+                           lambda p, s: diverse_estep(p, s, blocks))
         heywood = heywood or _heywood(params, blocks)
         obj = variational_log_marginal(params, states, blocks)
         if prev_obj is not None:

@@ -54,6 +54,27 @@ def _design(X: np.ndarray) -> np.ndarray:
     return np.vstack([np.ones(X.shape[1]), X])
 
 
+def _aligned(X: np.ndarray, survival) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design (intercept row prepended), times and event indicators of the
+    samples, after checking that X has one column per survival record."""
+    t = np.array([s.time for s in survival], dtype=float)
+    d = np.array([float(s.event) for s in survival])
+    Xt = _design(X)
+    if Xt.shape[1] != t.size:
+        raise ValueError("X columns must align with survival")
+    return Xt, t, d
+
+
+def _log_event_rate(t: np.ndarray, d: np.ndarray) -> float:
+    """Intercept-only start log(events / exposure); a class without events
+    starts at the rate floor DEGENERATE_RATE_EPS / exposure instead."""
+    n_events = d.sum()
+    if n_events == 0:
+        logger.warning("no observations in one outcome class; its rate is set to the floor")
+        n_events = DEGENERATE_RATE_EPS
+    return np.log(n_events / t.sum())
+
+
 def _part_log_likelihood(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.ndarray) -> float:
     eta = w @ Xt
     return float(np.sum(d * eta - t * np.exp(eta)))
@@ -62,11 +83,7 @@ def _part_log_likelihood(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.nda
 def ecph_log_likelihood(params_T: HazardParams, params_C: HazardParams,
                         X: np.ndarray, survival) -> float:
     """Log-likelihood of (event time, indicator) pairs; additive in the T and C parts."""
-    t = np.array([s.time for s in survival], dtype=float)
-    d = np.array([float(s.event) for s in survival])
-    Xt = _design(X)
-    if Xt.shape[1] != t.size:
-        raise ValueError("X columns must align with survival")
+    Xt, t, d = _aligned(X, survival)
     return (_part_log_likelihood(params_T.w, Xt, t, d)
             + _part_log_likelihood(params_C.w, Xt, t, 1.0 - d))
 
@@ -121,14 +138,10 @@ def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
 def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
              penalize_intercept: bool, iterations: int) -> np.ndarray:
     p1 = Xt.shape[0]
-    n_events = d.sum()
-    if n_events == 0:
-        logger.warning("no observations in one outcome class; intercept-only fit at the rate floor")
-        w = np.zeros(p1)
-        w[0] = np.log(DEGENERATE_RATE_EPS / t.sum())
-        return w
     w = np.zeros(p1)
-    w[0] = np.log(n_events / t.sum())
+    w[0] = _log_event_rate(t, d)
+    if not d.any():
+        return w  # intercept-only at the rate floor
     penalized = np.ones(p1, dtype=bool)
     if not penalize_intercept:
         penalized[0] = False
@@ -153,13 +166,9 @@ def fit_ecph(X: np.ndarray, survival, penalty: PenaltyConfig | None = None,
     The two parts factor, so they are fitted independently. Five outer
     iterations; each L1 subproblem is solved by coordinate descent.
     """
-    t = np.array([s.time for s in survival], dtype=float)
-    d = np.array([float(s.event) for s in survival])
+    Xt, t, d = _aligned(X, survival)
     if t.sum() <= 0:
         raise ValueError("total exposure is zero")
-    Xt = _design(X)
-    if Xt.shape[1] != t.size:
-        raise ValueError("X columns must align with survival")
     penalty = penalty or PenaltyConfig()
     w_T = _fit_one(Xt, t, d, penalty.gamma_T, penalty.penalize_intercept, iterations)
     w_C = _fit_one(Xt, t, 1.0 - d, penalty.gamma_C, penalty.penalize_intercept, iterations)

@@ -3,12 +3,15 @@
 The marginal likelihood is intractable once the survival terms enter, so the
 E-step draws from each individual's conditional latent distribution with a
 random-walk Metropolis sampler (proposal covariance kappa * C_n from the
-factor-only posterior). M-steps reuse the factor-analysis conditional updates
-with Monte-Carlo moments, plus one Newton-Raphson step for each hazard.
+factor-only posterior). One lockstep runner (``_metropolis``) runs every
+chain: the E-step's N chains, each kappa rung's tuning chains, and
+``mh_sample``'s one. M-steps run the factor layer's conditional sweep against
+the Monte-Carlo moments, plus one Newton-Raphson step for each hazard.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 
@@ -17,7 +20,7 @@ import numpy as np
 from . import factor
 from .data import Dataset
 from .factor import FaModel, LatentPosterior, VariationalState
-from .hazard import HazardParams, fit_ecph
+from .hazard import HazardParams, _log_event_rate, fit_ecph
 
 logger = logging.getLogger(__name__)
 
@@ -73,26 +76,25 @@ class JointModel:
 
 class SampleTargets:
     """Per-sample conditional log-densities log p(t, delta | z) + log p~(x | z) + log p(z),
-    up to constants in z. Evaluates batches of z for all samples at once."""
+    up to constants in z. Evaluates one latent point per sample, for all samples at once."""
 
     def __init__(self, block_params, variational, blocks, w_T: HazardParams,
                  w_C: HazardParams, times: np.ndarray, events: np.ndarray):
-        d_z = block_params[0].d_z
-        N = blocks[0].n_samples
-        prec = np.broadcast_to(np.eye(d_z), (N, d_z, d_z)).copy()
-        h = np.zeros((d_z, N))
-        for block, params, state in zip(blocks, block_params, variational):
-            p, hb = factor._block_quadratic(block, params, state)
-            prec += p
-            h += hb
-        self.prec = prec          # includes the prior
-        self.h = h                # (d_z, N)
+        # the precision includes the prior; h is (d_z, N)
+        self.prec, self.h = factor._accumulate(blocks, block_params, variational)
         self.w_T = w_T.w
         self.w_C = w_C.w
         self.t = np.asarray(times, dtype=float)
         self.d = np.asarray(events, dtype=float)
-        self.d_z = d_z
-        self.N = N
+        self.N = self.h.shape[1]
+
+    def rows(self, idx) -> SampleTargets:
+        """The targets of samples ``idx``, in that order (repeats allowed)."""
+        out = copy.copy(self)
+        out.prec, out.h = self.prec[idx], self.h[:, idx]
+        out.t, out.d = self.t[idx], self.d[idx]
+        out.N = len(idx)
+        return out
 
     def logp_all(self, Z: np.ndarray) -> np.ndarray:
         """Z has shape (N, d_z): one latent point per sample."""
@@ -104,16 +106,6 @@ class SampleTargets:
                 - self.t * (np.exp(eta_T) + np.exp(eta_C)))
         return quad + lin + surv
 
-    def logp_one(self, n: int, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        quad = -0.5 * z @ self.prec[n] @ z
-        lin = self.h[:, n] @ z
-        eta_T = self.w_T[0] + z @ self.w_T[1:]
-        eta_C = self.w_C[0] + z @ self.w_C[1:]
-        surv = (self.d[n] * eta_T + (1.0 - self.d[n]) * eta_C
-                - self.t[n] * (np.exp(eta_T) + np.exp(eta_C)))
-        return float(quad + lin + surv)
-
 
 def conditional_log_density(model: JointModel, z: np.ndarray, dataset: Dataset,
                             n: int) -> float:
@@ -121,7 +113,7 @@ def conditional_log_density(model: JointModel, z: np.ndarray, dataset: Dataset,
     targets = SampleTargets(model.fa.block_params, model.fa.variational,
                             dataset.blocks, model.w_T, model.w_C,
                             dataset.times(), dataset.events())
-    return targets.logp_one(n, z)
+    return float(targets.rows([n]).logp_all(np.asarray(z, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,60 +165,66 @@ def effective_sample_size(chains: np.ndarray) -> float:
     return float(min(n_eff, m * n))
 
 
-def _run_chain(logp, z0: np.ndarray, chol: np.ndarray, burn_in: int, n_keep: int,
-               rng: np.random.Generator):
-    d_z = z0.size
+def _metropolis(targets: SampleTargets, Z0: np.ndarray, chol: np.ndarray, rngs,
+               burn_in: int, n_keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random-walk Metropolis chains in lockstep, one per row of ``targets``:
+    chain m starts at Z0[m], proposes z + chol[m] @ eps and draws from its own
+    generator rngs[m], so it equals the same chain run alone. Returns the kept
+    draws (M, n_keep, d_z) and each chain's acceptance rate."""
+    M, d_z = Z0.shape
     steps = burn_in + n_keep
-    eps = rng.standard_normal((steps, d_z))
-    logu = np.log(rng.random(steps))
-    z = z0.copy()
-    lp = logp(z)
-    kept = np.empty((n_keep, d_z))
-    accepted = 0
+    eps = np.empty((M, steps, d_z))
+    logu = np.empty((M, steps))
+    for m, rng in enumerate(rngs):
+        eps[m] = rng.standard_normal((steps, d_z))
+        logu[m] = np.log(rng.random(steps))
+    Z = Z0.copy()
+    lp = targets.logp_all(Z)
+    kept = np.empty((M, n_keep, d_z))
+    accepted = np.zeros(M)
     for s in range(steps):
-        prop = z + chol @ eps[s]
-        lp_prop = logp(prop)
-        if logu[s] < lp_prop - lp:
-            z, lp = prop, lp_prop
-            accepted += 1
+        prop = Z + np.einsum("njk,nk->nj", chol, eps[:, s])
+        lp_prop = targets.logp_all(prop)
+        accept = logu[:, s] < lp_prop - lp
+        Z[accept] = prop[accept]
+        lp[accept] = lp_prop[accept]
+        accepted += accept
         if s >= burn_in:
-            kept[s - burn_in] = z
+            kept[:, s - burn_in] = Z
     return kept, accepted / steps
+
+
+def _chains(targets: SampleTargets, n: int, kappa: float, config: MhConfig, rngs,
+            z0: np.ndarray, C_n: np.ndarray):
+    """Chains of sample n from z0 with proposal N(z, kappa C_n), one per
+    generator: kept draws (M, n_keep, d_z) and diagnostics on |z|^2."""
+    M = len(rngs)
+    chol = np.linalg.cholesky(kappa * C_n)
+    kept, rates = _metropolis(targets.rows([n] * M), np.tile(z0, (M, 1)),
+                              np.broadcast_to(chol, (M,) + chol.shape), rngs,
+                              config.burn_in, config.n_keep)
+    stat = np.einsum("msj,msj->ms", kept, kept)
+    return kept, ChainDiagnostics(acceptance_rate=float(np.mean(rates)),
+                                  n_eff=effective_sample_size(stat),
+                                  rhat=max(split_rhat(stat), 1.0))
 
 
 def mh_sample(targets: SampleTargets, n: int, kappa: float, config: MhConfig,
               seed: int, z0: np.ndarray, C_n: np.ndarray):
     """Random-walk Metropolis chain for sample n with proposal N(z, kappa C_n).
 
-    Returns (n_keep x d_z) kept draws and diagnostics; bit-reproducible from
+    Returns (d_z x n_keep) kept draws and diagnostics; bit-reproducible from
     the seed. R-hat uses the split-half of the single chain on |z|^2.
     """
-    rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(kappa * C_n)
-    kept, rate = _run_chain(lambda z: targets.logp_one(n, z), z0, chol,
-                            config.burn_in, config.n_keep, rng)
-    stat = np.einsum("sj,sj->s", kept, kept)[None, :]
-    diag = ChainDiagnostics(acceptance_rate=rate,
-                            n_eff=effective_sample_size(stat),
-                            rhat=max(split_rhat(stat), 1.0))
-    return kept.T, diag
+    kept, diag = _chains(targets, n, kappa, config, [np.random.default_rng(seed)], z0, C_n)
+    return kept[0].T, diag
 
 
 def _tuning_run(targets: SampleTargets, n: int, kappa: float, config: MhConfig,
                 seed: int, z0: np.ndarray, C_n: np.ndarray):
-    chol = np.linalg.cholesky(kappa * C_n)
     seeds = np.random.SeedSequence(seed).spawn(config.tuning_chains)
-    chains, rates = [], []
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        kept, rate = _run_chain(lambda z: targets.logp_one(n, z), z0, chol,
-                                config.burn_in, config.n_keep, rng)
-        chains.append(np.einsum("sj,sj->s", kept, kept))
-        rates.append(rate)
-    stat = np.array(chains)
-    return ChainDiagnostics(acceptance_rate=float(np.mean(rates)),
-                            n_eff=effective_sample_size(stat),
-                            rhat=max(split_rhat(stat), 1.0))
+    return _chains(targets, n, kappa, config, [np.random.default_rng(ss) for ss in seeds],
+                   z0, C_n)[1]
 
 
 def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
@@ -285,16 +283,10 @@ def newton_mstep_w(w_s: HazardParams, samples: np.ndarray, times: np.ndarray,
 
 
 def _init_hazards(times: np.ndarray, events: np.ndarray, d_z: int):
-    t_sum = times.sum()
     out = []
     for d in (events, 1.0 - events):
         w = np.zeros(d_z + 1)
-        n_ev = d.sum()
-        if n_ev == 0:
-            logger.warning("degenerate outcome class at initialization")
-            w[0] = np.log(1e-8 / t_sum)
-        else:
-            w[0] = np.log(n_ev / t_sum)
+        w[0] = _log_event_rate(times, d)
         out.append(HazardParams(w))
     return out[0], out[1]
 
@@ -305,37 +297,20 @@ def _init_hazards(times: np.ndarray, events: np.ndarray, d_z: int):
 
 def _mc_estep(targets: SampleTargets, post: LatentPosterior, kappa: float,
               config: MhConfig, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """All samples' chains run in lockstep with per-sample generators, so the
+    """Every sample's chain, run in lockstep with per-sample generators, so the
     result equals sequential per-sample runs. Returns (N, n_keep, d_z)."""
-    N, d_z = targets.N, targets.d_z
-    steps = config.burn_in + config.n_keep
-    seeds = seed_seq.spawn(N)
-    eps = np.empty((N, steps, d_z))
-    logu = np.empty((N, steps))
-    for n, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        eps[n] = rng.standard_normal((steps, d_z))
-        logu[n] = np.log(rng.random(steps))
-    chol = np.linalg.cholesky(kappa * post.cov)
-    Z = post.mean.T.copy()  # (N, d_z)
-    lp = targets.logp_all(Z)
-    kept = np.empty((N, config.n_keep, d_z))
-    for s in range(steps):
-        prop = Z + np.einsum("njk,nk->nj", chol, eps[:, s])
-        lp_prop = targets.logp_all(prop)
-        accept = logu[:, s] < lp_prop - lp
-        Z[accept] = prop[accept]
-        lp[accept] = lp_prop[accept]
-        if s >= config.burn_in:
-            kept[:, s - config.burn_in] = Z
+    rngs = [np.random.default_rng(ss) for ss in seed_seq.spawn(targets.N)]
+    kept, _ = _metropolis(targets, post.mean.T, np.linalg.cholesky(kappa * post.cov), rngs,
+                          config.burn_in, config.n_keep)
     return kept
 
 
 def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
               mh: MhConfig | None = None, seed: int = 0,
               fa_max_iters: int = 100) -> JointModel:
-    """Ten-iteration approximate generalized EM: Metropolis E-step, factor
-    M-steps from Monte-Carlo moments, one Newton step per hazard."""
+    """Ten-iteration approximate generalized EM: Metropolis E-step, the factor
+    layer's conditional sweep against the Monte-Carlo moments, one Newton step
+    per hazard."""
     mh = mh or MhConfig()
     times = dataset.times()
     events = dataset.events()
@@ -349,6 +324,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     tune_seed = int(seed_root.generate_state(1)[0] % (2**31))
     kappa = None
     blocks = dataset.blocks
+    data = [(block.values, block.b) for block in blocks]
     for it in range(gem_iters):
         targets = SampleTargets(params, states, blocks, w_T, w_C, times, events)
         if kappa is None or mh.retune_each_iteration:
@@ -362,17 +338,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
         cov = second - np.einsum("jn,kn->njk", mean, mean)
         mc_post = LatentPosterior(mean=mean, cov=cov)
 
-        for i, block in enumerate(blocks):
-            if block.kind == "normal":
-                floor = factor.HEYWOOD_REL_THRESHOLD * block.values.var(axis=1)
-                params[i] = factor.gaussian_mstep(block.values, mc_post,
-                                                  psi_floor=np.maximum(floor, factor.PSI_FLOOR))
-            elif block.kind == "binomial":
-                params[i], states[i] = factor.binomial_mstep(
-                    params[i], mc_post, block.values, block.b, refresh=False)
-            else:
-                params[i], states[i] = factor.multinomial_mstep(
-                    params[i], states[i], mc_post, block.values, block.b, refresh=False)
+        factor._conditional_sweep(data, params, states, mc_post, lambda p, s: mc_post)
         heywood = heywood or factor._heywood(params, blocks)
 
         w_T = newton_mstep_w(w_T, samples, times, events)

@@ -407,6 +407,18 @@ class TestPpcaInit:
         params = ppca_init(X, 2)
         np.testing.assert_array_equal(params.W, np.ones((1, 2)))
 
+    def test_fewer_samples_than_latent_dims(self, rng):
+        # N < d_z < d_x: the SVD has only N directions, so the loadings past
+        # them stay zero and the first one follows the data
+        X = rng.standard_normal((5, 2))
+        params = ppca_init(X, 3)
+        assert params.W.shape == (5, 3)
+        np.testing.assert_array_equal(params.W[:, 2], 0.0)
+        diff = X[:, 0] - X[:, 1]
+        w = params.W[:, 0]
+        assert abs(w @ diff) / (np.linalg.norm(w) * np.linalg.norm(diff)) == pytest.approx(1.0)
+        np.testing.assert_allclose(params.psi, 1e-12)
+
     def test_reconstruction_correlates_with_sample_covariance(self, rng):
         d_x, d_z, N = 8, 2, 2000
         W = rng.standard_normal((d_x, d_z))

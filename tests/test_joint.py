@@ -9,6 +9,7 @@ from latentsurv.factor import BlockParams, FaModel, LatentPosterior, fit_fa
 from latentsurv.hazard import HazardParams
 from latentsurv.joint import (
     JointModel,
+    _metropolis,
     MhConfig,
     SampleTargets,
     conditional_log_density,
@@ -61,21 +62,63 @@ class TestConditionalLogDensity:
 
     def test_gradient_matches_finite_differences(self, rng):
         ds, model, post, targets = gaussian_only_setup(rng, beta=0.7)
-        n = 1
-        z = rng.standard_normal(2)
-        # analytic gradient of the target
-        eta_T = targets.w_T[0] + z @ targets.w_T[1:]
-        eta_C = targets.w_C[0] + z @ targets.w_C[1:]
-        grad = (-targets.prec[n] @ z + targets.h[:, n]
-                + targets.d[n] * targets.w_T[1:] + (1 - targets.d[n]) * targets.w_C[1:]
-                - targets.t[n] * (math.exp(eta_T) * targets.w_T[1:]
-                                  + math.exp(eta_C) * targets.w_C[1:]))
+        Z = rng.standard_normal((targets.N, 2))
+        # analytic gradient of each sample's target at its own row of Z
+        eta_T = targets.w_T[0] + Z @ targets.w_T[1:]
+        eta_C = targets.w_C[0] + Z @ targets.w_C[1:]
+        grad = (-np.einsum("njk,nk->nj", targets.prec, Z) + targets.h.T
+                + np.outer(targets.d, targets.w_T[1:])
+                + np.outer(1 - targets.d, targets.w_C[1:])
+                - targets.t[:, None] * (np.outer(np.exp(eta_T), targets.w_T[1:])
+                                        + np.outer(np.exp(eta_C), targets.w_C[1:])))
         h = 1e-6
         for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fd = (targets.logp_one(n, z + e) - targets.logp_one(n, z - e)) / (2 * h)
-            assert fd == pytest.approx(grad[k], abs=1e-5)
+            E = np.zeros_like(Z)
+            E[:, k] = h
+            fd = (targets.logp_all(Z + E) - targets.logp_all(Z - E)) / (2 * h)
+            np.testing.assert_allclose(fd, grad[:, k], rtol=0, atol=1e-5)
+
+
+class TestLockstepRunner:
+    def test_chain_alone_equals_chain_beside_other_rows(self, rng):
+        ds = make_dataset(rng, N=15, with_binomial=True, with_multinomial=True)
+        model, post = fit_fa(ds, 2)
+        w = np.array([-0.1, 0.7, -0.4])
+        targets = SampleTargets(model.block_params, model.variational, ds.blocks,
+                                HazardParams(w), HazardParams(w * 0.5),
+                                ds.times(), ds.events())
+        chol = np.linalg.cholesky(2.0 * post.cov)
+        seeds = np.random.SeedSequence(11).spawn(targets.N)
+        kept, rates = _metropolis(targets, post.mean.T, chol,
+                                  [np.random.default_rng(ss) for ss in seeds], 50, 50)
+        assert 0.0 < rates.min() and rates.max() < 1.0
+        for n in (0, 7, targets.N - 1):
+            alone, rate = _metropolis(targets.rows([n]), post.mean.T[n:n + 1], chol[n:n + 1],
+                                      [np.random.default_rng(seeds[n])], 50, 50)
+            np.testing.assert_array_equal(alone[0], kept[n])
+            assert rate[0] == rates[n]
+
+    def test_mh_sample_matches_one_proposal_at_a_time(self, rng):
+        ds, model, post, targets = gaussian_only_setup(rng, beta=0.7)
+        n, kappa, z0, C_n = 1, 2.0, post.mean[:, 1].copy(), post.cov[1]
+        samples, diag = mh_sample(targets, n, kappa, FAST_MH, seed=5, z0=z0, C_n=C_n)
+        # reference: the plain per-sample loop over the same generator stream
+        gen = np.random.default_rng(5)
+        chol = np.linalg.cholesky(kappa * C_n)
+        steps = FAST_MH.burn_in + FAST_MH.n_keep
+        eps = gen.standard_normal((steps, 2))
+        logu = np.log(gen.random(steps))
+        row = targets.rows([n])
+        z, lp, kept, accepted = z0, row.logp_all(z0[None, :])[0], [], 0
+        for s in range(steps):
+            prop = z + chol @ eps[s]
+            lp_prop = row.logp_all(prop[None, :])[0]
+            if logu[s] < lp_prop - lp:
+                z, lp, accepted = prop, lp_prop, accepted + 1
+            if s >= FAST_MH.burn_in:
+                kept.append(z)
+        np.testing.assert_allclose(samples, np.array(kept).T, rtol=0, atol=1e-12)
+        assert diag.acceptance_rate == accepted / steps
 
 
 class TestDiagnostics:
