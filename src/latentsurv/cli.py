@@ -6,6 +6,7 @@ selection, 4 model/dataset feature-manifest mismatch.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -32,10 +33,16 @@ def _echo_config(out_dir: Path, command: str, options: dict):
 
 def _load_dataset_or_die(path):
     try:
-        return data_mod.load_dataset(path)
+        dataset = data_mod.load_dataset(path)
     except (OSError, data_mod.ParseError, KeyError, ValueError, json.JSONDecodeError) as exc:
         click.echo(f"error: cannot load dataset: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)
+    masked = [blk.name for blk in dataset.blocks if blk.missing_mask is not None]
+    if masked:
+        click.echo(f"error: missing cells in block(s) {', '.join(map(repr, masked))}; "
+                   "impute them with latentsurv.data.impute_missing first", err=True)
+        sys.exit(EXIT_BAD_INPUT)
+    return dataset
 
 
 def _load_model_or_die(path, blocks):
@@ -51,12 +58,8 @@ def _load_model_or_die(path, blocks):
     return model
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, parse) -> list:
+    return [parse(tok) for tok in text.split(",") if tok.strip()]
 
 
 @click.group()
@@ -144,8 +147,8 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
     full learning set."""
     dataset = _load_dataset_or_die(data_path)
     try:
-        dzs = _parse_int_list(dz_list)
-        gammas = _parse_float_list(gamma_list)
+        dzs = _parse_list(dz_list, int)
+        gammas = _parse_list(gamma_list, float)
     except ValueError as exc:
         click.echo(f"error: bad --dz/--gamma list: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)
@@ -175,12 +178,7 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
     out.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "selected": selected,
-        "reports": [
-            {"candidate_id": r.candidate_id, "fold_cindices": list(r.fold_cindices),
-             "mean": r.mean, "std": r.std, "heywood_excluded": r.heywood_excluded,
-             "error_folds": list(r.error_folds)}
-            for r in reports
-        ],
+        "reports": [dataclasses.asdict(r) for r in reports],
         "test_indices": list(split.test_indices),
     }
 

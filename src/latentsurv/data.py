@@ -28,10 +28,8 @@ class SurvivalOutcome:
     event: bool
 
     def __post_init__(self):
-        if not (self.time > 0 or self.time == 0):
-            raise ValueError(f"invalid time {self.time!r}")
-        if self.time < 0:
-            raise ValueError(f"negative time {self.time!r}")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"invalid time {self.time!r}: must be finite and at least 0")
 
 
 @dataclass(frozen=True)
@@ -165,82 +163,68 @@ class SplitPlan:
         return tuple(i for v, f in enumerate(self.folds) if v != fold for i in f)
 
 
-def _sniff_delimiter(line: str) -> str:
-    return "\t" if line.count("\t") >= line.count(",") else ","
+def _read_table(path):
+    """Read a comma- or tab-delimited table (whichever the header uses more).
 
-
-def _read_matrix(path):
-    """Read a delimited matrix file: header row of sample ids, first column feature names."""
+    Returns the stripped header cells and ``(line number, cells)`` for every
+    non-blank row; each row must have as many cells as the header.
+    """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first.strip():
             raise ParseError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        header = next(csv.reader([first], delimiter=delim))
-        sample_ids = [c.strip() for c in header[1:]]
-        if len(set(sample_ids)) != len(sample_ids):
-            raise ParseError(f"{path}: duplicate sample ids in header")
-        feature_names, rows, masks = [], [], []
+        delim = "\t" if first.count("\t") >= first.count(",") else ","
+        header = [c.strip() for c in next(csv.reader([first], delimiter=delim))]
+        rows = []
         for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
             if not row:
                 continue
-            if len(row) != len(sample_ids) + 1:
-                raise ParseError(f"{path}:{lineno}: expected {len(sample_ids) + 1} cells, got {len(row)}")
-            feature_names.append(row[0].strip())
-            vals, mask = [], []
-            for col, cell in enumerate(row[1:], start=2):
-                token = cell.strip()
-                if token.lower() in MISSING_TOKENS:
-                    vals.append(np.nan)
-                    mask.append(True)
-                    continue
-                try:
-                    vals.append(float(token))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric cell {token!r} (column {col})") from None
-                mask.append(False)
-            rows.append(vals)
-            masks.append(mask)
-    values = np.array(rows, dtype=float).reshape(len(rows), len(sample_ids))
-    mask = np.array(masks, dtype=bool).reshape(values.shape)
-    return sample_ids, feature_names, values, mask
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            rows.append((lineno, row))
+    return header, rows
+
+
+def _read_matrix(path):
+    """Read a delimited matrix file: header row of sample ids, first column
+    feature names. Missing cells are NaN."""
+    header, rows = _read_table(path)
+    sample_ids = header[1:]
+    if len(set(sample_ids)) != len(sample_ids):
+        raise ParseError(f"{path}: duplicate sample ids in header")
+    feature_names, values = [], []
+    for lineno, row in rows:
+        feature_names.append(row[0].strip())
+        vals = []
+        for col, cell in enumerate(row[1:], start=2):
+            token = cell.strip()
+            try:
+                vals.append(np.nan if token.lower() in MISSING_TOKENS else float(token))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric cell {token!r} (column {col})") from None
+        values.append(vals)
+    return sample_ids, feature_names, np.array(values, dtype=float).reshape(len(rows), len(sample_ids))
 
 
 def _read_survival(path):
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ParseError(f"{path}: empty survival file")
-        delim = _sniff_delimiter(first)
-        reader = csv.reader([first], delimiter=delim)
-        header = [c.strip().lower() for c in next(reader)]
-        if header[:3] != ["sample_id", "time_days", "event"]:
-            raise ParseError(f"{path}: expected header sample_id,time_days,event")
-        out = {}
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row:
-                continue
-            sid = row[0].strip()
-            if sid in out:
-                raise ParseError(f"{path}:{lineno}: duplicate sample id {sid!r}")
-            try:
-                time = float(row[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric time {row[1]!r}") from None
-            token = row[2].strip().lower()
-            if token in {"1", "true"}:
-                event = True
-            elif token in {"0", "false"}:
-                event = False
-            else:
-                if not token:
-                    out[sid] = None  # missing survival: sample dropped later
-                    continue
-                raise ParseError(f"{path}:{lineno}: bad event value {row[2]!r}")
-            if math.isnan(time):
-                out[sid] = None
-                continue
-            out[sid] = SurvivalOutcome(time=time, event=event)
+    header, rows = _read_table(path)
+    if [c.lower() for c in header[:3]] != ["sample_id", "time_days", "event"]:
+        raise ParseError(f"{path}: expected header sample_id,time_days,event")
+    out = {}
+    for lineno, row in rows:
+        sid = row[0].strip()
+        if sid in out:
+            raise ParseError(f"{path}:{lineno}: duplicate sample id {sid!r}")
+        try:
+            time = float(row[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric time {row[1]!r}") from None
+        token = row[2].strip().lower()
+        if token not in {"1", "true", "0", "false", ""}:
+            raise ParseError(f"{path}:{lineno}: bad event value {row[2]!r}")
+        # a blank event or a NaN time is missing survival: the sample is dropped later
+        missing = not token or math.isnan(time)
+        out[sid] = None if missing else SurvivalOutcome(time=time, event=token in {"1", "true"})
     return out
 
 
@@ -266,8 +250,8 @@ def load_dataset(manifest_path) -> Dataset:
 
     raw_blocks = []
     for spec in manifest["blocks"]:
-        sample_ids, feature_names, values, mask = _read_matrix(base / spec["path"])
-        raw_blocks.append((spec, sample_ids, feature_names, values, mask))
+        sample_ids, feature_names, values = _read_matrix(base / spec["path"])
+        raw_blocks.append((spec, sample_ids, feature_names, values))
         before = len(keep)
         keep &= set(sample_ids)
         if len(keep) < before:
@@ -276,16 +260,17 @@ def load_dataset(manifest_path) -> Dataset:
     # Keep a deterministic sample order: survival-file order restricted to shared ids.
     ordered = [sid for sid in survival_map if sid in keep]
     blocks = []
-    for spec, sample_ids, feature_names, values, mask in raw_blocks:
+    for spec, sample_ids, feature_names, values in raw_blocks:
         col = {sid: j for j, sid in enumerate(sample_ids)}
-        sel = [col[sid] for sid in ordered]
+        values = values[:, [col[sid] for sid in ordered]]
+        mask = np.isnan(values)
         blocks.append(CovariateBlock(
             name=spec["name"],
             kind=spec["kind"],
             b=int(spec.get("b", 1)),
-            values=values[:, sel],
+            values=values,
             feature_names=tuple(feature_names),
-            missing_mask=mask[:, sel] if mask[:, sel].any() else None,
+            missing_mask=mask if mask.any() else None,
         ))
     return Dataset(
         blocks=tuple(blocks),

@@ -19,17 +19,12 @@ class UndefinedCIndexError(ValueError):
     """No comparable pairs: the concordance denominator is zero."""
 
 
-def _tau(a: np.ndarray, da: np.ndarray, b: np.ndarray, db: np.ndarray) -> float:
-    """Pairwise agreement kernel over all ordered pairs n != m."""
-    ge_a = (a[:, None] >= a[None, :]).astype(float)
-    le_a = (a[:, None] <= a[None, :]).astype(float)
-    ge_b = (b[:, None] >= b[None, :]).astype(float)
-    le_b = (b[:, None] <= b[None, :]).astype(float)
-    term_a = ge_a * da[None, :] - le_a * da[:, None]
-    term_b = ge_b * db[None, :] - le_b * db[:, None]
-    np.fill_diagonal(term_a, 0.0)
-    N = a.size
-    return float((term_a * term_b).sum() / (N * (N - 1)))
+def _pair_terms(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Pair term [x_n >= x_m] dx_m - [x_n <= x_m] dx_n over all ordered pairs
+    n != m, zero on the diagonal."""
+    terms = (x[:, None] >= x[None, :]) * dx[None, :] - (x[:, None] <= x[None, :]) * dx[:, None]
+    np.fill_diagonal(terms, 0.0)
+    return terms
 
 
 def c_index(t_true, delta, t_pred, delta_pred=None) -> float:
@@ -45,10 +40,12 @@ def c_index(t_true, delta, t_pred, delta_pred=None) -> float:
         raise ValueError("inputs must have equal length")
     if t_true.size < 2:
         raise ValueError("need at least two samples")
-    denom = _tau(t_true, delta, t_true, delta)
+    truth = _pair_terms(t_true, delta)
+    n_pairs = t_true.size * (t_true.size - 1)
+    denom = float((truth * truth).sum() / n_pairs)
     if denom <= 0:
         raise UndefinedCIndexError("no comparable pairs; c-index undefined")
-    num = _tau(t_true, delta, t_pred, delta_pred)
+    num = float((truth * _pair_terms(t_pred, delta_pred)).sum() / n_pairs)
     return 0.5 * (num / denom + 1.0)
 
 
@@ -105,31 +102,32 @@ class CvReport:
                    error_folds=tuple(error_folds))
 
 
-def _fixed_matrix(dataset: Dataset, features) -> np.ndarray:
-    return np.vstack([dataset.blocks[b].values[i] for b, i in features])
+def _covariates(candidate: ModelCandidate, data: Dataset) -> np.ndarray:
+    """A hazard-only candidate's covariates: every stacked feature for L1, the
+    chosen feature rows otherwise."""
+    if candidate.kind == "ecph_c_l1":
+        return data.stacked_values()
+    return np.vstack([data.blocks[b].values[i] for b, i in candidate.fixed_features])
 
 
 def fit_candidate(candidate: ModelCandidate, train: Dataset, seed: int):
-    """Fit one candidate on a learning set; returns an opaque fitted object."""
+    """Fit one candidate on a learning set; returns a ``JointModel`` for latent
+    candidates and the ``(w_T, w_C)`` hazard pair otherwise."""
     if candidate.kind == "fa_ecph_c":
         if candidate.fit_mode == "fast_decoupled":
             return joint_mod.fit_fast(train, candidate.d_z, seed=seed)
         return joint_mod.fit_joint(train, candidate.d_z,
                                    gem_iters=candidate.gem_iters, seed=seed)
-    if candidate.kind == "ecph_c_l1":
-        penalty = PenaltyConfig(gamma_T=candidate.gamma, gamma_C=candidate.gamma)
-        w_T, w_C = fit_ecph(train.stacked_values(), train.survival, penalty=penalty)
-        return ("l1", w_T, w_C)
-    w_T, w_C = fit_ecph(_fixed_matrix(train, candidate.fixed_features), train.survival)
-    return ("fixed", w_T, w_C, candidate.fixed_features)
+    gamma = candidate.gamma or 0.0
+    return fit_ecph(_covariates(candidate, train), train.survival,
+                    penalty=PenaltyConfig(gamma_T=gamma, gamma_C=gamma))
 
 
 def predict_candidate(candidate: ModelCandidate, fitted, data: Dataset) -> np.ndarray:
     if candidate.kind == "fa_ecph_c":
         return joint_mod.joint_predict(fitted, data.blocks)
-    if fitted[0] == "l1":
-        return ecph_predict(fitted[1], data.stacked_values())
-    return ecph_predict(fitted[1], _fixed_matrix(data, fitted[3]))
+    w_T, _ = fitted
+    return ecph_predict(w_T, _covariates(candidate, data))
 
 
 def run_cv(dataset: Dataset, candidates, split: SplitPlan, seed: int = 0) -> list[CvReport]:

@@ -37,7 +37,6 @@ class MhConfig:
     accept_hi: float = 0.334
     min_n_eff: float = 10.0
     max_rhat: float = 1.2
-    retune_each_iteration: bool = False
 
     def __post_init__(self):
         ladder = tuple(float(k) for k in self.kappa_ladder)
@@ -102,8 +101,10 @@ class SampleTargets:
         lin = np.einsum("jn,nj->n", self.h, Z)
         eta_T = self.w_T[0] + Z @ self.w_T[1:]
         eta_C = self.w_C[0] + Z @ self.w_C[1:]
-        surv = (self.d * eta_T + (1.0 - self.d) * eta_C
-                - self.t * (np.exp(eta_T) + np.exp(eta_C)))
+        # an overflowing proposal scores -inf and is rejected
+        with np.errstate(over="ignore"):
+            surv = (self.d * eta_T + (1.0 - self.d) * eta_C
+                    - self.t * (np.exp(eta_T) + np.exp(eta_C)))
         return quad + lin + surv
 
 
@@ -149,7 +150,7 @@ def effective_sample_size(chains: np.ndarray) -> float:
     prev_pair = None
     t = 1
     while t + 1 < n:
-        acov_t = np.mean([(c[:-t] * c[t:]).mean() for c in centered]) if t < n else 0.0
+        acov_t = np.mean([(c[:-t] * c[t:]).mean() for c in centered])
         acov_t1 = np.mean([(c[:-(t + 1)] * c[(t + 1):]).mean() for c in centered])
         rho_t = 1.0 - (W - acov_t) / var_plus
         rho_t1 = 1.0 - (W - acov_t1) / var_plus
@@ -327,7 +328,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     data = [(block.values, block.b) for block in blocks]
     for it in range(gem_iters):
         targets = SampleTargets(params, states, blocks, w_T, w_C, times, events)
-        if kappa is None or mh.retune_each_iteration:
+        if kappa is None:
             kappa = tune_kappa(targets, mh, tune_seed, post.mean[:, 0].copy(),
                                post.cov[0], n=0)
         samples = _mc_estep(targets, post, kappa, mh, seed_root.spawn(1)[0])
@@ -365,7 +366,7 @@ def fit_fast(dataset: Dataset, d_z: int, seed: int = 0,
 # prediction
 # ---------------------------------------------------------------------------
 
-def averaged_variational(model: FaModel) -> tuple[VariationalState | None, ...]:
+def averaged_variational(model: FaModel) -> tuple[tuple[np.ndarray, float | None] | None, ...]:
     """Learning-set averages of the variational parameters, broadcastable to
     any number of prediction samples (one shared column per feature)."""
     out = []

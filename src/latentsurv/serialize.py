@@ -14,7 +14,7 @@ import numpy as np
 from .data import CovariateBlock, Dataset
 from .factor import BlockParams, FaModel, VariationalState
 from .hazard import HazardParams
-from .joint import JointModel
+from .joint import JointModel, averaged_variational
 from .simulate import BlockSpec, SimScenario
 
 MODEL_FORMAT_VERSION = 1
@@ -67,10 +67,10 @@ def model_to_dict(model: JointModel, blocks) -> dict:
                 "W": _arr(p.W),
                 "mu": _arr(p.mu),
                 "psi": _arr(p.psi),
-                "xi_mean": None if s is None else _arr(s.xi.mean(axis=1)),
-                "alpha_mean": None if s is None or s.alpha is None else float(s.alpha.mean()),
+                "xi_mean": None if avg is None else _arr(avg[0]),
+                "alpha_mean": None if avg is None else avg[1],
             }
-            for block, p, s in zip(blocks, fa.block_params, fa.variational)
+            for block, p, avg in zip(blocks, fa.block_params, averaged_variational(fa))
         ],
         "w_T": _arr(model.w_T.w),
         "w_C": _arr(model.w_C.w),

@@ -70,12 +70,7 @@ def _sample_block(spec: BlockSpec, W, mu, psi, Z: np.ndarray,
         return lin + rng.standard_normal(lin.shape) * np.sqrt(psi)[:, None]
     if spec.kind == "binomial":
         return rng.binomial(spec.b, expit(lin)).astype(float)
-    probs = softmax(lin, axis=0)
-    N = Z.shape[1]
-    out = np.empty((spec.d_x, N))
-    for n in range(N):
-        out[:, n] = rng.multinomial(spec.b, probs[:, n])
-    return out
+    return rng.multinomial(spec.b, softmax(lin, axis=0).T).T.astype(float)
 
 
 def simulate_dataset(scenario: SimScenario):
@@ -113,14 +108,7 @@ def simulate_dataset(scenario: SimScenario):
         return Dataset(blocks=blocks, survival=survival, sample_ids=ids), Z
 
     train, z_train = draw(scenario.n_train, censored=True, tag="tr")
-    if scenario.n_test:
-        test, z_test = draw(scenario.n_test, censored=False, tag="te")
-    else:
-        test, z_test = Dataset(blocks=tuple(
-            CovariateBlock(name=s.name, kind=s.kind, b=s.b,
-                           values=np.empty((s.d_x, 0)),
-                           feature_names=tuple(f"{s.name}_{i}" for i in range(s.d_x)))
-            for s in scenario.blocks), survival=(), sample_ids=()), np.empty((d_z, 0))
+    test, z_test = draw(scenario.n_test, censored=False, tag="te")
     return train, test, {"train": z_train, "test": z_test}
 
 

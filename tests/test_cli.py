@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -116,6 +117,48 @@ class TestFitPredictProject:
         result = runner.invoke(main, ["fit", "--data", str(tmp_path / "nope.json"),
                                       "--dz", "2", "--out", str(tmp_path / "m.json")])
         assert result.exit_code == EXIT_BAD_INPUT
+
+    def test_bad_cells_exit_2_without_traceback(self, runner, sim_dir, tmp_path):
+        model = tmp_path / "model.json"
+        run_ok(runner, ["fit", "--data", str(sim_dir / "train_manifest.json"),
+                        "--dz", "2", "--out", str(model)])
+
+        def corrupt(tag, prefix, name, edit):
+            """Copy one simulated dataset and edit the cells of its first data row
+            in one file; returns the copy's manifest."""
+            out = tmp_path / tag
+            out.mkdir()
+            for f in sim_dir.glob(f"{prefix}_*"):
+                shutil.copy(f, out)
+            path = out / f"{prefix}_{name}.csv"
+            lines = path.read_text().splitlines()
+            lines[1] = ",".join(edit(lines[1].split(",")))
+            path.write_text("\n".join(lines) + "\n")
+            return out / f"{prefix}_manifest.json"
+
+        def na(cells):
+            return [cells[0], "NA"] + cells[2:]
+
+        def fit(manifest):
+            return ["fit", "--data", str(manifest), "--dz", "2",
+                    "--out", str(tmp_path / "refused.json")]
+
+        calls = [
+            ("impute_missing", fit(corrupt("na", "train", "expr", na))),
+            ("expected 3 cells, got 2", fit(corrupt("short", "train", "survival",
+                                                    lambda c: c[:2]))),
+            ("invalid time inf", fit(corrupt("inf", "train", "survival",
+                                             lambda c: [c[0], "inf", c[2]]))),
+            ("impute_missing", ["predict", "--model", str(model),
+                                "--data", str(corrupt("na_test", "test", "expr", na)),
+                                "--out", str(tmp_path / "refused.csv")]),
+        ]
+        for message, args in calls:
+            result = runner.invoke(main, args)
+            assert result.exit_code == EXIT_BAD_INPUT, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert result.output.startswith("error:") and result.output.count("\n") == 1
+            assert message in result.output
 
     def test_manifest_mismatch_exit_4(self, runner, sim_dir, tmp_path):
         model = tmp_path / "model.json"

@@ -107,11 +107,21 @@ class TestLoadDataset:
     def test_missing_tokens_masked(self, tmp_path):
         mpath = write_manifest(
             tmp_path,
-            [("a", "normal", 1, ["s1", "s2", "s3"], [("f1", 1.0, "NA", 3.0)])],
+            [("a", "normal", 1, ["s1", "s2", "s3"], [("f1", 1.0, "NA", 3.0),
+                                                     ("f2", "+nan", 2.0, "-nan")])],
             ["s1,5.0,1", "s2,3.0,0", "s3,1.0,1"])
         ds = load_dataset(mpath)
-        assert ds.blocks[0].missing_mask is not None
-        assert ds.blocks[0].missing_mask[0, 1]
+        np.testing.assert_array_equal(ds.blocks[0].missing_mask,
+                                      [[False, True, False], [True, False, True]])
+
+    @pytest.mark.parametrize("row, cells", [("s2,3.0", 2), ("s2,3.0,0,x", 4)])
+    def test_survival_row_cell_count_checked(self, tmp_path, row, cells):
+        mpath = write_manifest(
+            tmp_path,
+            [("a", "normal", 1, ["s1", "s2"], [("f1", 1.0, 2.0)])],
+            ["s1,5.0,1", row])
+        with pytest.raises(ParseError, match=f"surv.csv:3: expected 3 cells, got {cells}"):
+            load_dataset(mpath)
 
 
 class TestBlockInvariants:
@@ -126,8 +136,9 @@ class TestBlockInvariants:
                            values=[[1.0, 1.0], [1.0, 0.0]], feature_names=("a", "b"))
 
     def test_survival_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            SurvivalOutcome(time=-1.0, event=True)
+        for time in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SurvivalOutcome(time=time, event=True)
 
 
 class TestVarianceFilter:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -201,14 +202,18 @@ class TestTuneKappa:
         assert diag.rhat <= cfg.max_rhat
 
     def test_all_fail_falls_back_with_warning(self, rng, caplog):
-        ds, model, post, targets = gaussian_only_setup(rng)
-        # a ladder of absurdly large proposals rejects nearly everything
+        # a ladder of absurdly large proposals rejects nearly everything; with
+        # beta != 0 the proposals overflow the hazard, which must stay silent
         cfg = MhConfig(kappa_ladder=(1e8, 1e7, 1e6), burn_in=50, n_keep=50)
-        with caplog.at_level("WARNING"):
-            kappa = tune_kappa(targets, cfg, seed=3, z0=post.mean[:, 0].copy(),
-                               C_n=post.cov[0])
-        assert kappa in cfg.kappa_ladder
-        assert any("composite" in r.message for r in caplog.records)
+        for beta in (0.0, 1.0):
+            ds, model, post, targets = gaussian_only_setup(rng, beta=beta)
+            caplog.clear()
+            with caplog.at_level("WARNING"), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                kappa = tune_kappa(targets, cfg, seed=3, z0=post.mean[:, 0].copy(),
+                                   C_n=post.cov[0])
+            assert kappa in cfg.kappa_ladder
+            assert any("composite" in r.message for r in caplog.records)
 
 
 class TestNewtonMstep:
