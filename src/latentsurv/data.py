@@ -224,7 +224,11 @@ def _read_survival(path):
             raise ParseError(f"{path}:{lineno}: bad event value {row[2]!r}")
         # a blank event or a NaN time is missing survival: the sample is dropped later
         missing = not token or math.isnan(time)
-        out[sid] = None if missing else SurvivalOutcome(time=time, event=token in {"1", "true"})
+        try:
+            out[sid] = None if missing else SurvivalOutcome(time=time,
+                                                            event=token in {"1", "true"})
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

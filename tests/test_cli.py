@@ -147,8 +147,8 @@ class TestFitPredictProject:
             ("impute_missing", fit(corrupt("na", "train", "expr", na))),
             ("expected 3 cells, got 2", fit(corrupt("short", "train", "survival",
                                                     lambda c: c[:2]))),
-            ("invalid time inf", fit(corrupt("inf", "train", "survival",
-                                             lambda c: [c[0], "inf", c[2]]))),
+            ("train_survival.csv:2: invalid time inf",
+             fit(corrupt("inf", "train", "survival", lambda c: [c[0], "inf", c[2]]))),
             ("impute_missing", ["predict", "--model", str(model),
                                 "--data", str(corrupt("na_test", "test", "expr", na)),
                                 "--out", str(tmp_path / "refused.csv")]),

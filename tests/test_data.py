@@ -135,10 +135,18 @@ class TestBlockInvariants:
             CovariateBlock(name="x", kind="multinomial", b=1,
                            values=[[1.0, 1.0], [1.0, 0.0]], feature_names=("a", "b"))
 
-    def test_survival_negative_time_rejected(self):
+    def test_survival_negative_time_rejected(self, tmp_path):
         for time in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 SurvivalOutcome(time=time, event=True)
+        # read from a file, the error names the file and the line
+        for time in ("-1.0", "inf"):
+            mpath = write_manifest(
+                tmp_path,
+                [("a", "normal", 1, ["s1", "s2"], [("f1", 1.0, 2.0)])],
+                ["s1,5.0,1", f"s2,{time},0"])
+            with pytest.raises(ParseError, match=f"surv.csv:3: invalid time {time}"):
+                load_dataset(mpath)
 
 
 class TestVarianceFilter:

@@ -33,6 +33,26 @@ def oracle_log_likelihood(w_T, w_C, X, times, events):
     return total
 
 
+def aliased_instance(rng, N=24, p_normal=15, groups=4):
+    """Normal features plus a one-hot block whose columns sum to the
+    intercept, so the design is rank-deficient and p + 1 is close to N."""
+    X = np.vstack([3.0 * rng.standard_normal((p_normal, N)),
+                   np.eye(groups)[rng.integers(groups, size=N)].T])
+    Xt = np.vstack([np.ones(N), X])
+    w_T = np.concatenate([[0.2], rng.normal(scale=0.8, size=X.shape[0])])
+    t = rng.exponential(np.exp(-w_T @ Xt))
+    c = rng.exponential(np.exp(0.3), size=N)
+    return X, make_survival(np.minimum(t, c), t <= c)
+
+
+def nll_gradient(w, X, survival, event_part=True):
+    """Gradient of the negative log-likelihood of one part at w."""
+    Xt = np.vstack([np.ones(X.shape[1]), X])
+    t = np.array([s.time for s in survival])
+    d = np.array([float(s.event == event_part) for s in survival])
+    return Xt @ (t * np.exp(w @ Xt) - d)
+
+
 def simulate_instance(rng, p=2, N=30, beta_scale=0.8):
     X = rng.standard_normal((p, N))
     w_T = np.concatenate([[0.2], rng.normal(scale=beta_scale, size=p)])
@@ -168,6 +188,44 @@ class TestFitEcph:
         assert len(l1_support(w_pen)) <= len(l1_support(w_plain))
 
 
+class TestPenalizedFit:
+    @pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
+    def test_kkt_on_aliased_design(self, rng, gamma, caplog):
+        X, surv = aliased_instance(rng)
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w_T, w_C = fit_ecph(X, surv, penalty=PenaltyConfig(gamma, gamma))
+        assert not caplog.records
+        for params, event_part in ((w_T, True), (w_C, False)):
+            w = params.w
+            g = nll_gradient(w, X, surv, event_part)
+            on = w != 0
+            # subgradient conditions of -loglik + gamma * ||w||_1
+            assert np.all(np.abs(g[~on]) <= gamma + 1e-6)
+            np.testing.assert_allclose(g[on], -gamma * np.sign(w[on]), rtol=0, atol=1e-6)
+
+    def test_objective_never_rises(self, rng, caplog):
+        X, surv = aliased_instance(rng)
+        gamma = 0.5
+        Xt = np.vstack([np.ones(X.shape[1]), X])
+        t = np.array([s.time for s in surv])
+        d = np.array([float(s.event) for s in surv])
+        w0 = np.zeros(Xt.shape[0])
+        w0[0] = math.log(d.sum() / t.sum())
+        start = -np.sum(d * (w0 @ Xt) - t * np.exp(w0 @ Xt)) + gamma * abs(w0[0])
+        with caplog.at_level("DEBUG", logger="latentsurv.hazard"):
+            w_T, _ = fit_ecph(X, surv, penalty=PenaltyConfig(gamma, 0.0))
+        steps = [r.args for r in caplog.records if r.msg.startswith("L1 hazard fit step")]
+        assert steps, "no per-step records"
+        assert [k for k, _, _ in steps] == list(range(1, len(steps) + 1))
+        objectives = [start] + [f for _, _, f in steps]
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+        sizes = [size for _, size, _ in steps]
+        assert all(0 < size <= 1 for size in sizes) and min(sizes) < 1  # it backtracked
+        eta = w_T.w @ Xt
+        final = -np.sum(d * eta - t * np.exp(eta)) + gamma * np.abs(w_T.w).sum()
+        assert final == pytest.approx(objectives[-1], rel=1e-12)
+
+
 class TestLassoCd:
     def test_matches_generic_optimizer(self, rng):
         n, p = 20, 6
@@ -196,6 +254,30 @@ class TestLassoCd:
         assert np.all(np.abs(corr) <= 0.5 + 1e-6)
         active = np.abs(w) > 1e-12
         np.testing.assert_allclose(np.abs(corr[active]), 0.5, atol=1e-6)
+
+    def test_rank_deficient_meets_relative_gap(self, caplog):
+        rng = np.random.default_rng(0)
+        n = 30
+        onehot = np.eye(4)[rng.integers(4, size=n)]
+        normal = rng.standard_normal((n, 3))
+        # the one-hot columns sum to the intercept; the last column nearly
+        # repeats another, which plain coordinate descent crawls along
+        A = np.column_stack([np.ones(n), onehot, normal,
+                             normal[:, 0] + 1e-3 * rng.standard_normal(n)])
+        assert np.linalg.matrix_rank(A) < A.shape[1]
+        y = 1e3 * (A[:, 1:6] @ rng.normal(size=5) + rng.standard_normal(n))
+        gamma = 50.0
+        penalized = np.ones(A.shape[1], dtype=bool)
+        penalized[0] = False
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w = _lasso_cd(A, y, gamma, penalized, np.zeros(A.shape[1]))
+        assert not caplog.records
+        r = y - A @ w
+        primal = 0.5 * r @ r + gamma * np.abs(w[penalized]).sum()
+        corr = np.abs(A[:, penalized].T @ r).max()
+        nu = min(1.0, gamma / corr) * r
+        dual = nu @ y - 0.5 * nu @ nu
+        assert primal - dual <= 1e-8 * primal
 
 
 class TestPredict:
