@@ -41,23 +41,20 @@ class LatentSurvival(_BaseEstimator):
     posterior means; ``'full'`` runs Monte Carlo EM on the joint likelihood.
     """
 
-    _param_names = ("d_z", "fit_mode", "gem_iters", "fa_max_iters", "seed")
+    _param_names = ("d_z", "fit_mode", "gem_iters", "seed")
 
-    def __init__(self, d_z: int = 2, fit_mode: str = "fast", gem_iters: int = 10,
-                 fa_max_iters: int = 100, seed: int = 0):
+    def __init__(self, d_z: int = 2, fit_mode: str = "fast", gem_iters: int = 10, seed: int = 0):
         self.d_z = d_z
         self.fit_mode = fit_mode
         self.gem_iters = gem_iters
-        self.fa_max_iters = fa_max_iters
         self.seed = seed
 
     def fit(self, dataset: Dataset):
         if self.fit_mode == "fast":
-            self.model_ = joint.fit_fast(dataset, self.d_z, seed=self.seed,
-                                         fa_max_iters=self.fa_max_iters)
+            self.model_ = joint.fit_fast(dataset, self.d_z, seed=self.seed)
         elif self.fit_mode == "full":
             self.model_ = joint.fit_joint(dataset, self.d_z, gem_iters=self.gem_iters,
-                                          seed=self.seed, fa_max_iters=self.fa_max_iters)
+                                          seed=self.seed)
         else:
             raise ValueError(f"fit_mode must be 'fast' or 'full', got {self.fit_mode!r}")
         self.heywood_flag_ = self.model_.fa.heywood_flag
@@ -71,20 +68,17 @@ class LatentSurvival(_BaseEstimator):
 class L1ExponentialHazard(_BaseEstimator):
     """L1-penalized exponential hazard regression on stacked covariates."""
 
-    _param_names = ("gamma", "penalize_intercept", "iterations")
+    _param_names = ("gamma", "penalize_intercept")
 
-    def __init__(self, gamma: float = 1.0, penalize_intercept: bool = True,
-                 iterations: int = 5):
+    def __init__(self, gamma: float = 1.0, penalize_intercept: bool = True):
         self.gamma = gamma
         self.penalize_intercept = penalize_intercept
-        self.iterations = iterations
 
     def fit(self, dataset: Dataset):
         penalty = PenaltyConfig(gamma_T=self.gamma, gamma_C=self.gamma,
                                 penalize_intercept=self.penalize_intercept)
         self.params_T_, self.params_C_ = hazard.fit_ecph(
-            dataset.stacked_values(), dataset.survival, penalty=penalty,
-            iterations=self.iterations)
+            dataset.stacked_values(), dataset.survival, penalty=penalty)
         return self
 
     def predict(self, dataset: Dataset) -> np.ndarray:

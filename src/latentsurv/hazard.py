@@ -1,10 +1,9 @@
 """Exponential proportional-hazards model with censoring.
 
-An unpenalized part (gamma = 0) takes ``iterations`` Newton steps, each
-solved as weighted least squares on the working response. An L1-penalized
-part (gamma > 0) is fitted by proximal Newton with backtracking: each step
-solves the lasso on Newton's quadratic model of the log-likelihood, and the
-step is shortened until it lowers the penalized negative log-likelihood.
+Each part is fitted by Newton's method with backtracking, run to
+convergence, on the negative log-likelihood plus, when gamma > 0, an L1
+penalty (proximal Newton). A step minimizes Newton's quadratic model, by least
+squares on the working response or as a lasso by coordinate descent.
 """
 
 from __future__ import annotations
@@ -17,12 +16,16 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 DEGENERATE_RATE_EPS = 1e-8
-# Proximal Newton for the L1 fit: step cap, relative stop on the predicted
+# Newton for a hazard part: step cap, relative stop on the predicted
 # decrease, Armijo fraction and the smallest step tried.
 MAX_NEWTON_STEPS = 100
 NEWTON_REL_TOL = 1e-10
 ARMIJO = 1e-4
 MIN_STEP = 1e-10
+# The lasso stops at this duality gap relative to its primal objective, or
+# warns after this many coordinate sweeps.
+LASSO_GAP_TOL = 1e-10
+LASSO_MAX_SWEEPS = 10_000
 # The lasso's support counts as settled once a sweep over it moves no
 # coordinate by more than this fraction of the model (step^2 * H_jj).
 SETTLE_TOL = 1e-3
@@ -100,14 +103,14 @@ def ecph_log_likelihood(params_T: HazardParams, params_C: HazardParams,
 
 
 def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
-              w0: np.ndarray, gap_tol: float = 1e-10, max_sweeps: int = 10_000) -> np.ndarray:
+              w0: np.ndarray) -> np.ndarray:
     """Coordinate descent for min_w 0.5*||y - A w||^2 + gamma * sum_{j in penalized} |w_j|.
 
     Works on the Gram form H = A'A, b = A'y, so a coordinate update costs O(p).
     After each full sweep the nonzero and unpenalized coordinates are swept
     alone until they settle, and a feature-sign step (``_active_newton``)
     solves the model on them; the next full sweep lets coordinates enter.
-    Stops when the duality gap is at most ``gap_tol`` times the primal
+    Stops when the duality gap is at most LASSO_GAP_TOL times the primal
     objective.
     """
     H = A.T @ A
@@ -145,7 +148,7 @@ def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
         return largest
 
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < LASSO_MAX_SWEEPS:
         g = b - H @ w  # A'r, refreshed so that rounding does not accumulate
         sweep(order, g)
         sweeps += 1
@@ -159,12 +162,12 @@ def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
         s = 1.0 if corr <= gamma else gamma / corr
         primal = 0.5 * rr + gamma * l1
         gap = 0.5 * (1.0 - s) ** 2 * rr + gamma * l1 - s * gw
-        if gap <= gap_tol * primal:
+        if gap <= LASSO_GAP_TOL * primal:
             logger.debug("lasso coordinate descent: %d sweeps, relative gap %.3g",
                          sweeps, gap / primal if primal else 0.0)
             return w
         active = order[(w[order] != 0) | ~penalized[order]]
-        while sweeps < max_sweeps:
+        while sweeps < LASSO_MAX_SWEEPS:
             sweeps += 1
             if sweep(active, g) <= SETTLE_TOL * primal:
                 break
@@ -213,15 +216,15 @@ def _working_response(w: np.ndarray, Xt: np.ndarray, t: np.ndarray,
     return (Xt * sw).T, u * sw
 
 
-def _penalized_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
-                   gamma: float, penalized: np.ndarray) -> np.ndarray:
-    """Proximal Newton with backtracking (Lee, Sun & Saunders 2014) for
-    min_w -loglik(w) + gamma * sum_{j in penalized} |w_j|.
+def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
+                gamma: float, penalized: np.ndarray) -> np.ndarray:
+    """Newton with backtracking for min_w -loglik(w) + gamma * sum_{j in penalized} |w_j|;
+    proximal Newton (Lee, Sun & Saunders 2014) when gamma > 0.
 
-    Each step solves the lasso on Newton's quadratic model by ``_lasso_cd``
-    and halves the step until the Armijo condition holds, so the penalized
-    objective never rises. Stops when the predicted decrease falls below
-    NEWTON_REL_TOL times the objective.
+    Each step minimizes Newton's quadratic model, by least squares when
+    gamma = 0 and by ``_lasso_cd`` otherwise, and halves the step until the
+    Armijo condition holds, so the objective never rises. Stops when the
+    predicted decrease falls below NEWTON_REL_TOL times the objective.
     """
     def objective(v):
         with np.errstate(over="ignore"):  # a trial step may overflow exp
@@ -229,7 +232,11 @@ def _penalized_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
 
     f = objective(w)
     for step in range(1, MAX_NEWTON_STEPS + 1):
-        v = _lasso_cd(*_working_response(w, Xt, t, d), gamma, penalized, w)
+        A, y = _working_response(w, Xt, t, d)
+        if gamma > 0:
+            v = _lasso_cd(A, y, gamma, penalized, w)
+        else:
+            v = np.linalg.lstsq(A, y, rcond=None)[0]
         grad = Xt @ (t * np.exp(w @ Xt) - d)
         decrease = -(grad @ (v - w) + gamma * (np.abs(v[penalized]).sum()
                                                - np.abs(w[penalized]).sum()))
@@ -239,7 +246,7 @@ def _penalized_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
         size, trial, f_trial = 1.0, v, objective(v)
         while not converged and f_trial > f - ARMIJO * size * decrease:
             if size < MIN_STEP:
-                logger.warning("L1 hazard fit did not converge: no step decreases "
+                logger.warning("hazard fit did not converge: no step decreases "
                                "the objective")
                 return w
             size *= 0.5
@@ -247,44 +254,40 @@ def _penalized_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
             f_trial = objective(trial)
         if f_trial <= f:
             w, f = trial, f_trial
-            logger.debug("L1 hazard fit step %d: step size %g, penalized objective %.17g",
+            logger.debug("hazard fit step %d: step size %g, penalized objective %.17g",
                          step, size, f)
         if converged:
             return w
-    logger.warning("L1 hazard fit did not converge in %d steps", MAX_NEWTON_STEPS)
+    logger.warning("hazard fit did not converge in %d steps", MAX_NEWTON_STEPS)
     return w
 
 
 def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
-             penalize_intercept: bool, iterations: int) -> np.ndarray:
+             penalize_intercept: bool) -> np.ndarray:
     p1 = Xt.shape[0]
     w = np.zeros(p1)
     w[0] = _log_event_rate(t, d)
     if not d.any():
         return w  # intercept-only at the rate floor
-    if gamma > 0:
-        penalized = np.ones(p1, dtype=bool)
-        penalized[0] = penalize_intercept
-        return _penalized_fit(Xt, t, d, w, gamma, penalized)
-    for _ in range(iterations):
-        w, *_ = np.linalg.lstsq(*_working_response(w, Xt, t, d), rcond=None)
-    return w
+    penalized = np.ones(p1, dtype=bool)
+    penalized[0] = penalize_intercept
+    return _newton_fit(Xt, t, d, w, gamma, penalized)
 
 
-def fit_ecph(X: np.ndarray, survival, penalty: PenaltyConfig | None = None,
-             iterations: int = 5) -> tuple[HazardParams, HazardParams]:
+def fit_ecph(X: np.ndarray, survival,
+             penalty: PenaltyConfig | None = None) -> tuple[HazardParams, HazardParams]:
     """Fit event (T) and censoring (C) hazards.
 
-    The two parts factor, so they are fitted independently. A part with a
-    positive L1 strength is fitted by proximal Newton with backtracking, run
-    to convergence; an unpenalized part takes ``iterations`` Newton steps.
+    The two parts factor, so they are fitted independently, each by Newton's
+    method with backtracking run to convergence; a part with a positive L1
+    strength takes proximal Newton steps.
     """
     Xt, t, d = _aligned(X, survival)
     if t.sum() <= 0:
         raise ValueError("total exposure is zero")
     penalty = penalty or PenaltyConfig()
-    w_T = _fit_one(Xt, t, d, penalty.gamma_T, penalty.penalize_intercept, iterations)
-    w_C = _fit_one(Xt, t, 1.0 - d, penalty.gamma_C, penalty.penalize_intercept, iterations)
+    w_T = _fit_one(Xt, t, d, penalty.gamma_T, penalty.penalize_intercept)
+    w_C = _fit_one(Xt, t, 1.0 - d, penalty.gamma_C, penalty.penalize_intercept)
     return HazardParams(w_T), HazardParams(w_C)
 
 

@@ -307,15 +307,14 @@ def _mc_estep(targets: SampleTargets, post: LatentPosterior, kappa: float,
 
 
 def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
-              mh: MhConfig | None = None, seed: int = 0,
-              fa_max_iters: int = 100) -> JointModel:
+              mh: MhConfig | None = None, seed: int = 0) -> JointModel:
     """Ten-iteration approximate generalized EM: Metropolis E-step, the factor
     layer's conditional sweep against the Monte-Carlo moments, one Newton step
     per hazard."""
     mh = mh or MhConfig()
     times = dataset.times()
     events = dataset.events()
-    fa_model, post = factor.fit_fa(dataset, d_z, max_iters=fa_max_iters)
+    fa_model, post = factor.fit_fa(dataset, d_z)
     params = list(fa_model.block_params)
     states = list(fa_model.variational)
     heywood = fa_model.heywood_flag
@@ -352,11 +351,10 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
                       kappa_used=kappa, fit_mode="full_mcem")
 
 
-def fit_fast(dataset: Dataset, d_z: int, seed: int = 0,
-             fa_max_iters: int = 100) -> JointModel:
+def fit_fast(dataset: Dataset, d_z: int, seed: int = 0) -> JointModel:
     """Decoupled approximation: fit the factor model to convergence, then fit
     the hazards on the posterior means as covariates."""
-    fa_model, post = factor.fit_fa(dataset, d_z, max_iters=fa_max_iters)
+    fa_model, post = factor.fit_fa(dataset, d_z)
     w_T, w_C = fit_ecph(post.mean, dataset.survival)
     return JointModel(fa=fa_model, w_T=w_T, w_C=w_C,
                       kappa_used=None, fit_mode="fast_decoupled")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from latentsurv.hazard import (
     fit_ecph,
     l1_support,
 )
+from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
 from tests.conftest import make_survival
 
 
@@ -138,6 +140,40 @@ class TestFitEcph:
             dn = ecph_log_likelihood(HazardParams(w_T.w - e), w_C, X, surv)
             assert abs((up - dn) / (2 * h)) <= 1e-4
 
+    def test_strong_effect_converges(self, rng, caplog):
+        """Full Newton steps overshoot on strong effects; the fit still runs
+        to the maximum-likelihood estimate of both parts."""
+        N = 60
+        X = rng.standard_normal((3, N))
+        beta = rng.standard_normal(3)
+        beta *= 3.0 / np.linalg.norm(beta)
+        t = rng.exponential(np.exp(-beta @ X))
+        c = rng.exponential(np.exp(0.8), size=N)
+        surv = make_survival(np.minimum(t, c), t <= c)
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w_T, w_C = fit_ecph(X, surv)
+        assert not caplog.records
+        assert np.abs(nll_gradient(w_T.w, X, surv, True)).max() <= 1e-8
+        assert np.abs(nll_gradient(w_C.w, X, surv, False)).max() <= 1e-8
+
+    def test_more_features_than_samples_finite(self):
+        """Raw stacked features of the criterion-1 generator at N = 40, p = 54."""
+        beta = np.random.default_rng(202).standard_normal(3)
+        beta *= 3.0 / np.linalg.norm(beta)
+        scenario = SimScenario(
+            d_z=3,
+            blocks=(BlockSpec(name="expr", kind="normal", d_x=40, w_scale=0.8),
+                    BlockSpec(name="mut", kind="binomial", d_x=10, b=1, w_scale=1.2),
+                    BlockSpec(name="subtype", kind="multinomial", d_x=4, b=1,
+                              w_scale=1.2)),
+            w_T=np.concatenate([[0.0], beta]), w_C=np.array([-0.8, 0.0, 0.0, 0.0]),
+            n_train=40, n_test=0, seed=77)
+        train, _, _ = simulate_dataset(scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w_T, w_C = fit_ecph(train.stacked_values(), train.survival)
+        assert np.isfinite(w_T.w).all() and np.isfinite(w_C.w).all()
+
     def test_degenerate_class_floor(self, caplog):
         surv = make_survival([1, 2, 3], [1, 1, 1])  # no censoring
         with caplog.at_level("WARNING"):
@@ -204,26 +240,34 @@ class TestPenalizedFit:
             np.testing.assert_allclose(g[on], -gamma * np.sign(w[on]), rtol=0, atol=1e-6)
 
     def test_objective_never_rises(self, rng, caplog):
+        """One run of step records per part: the L1 event part backtracks,
+        and the objective of neither part rises."""
         X, surv = aliased_instance(rng)
-        gamma = 0.5
         Xt = np.vstack([np.ones(X.shape[1]), X])
         t = np.array([s.time for s in surv])
-        d = np.array([float(s.event) for s in surv])
-        w0 = np.zeros(Xt.shape[0])
-        w0[0] = math.log(d.sum() / t.sum())
-        start = -np.sum(d * (w0 @ Xt) - t * np.exp(w0 @ Xt)) + gamma * abs(w0[0])
+        events = np.array([float(s.event) for s in surv])
         with caplog.at_level("DEBUG", logger="latentsurv.hazard"):
-            w_T, _ = fit_ecph(X, surv, penalty=PenaltyConfig(gamma, 0.0))
-        steps = [r.args for r in caplog.records if r.msg.startswith("L1 hazard fit step")]
-        assert steps, "no per-step records"
-        assert [k for k, _, _ in steps] == list(range(1, len(steps) + 1))
-        objectives = [start] + [f for _, _, f in steps]
-        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
-        sizes = [size for _, size, _ in steps]
-        assert all(0 < size <= 1 for size in sizes) and min(sizes) < 1  # it backtracked
-        eta = w_T.w @ Xt
-        final = -np.sum(d * eta - t * np.exp(eta)) + gamma * np.abs(w_T.w).sum()
-        assert final == pytest.approx(objectives[-1], rel=1e-12)
+            fitted = fit_ecph(X, surv, penalty=PenaltyConfig(0.5, 0.0))
+        runs = []
+        for k, size, f in (r.args for r in caplog.records
+                           if r.msg.startswith("hazard fit step")):
+            if k == 1:
+                runs.append([])
+            runs[-1].append((k, size, f))
+        assert len(runs) == 2, "expected one run of per-step records per part"
+        for params, d, gamma, steps in zip(fitted, (events, 1.0 - events), (0.5, 0.0), runs):
+            def objective(w):
+                eta = w @ Xt
+                return -np.sum(d * eta - t * np.exp(eta)) + gamma * np.abs(w).sum()
+
+            assert [k for k, _, _ in steps] == list(range(1, len(steps) + 1))
+            w0 = np.zeros(Xt.shape[0])
+            w0[0] = math.log(d.sum() / t.sum())
+            objectives = [objective(w0)] + [f for _, _, f in steps]
+            assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+            assert all(0 < size <= 1 for _, size, _ in steps)
+            assert objective(params.w) == pytest.approx(objectives[-1], rel=1e-12)
+        assert min(size for _, size, _ in runs[0]) < 1  # the event part backtracked
 
 
 class TestLassoCd:
