@@ -51,7 +51,7 @@ def _load_model_or_die(path, blocks):
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         click.echo(f"error: cannot load model: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)
-    if stored_hash != serialize.block_manifest_hash(blocks):
+    if not serialize.manifest_matches(stored_hash, blocks):
         click.echo("error: model was fitted on different features than this dataset",
                    err=True)
         sys.exit(EXIT_MANIFEST_MISMATCH)

@@ -61,6 +61,10 @@ class ModelCandidate:
     gem_iters: int = 10
 
     def __post_init__(self):
+        if self.kind not in ("fa_ecph_c", "ecph_c_l1", "ecph_c_fixed"):
+            raise ValueError(f"unknown candidate kind {self.kind!r}")
+        if self.fit_mode not in ("fast_decoupled", "full_mcem"):
+            raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
         populated = sum(x is not None for x in (self.d_z, self.gamma, self.fixed_features))
         if populated != 1:
             raise ValueError("exactly one hyperparameter field must be set")

@@ -462,7 +462,8 @@ def _heywood(block_params, blocks) -> bool:
 def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 100,
            rel_tol: float = 1e-6) -> tuple[FaModel, LatentPosterior]:
     """Alternate the joint E-step with the conditional sweep until the tracked
-    objective stabilizes. The posterior is refreshed between the sweep's
+    objective's relative change falls below ``rel_tol``, or warn after
+    ``max_iters`` sweeps. The posterior is refreshed between the sweep's
     phases so each phase is monotone in the bound."""
     if d_z < 1:
         raise ValueError("d_z must be >= 1")
@@ -473,6 +474,7 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 100,
     data = [(block.values, block.b) for block in blocks]
     heywood = False
     prev_obj = None
+    change = math.nan
     for _ in range(max_iters):
         post = diverse_estep(params, states, blocks)
         _conditional_sweep(data, params, states, post,
@@ -480,11 +482,13 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 100,
         heywood = heywood or _heywood(params, blocks)
         obj = variational_log_marginal(params, states, blocks)
         if prev_obj is not None:
-            denom = max(abs(prev_obj), 1.0)
-            if abs(obj - prev_obj) / denom < rel_tol:
-                prev_obj = obj
+            change = abs(obj - prev_obj) / max(abs(prev_obj), 1.0)
+            if change < rel_tol:
                 break
         prev_obj = obj
+    else:
+        logger.warning("fit_fa stopped at max_iters=%d before reaching rel_tol=%g; "
+                       "last relative change %.3g", max_iters, rel_tol, change)
     post = diverse_estep(params, states, blocks)
     model = FaModel(d_z=d_z, block_params=tuple(params),
                     variational=tuple(states), heywood_flag=heywood)

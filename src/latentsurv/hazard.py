@@ -79,14 +79,17 @@ def _aligned(X: np.ndarray, survival) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return Xt, t, d
 
 
-def _log_event_rate(t: np.ndarray, d: np.ndarray) -> float:
-    """Intercept-only start log(events / exposure); a class without events
-    starts at the rate floor DEGENERATE_RATE_EPS / exposure instead."""
+def _intercept_start(t: np.ndarray, d: np.ndarray, p1: int) -> np.ndarray:
+    """Intercept-only start of length p1: log(events / exposure), then zero
+    effects; a class without events starts at the rate floor
+    DEGENERATE_RATE_EPS / exposure instead."""
     n_events = d.sum()
     if n_events == 0:
         logger.warning("no observations in one outcome class; its rate is set to the floor")
         n_events = DEGENERATE_RATE_EPS
-    return np.log(n_events / t.sum())
+    w = np.zeros(p1)
+    w[0] = np.log(n_events / t.sum())
+    return w
 
 
 def _part_log_likelihood(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.ndarray) -> float:
@@ -265,8 +268,7 @@ def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
 def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
              penalize_intercept: bool) -> np.ndarray:
     p1 = Xt.shape[0]
-    w = np.zeros(p1)
-    w[0] = _log_event_rate(t, d)
+    w = _intercept_start(t, d, p1)
     if not d.any():
         return w  # intercept-only at the rate floor
     penalized = np.ones(p1, dtype=bool)

@@ -5,26 +5,39 @@ E-step draws from each individual's conditional latent distribution with a
 random-walk Metropolis sampler (proposal covariance kappa * C_n from the
 factor-only posterior). One lockstep runner (``_metropolis``) runs every
 chain: the E-step's N chains, each kappa rung's tuning chains, and
-``mh_sample``'s one. M-steps run the factor layer's conditional sweep against
-the Monte-Carlo moments, plus one Newton-Raphson step for each hazard.
+``mh_sample``'s one. The proposal scale is the first rung of the kappa ladder
+whose tuning chains meet fixed acceptance, n_eff and R-hat thresholds; n_eff
+comes from FFT autocorrelations. M-steps run the factor layer's conditional
+sweep against the Monte-Carlo moments, plus one Newton-Raphson step for each
+hazard. Prediction integrates the latent vector out analytically under the
+factor-only posterior with the learning-set averages of the variational
+parameters, the state a saved model keeps, so fitted and loaded models
+predict alike.
 """
 
 from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import factor
 from .data import Dataset
 from .factor import FaModel, LatentPosterior, VariationalState
-from .hazard import HazardParams, _log_event_rate, fit_ecph
+from .hazard import HazardParams, _intercept_start, fit_ecph
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_KAPPA_LADDER = (6.0, 5.5, 5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0.25, 0.1)
+# A kappa rung passes when its TUNING_CHAINS chains accept between ACCEPT_LO
+# and ACCEPT_HI of the proposals, with n_eff >= MIN_N_EFF and R-hat <= MAX_RHAT.
+TUNING_CHAINS = 2
+ACCEPT_LO = 0.134
+ACCEPT_HI = 0.334
+MIN_N_EFF = 10.0
+MAX_RHAT = 1.2
 
 
 @dataclass(frozen=True)
@@ -32,18 +45,11 @@ class MhConfig:
     kappa_ladder: tuple[float, ...] = DEFAULT_KAPPA_LADDER
     burn_in: int = 300
     n_keep: int = 300
-    tuning_chains: int = 2
-    accept_lo: float = 0.134
-    accept_hi: float = 0.334
-    min_n_eff: float = 10.0
-    max_rhat: float = 1.2
 
     def __post_init__(self):
         ladder = tuple(float(k) for k in self.kappa_ladder)
         if any(k <= 0 for k in ladder) or not all(a > b for a, b in zip(ladder, ladder[1:])):
             raise ValueError("kappa ladder must be positive and strictly decreasing")
-        if not self.accept_lo < self.accept_hi:
-            raise ValueError("accept_lo must be below accept_hi")
         object.__setattr__(self, "kappa_ladder", ladder)
 
 
@@ -136,8 +142,11 @@ def split_rhat(chains: np.ndarray) -> float:
 
 
 def effective_sample_size(chains: np.ndarray) -> float:
-    """Multi-chain effective sample size with autocorrelations truncated at
-    the first negative paired sum."""
+    """Multi-chain effective sample size, (m, n) draws. The autocovariance at
+    lag t is the mean over chains of the mean product over the n - t
+    overlapping pairs, all lags from one FFT. The autocorrelations are summed
+    in pairs (rho_1 + rho_2, rho_3 + rho_4, ...) up to the first negative pair,
+    each pair capped by the one before (Geyer's initial monotone sequence)."""
     m, n = chains.shape
     W = chains.var(axis=1, ddof=1).mean()
     means = chains.mean(axis=1)
@@ -145,24 +154,15 @@ def effective_sample_size(chains: np.ndarray) -> float:
     var_plus = (n - 1) / n * W + B / n
     if var_plus <= 0:
         return float(m * n)
-    centered = chains - means[:, None]
-    rho_sum = 0.0
-    prev_pair = None
-    t = 1
-    while t + 1 < n:
-        acov_t = np.mean([(c[:-t] * c[t:]).mean() for c in centered])
-        acov_t1 = np.mean([(c[:-(t + 1)] * c[(t + 1):]).mean() for c in centered])
-        rho_t = 1.0 - (W - acov_t) / var_plus
-        rho_t1 = 1.0 - (W - acov_t1) / var_plus
-        pair = rho_t + rho_t1
-        if pair < 0:
-            break
-        if prev_pair is not None:
-            pair = min(pair, prev_pair)  # enforce monotone decrease (Geyer)
-        rho_sum += pair
-        prev_pair = pair
-        t += 2
-    n_eff = m * n / (1.0 + 2.0 * rho_sum)
+    spectrum = np.fft.rfft(chains - means[:, None], 2 * n)  # zero-padded: no wrap-around
+    lag_sums = np.fft.irfft(spectrum * spectrum.conj(), 2 * n)[:, :n]
+    acov = (lag_sums / np.arange(n, 0, -1)).mean(axis=0)
+    rho = 1.0 - (W - acov) / var_plus
+    pairs = rho[1:n - 1:2] + rho[2:n:2]
+    negative = np.flatnonzero(pairs < 0)
+    if negative.size:
+        pairs = pairs[:negative[0]]
+    n_eff = m * n / (1.0 + 2.0 * np.minimum.accumulate(pairs).sum())
     return float(min(n_eff, m * n))
 
 
@@ -223,25 +223,23 @@ def mh_sample(targets: SampleTargets, n: int, kappa: float, config: MhConfig,
 
 def _tuning_run(targets: SampleTargets, n: int, kappa: float, config: MhConfig,
                 seed: int, z0: np.ndarray, C_n: np.ndarray):
-    seeds = np.random.SeedSequence(seed).spawn(config.tuning_chains)
+    seeds = np.random.SeedSequence(seed).spawn(TUNING_CHAINS)
     return _chains(targets, n, kappa, config, [np.random.default_rng(ss) for ss in seeds],
                    z0, C_n)[1]
 
 
 def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
-               z0: np.ndarray, C_n: np.ndarray, n: int = 0) -> float:
-    """Walk the kappa ladder (descending) on sample n with two chains; return
-    the first scale passing the acceptance / n_eff / R-hat thresholds, else the
-    best composite candidate with a warning."""
+               z0: np.ndarray, C_n: np.ndarray) -> float:
+    """Walk the kappa ladder (descending) on sample 0 with TUNING_CHAINS
+    chains from z0; return the first scale passing the acceptance / n_eff /
+    R-hat thresholds, else the best composite candidate with a warning."""
     results = []
     for i, kappa in enumerate(config.kappa_ladder):
-        diag = _tuning_run(targets, n, kappa, config, seed + i, z0, C_n)
-        if (config.accept_lo <= diag.acceptance_rate <= config.accept_hi
-                and diag.n_eff >= config.min_n_eff
-                and diag.rhat <= config.max_rhat):
+        diag = _tuning_run(targets, 0, kappa, config, seed + i, z0, C_n)
+        if (ACCEPT_LO <= diag.acceptance_rate <= ACCEPT_HI
+                and diag.n_eff >= MIN_N_EFF and diag.rhat <= MAX_RHAT):
             return kappa
-        dist = max(config.accept_lo - diag.acceptance_rate,
-                   diag.acceptance_rate - config.accept_hi, 0.0)
+        dist = max(ACCEPT_LO - diag.acceptance_rate, diag.acceptance_rate - ACCEPT_HI, 0.0)
         results.append((dist, -diag.n_eff, kappa))
     results.sort()
     logger.warning("no kappa in the ladder met all thresholds; using best composite %.3g",
@@ -265,7 +263,7 @@ def _hazard_moments(w: np.ndarray, samples: np.ndarray):
 
 
 def newton_mstep_w(w_s: HazardParams, samples: np.ndarray, times: np.ndarray,
-                   events: np.ndarray, step: float = 1.0) -> HazardParams:
+                   events: np.ndarray) -> HazardParams:
     """One Newton-Raphson step on the expected complete-data log-likelihood,
     with moments estimated from the kept draws (one class: pass delta or 1-delta)."""
     w = w_s.w
@@ -280,16 +278,7 @@ def newton_mstep_w(w_s: HazardParams, samples: np.ndarray, times: np.ndarray,
         ridge = 1e-8 * np.trace(H) / H.shape[0]
         logger.warning("singular Newton Hessian; adding ridge %.3g", ridge)
         delta = np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
-    return HazardParams(w + step * delta)
-
-
-def _init_hazards(times: np.ndarray, events: np.ndarray, d_z: int):
-    out = []
-    for d in (events, 1.0 - events):
-        w = np.zeros(d_z + 1)
-        w[0] = _log_event_rate(times, d)
-        out.append(HazardParams(w))
-    return out[0], out[1]
+    return HazardParams(w + delta)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +307,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     params = list(fa_model.block_params)
     states = list(fa_model.variational)
     heywood = fa_model.heywood_flag
-    w_T, w_C = _init_hazards(times, events, d_z)
+    w_T, w_C = (HazardParams(_intercept_start(times, d, d_z + 1)) for d in (events, 1.0 - events))
 
     seed_root = np.random.SeedSequence(seed)
     tune_seed = int(seed_root.generate_state(1)[0] % (2**31))
@@ -328,8 +317,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     for it in range(gem_iters):
         targets = SampleTargets(params, states, blocks, w_T, w_C, times, events)
         if kappa is None:
-            kappa = tune_kappa(targets, mh, tune_seed, post.mean[:, 0].copy(),
-                               post.cov[0], n=0)
+            kappa = tune_kappa(targets, mh, tune_seed, post.mean[:, 0].copy(), post.cov[0])
         samples = _mc_estep(targets, post, kappa, mh, seed_root.spawn(1)[0])
 
         # Monte-Carlo posterior moments for the factor M-steps
@@ -379,17 +367,16 @@ def averaged_variational(model: FaModel) -> tuple[tuple[np.ndarray, float | None
 
 
 def _prediction_posterior(model: JointModel, blocks) -> LatentPosterior:
-    states = []
-    for block, avg in zip(blocks, averaged_variational(model.fa)):
-        if avg is None:
-            states.append(None)
-            continue
-        xi_bar, alpha_bar = avg
-        N = block.n_samples
-        states.append(VariationalState(
-            xi=np.repeat(xi_bar[:, None], N, axis=1),
-            alpha=None if alpha_bar is None else np.full(N, alpha_bar)))
-    return factor.diverse_estep(model.fa.block_params, states, blocks)
+    """Factor-only posterior of ``blocks`` under one shared column of averaged
+    variational parameters and C-ordered loadings: the state that
+    ``serialize.model_from_dict`` rebuilds, so a fitted model and its saved
+    copy run the same arithmetic."""
+    params = [replace(p, W=np.ascontiguousarray(p.W)) for p in model.fa.block_params]
+    states = [None if avg is None
+              else VariationalState(xi=avg[0][:, None],
+                                    alpha=None if avg[1] is None else np.array([avg[1]]))
+              for avg in averaged_variational(model.fa)]
+    return factor.diverse_estep(params, states, blocks)
 
 
 def joint_predict(model: JointModel, blocks) -> np.ndarray:

@@ -17,7 +17,10 @@ from .hazard import HazardParams
 from .joint import JointModel, averaged_variational
 from .simulate import BlockSpec, SimScenario
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+# A format-1 document's manifest digest comes back from ``model_from_dict``
+# with this prefix, so that ``manifest_matches`` checks it the format-1 way.
+V1_DIGEST_PREFIX = "v1:"
 
 
 def atomic_write(path, text: str):
@@ -35,8 +38,16 @@ def atomic_write(path, text: str):
 
 
 def block_manifest_hash(blocks) -> str:
-    """Digest of block names, kinds, trial counts, and feature names; guards
-    against scoring a model on misaligned features."""
+    """SHA-256 of the canonical JSON of the block names, kinds, trial counts
+    and feature names; guards against scoring a model on misaligned features."""
+    manifest = [[block.name, block.kind, int(block.b), list(block.feature_names)]
+                for block in blocks]
+    return hashlib.sha256(json.dumps(manifest, separators=(",", ":")).encode()).hexdigest()
+
+
+def _v1_manifest_hash(blocks) -> str:
+    """The format-1 digest: the same fields joined with no separator, so that
+    features ('ab', 'c') and ('a', 'bc') collide."""
     digest = hashlib.sha256()
     for block in blocks:
         digest.update(block.name.encode())
@@ -45,6 +56,14 @@ def block_manifest_hash(blocks) -> str:
         for name in block.feature_names:
             digest.update(name.encode())
     return digest.hexdigest()
+
+
+def manifest_matches(stored: str, blocks) -> bool:
+    """Whether ``stored``, a digest as ``model_from_dict`` returns it, is the
+    manifest digest of ``blocks`` in its document's format."""
+    if stored.startswith(V1_DIGEST_PREFIX):
+        return stored[len(V1_DIGEST_PREFIX):] == _v1_manifest_hash(blocks)
+    return stored == block_manifest_hash(blocks)
 
 
 def _arr(a):
@@ -81,12 +100,15 @@ def model_to_dict(model: JointModel, blocks) -> dict:
 
 def model_from_dict(doc: dict) -> tuple[JointModel, str]:
     """Rebuild a model from its document; returns (model, manifest_hash).
+    Formats 1 and 2 differ only in the digest, and a format-1 digest comes
+    back prefixed with V1_DIGEST_PREFIX.
 
     Stored variational parameters are the learning-set means, so the rebuilt
     state has one shared column per feature (what prediction uses anyway).
     """
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if version not in (1, MODEL_FORMAT_VERSION):
+        raise ValueError(f"unsupported model format {version!r}")
     params, states = [], []
     for blk in doc["blocks"]:
         params.append(BlockParams(
@@ -106,7 +128,8 @@ def model_from_dict(doc: dict) -> tuple[JointModel, str]:
                        w_C=HazardParams(np.array(doc["w_C"], dtype=float)),
                        kappa_used=doc["kappa_used"],
                        fit_mode=doc["fit_mode"])
-    return model, doc["manifest_hash"]
+    prefix = V1_DIGEST_PREFIX if version == 1 else ""
+    return model, prefix + doc["manifest_hash"]
 
 
 def save_model(model: JointModel, blocks, path):

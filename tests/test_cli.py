@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -174,6 +175,51 @@ class TestFitPredictProject:
         result = runner.invoke(main, ["predict", "--model", str(model),
                                       "--data", str(manifest),
                                       "--out", str(tmp_path / "p.csv")])
+        assert result.exit_code == EXIT_MANIFEST_MISMATCH
+
+
+class TestManifestDigest:
+    @staticmethod
+    def _dataset(names):
+        rng = np.random.default_rng(4)
+        block = normal_block(rng, len(names), 20, name="g", d_z=1)
+        block = block.__class__(name="g", kind="normal", b=1, values=block.values,
+                                feature_names=names)
+        return Dataset(blocks=(block,),
+                       survival=make_survival(rng.exponential(1, 20), np.ones(20)),
+                       sample_ids=tuple(f"s{i}" for i in range(20)))
+
+    def _predict(self, runner, model, names, tmp_path):
+        tag = "_".join(names)
+        manifest = write_dataset(self._dataset(names), tmp_path / tag, "d")
+        return runner.invoke(main, ["predict", "--model", str(model), "--data", str(manifest),
+                                    "--out", str(tmp_path / f"{tag}.csv")])
+
+    def test_features_split_differently_exit_4(self, runner, tmp_path):
+        """Features ('ab', 'c') and ('a', 'bc') concatenate alike but are
+        different features."""
+        manifest = write_dataset(self._dataset(("ab", "c")), tmp_path / "train", "train")
+        model = tmp_path / "model.json"
+        run_ok(runner, ["fit", "--data", str(manifest), "--dz", "1", "--out", str(model)])
+        assert self._predict(runner, model, ("ab", "c"), tmp_path).exit_code == 0
+        result = self._predict(runner, model, ("a", "bc"), tmp_path)
+        assert result.exit_code == EXIT_MANIFEST_MISMATCH
+
+    def test_format_1_model_still_predicts(self, runner, tmp_path):
+        """A hand-written format-1 document, its digest the names and fields
+        concatenated: it predicts on its features and refuses others."""
+        v1_digest = hashlib.sha256("gnormal1abc".encode()).hexdigest()
+        doc = {"format_version": 1, "d_z": 1, "heywood_flag": False,
+               "manifest_hash": v1_digest,
+               "blocks": [{"name": "g", "kind": "normal", "b": 1, "feature_names": ["ab", "c"],
+                           "W": [[0.5], [-0.25]], "mu": [0.0, 1.0], "psi": [1.0, 2.0],
+                           "xi_mean": None, "alpha_mean": None}],
+               "w_T": [0.1, 0.7], "w_C": [-0.3, 0.0], "kappa_used": None,
+               "fit_mode": "fast_decoupled"}
+        model = tmp_path / "v1.json"
+        model.write_text(json.dumps(doc))
+        assert self._predict(runner, model, ("ab", "c"), tmp_path).exit_code == 0
+        result = self._predict(runner, model, ("ab", "d"), tmp_path)
         assert result.exit_code == EXIT_MANIFEST_MISMATCH
 
 

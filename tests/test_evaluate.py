@@ -151,6 +151,15 @@ class TestModelCandidate:
         with pytest.raises(ValueError):
             ModelCandidate(kind="fa_ecph_c", gamma=1.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"kind": "nonsense", "d_z": 2},
+        {"kind": "fa_ecph_c", "d_z": 2, "fit_mode": "bogus"},
+        {"kind": "ecph_c_l1", "gamma": 1.0, "fit_mode": "full"},
+    ])
+    def test_unknown_kind_or_fit_mode_rejected(self, fields):
+        with pytest.raises(ValueError, match="unknown"):
+            ModelCandidate(**fields)
+
     def test_candidate_ids(self):
         assert ModelCandidate(kind="fa_ecph_c", d_z=3).candidate_id == "latent_dz3_fast"
         full = ModelCandidate(kind="fa_ecph_c", d_z=3, fit_mode="full_mcem")

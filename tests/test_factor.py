@@ -474,6 +474,20 @@ class TestFitFa:
         diffs = np.diff(objs)
         assert np.all(diffs >= -1e-8 * np.abs(objs[:-1]))
 
+    def test_warns_at_iteration_cap(self, rng, caplog):
+        ds = make_dataset(rng, N=30, with_binomial=True)
+        with caplog.at_level("WARNING", logger="latentsurv.factor"):
+            fit_fa(ds, 2, max_iters=2)
+        [record] = caplog.records
+        assert "max_iters=2" in record.message and "rel_tol=1e-06" in record.message
+        assert "last relative change" in record.message
+
+    def test_converged_fit_is_silent(self, rng, caplog):
+        ds = make_dataset(rng, N=30, with_binomial=True)
+        with caplog.at_level("WARNING", logger="latentsurv.factor"):
+            fit_fa(ds, 2, rel_tol=1e-3)
+        assert not caplog.records
+
 
 class TestFaObjective:
     def test_reduces_to_gaussian_density(self, rng):

@@ -8,6 +8,7 @@ import pytest
 from latentsurv.data import Dataset
 from latentsurv.factor import BlockParams, FaModel, LatentPosterior, fit_fa
 from latentsurv.hazard import HazardParams
+from latentsurv import joint
 from latentsurv.joint import (
     JointModel,
     _metropolis,
@@ -147,6 +148,49 @@ class TestDiagnostics:
         chains = rng.standard_normal((2, 50))
         assert effective_sample_size(chains) <= 100 + 1e-9
 
+    @staticmethod
+    def _ess_lag_loop(chains):
+        """Reference estimator: one lag at a time, pairs from lag 1, each
+        pair capped by the one before, stopped at the first negative pair."""
+        m, n = chains.shape
+        W = chains.var(axis=1, ddof=1).mean()
+        means = chains.mean(axis=1)
+        B = n * means.var(ddof=1) if m > 1 else 0.0
+        var_plus = (n - 1) / n * W + B / n
+        if var_plus <= 0:
+            return float(m * n)
+        centered = chains - means[:, None]
+        rho_sum = 0.0
+        prev_pair = None
+        t = 1
+        while t + 1 < n:
+            acov_t = np.mean([(c[:-t] * c[t:]).mean() for c in centered])
+            acov_t1 = np.mean([(c[:-(t + 1)] * c[(t + 1):]).mean() for c in centered])
+            rho_t = 1.0 - (W - acov_t) / var_plus
+            rho_t1 = 1.0 - (W - acov_t1) / var_plus
+            pair = rho_t + rho_t1
+            if pair < 0:
+                break
+            if prev_pair is not None:
+                pair = min(pair, prev_pair)
+            rho_sum += pair
+            prev_pair = pair
+            t += 2
+        return float(min(m * n / (1.0 + 2.0 * rho_sum), m * n))
+
+    def test_ess_matches_lag_loop(self, rng):
+        """The FFT estimator equals the lag-by-lag one on AR(1) chains."""
+        for n in [2, 3, 4, 5, 7, 10, 31, 64, 150, 301, 600]:
+            for m in (1, 2, 3):
+                for phi in (-0.5, 0.0, 0.5, 0.9, 0.99):
+                    eps = rng.standard_normal((m, n))
+                    x = np.empty((m, n))
+                    x[:, 0] = eps[:, 0]
+                    for s in range(1, n):
+                        x[:, s] = phi * x[:, s - 1] + eps[:, s]
+                    want = self._ess_lag_loop(x)
+                    assert effective_sample_size(x) == pytest.approx(want, rel=1e-12, abs=0)
+
 
 class TestMhSample:
     def test_determinism(self, rng):
@@ -197,9 +241,9 @@ class TestTuneKappa:
         idx = cfg.kappa_ladder.index(kappa)
         diag = _tuning_run(targets, 0, kappa, cfg, 3 + idx,
                            post.mean[:, 0].copy(), post.cov[0])
-        assert cfg.accept_lo <= diag.acceptance_rate <= cfg.accept_hi
-        assert diag.n_eff >= cfg.min_n_eff
-        assert diag.rhat <= cfg.max_rhat
+        assert joint.ACCEPT_LO <= diag.acceptance_rate <= joint.ACCEPT_HI
+        assert diag.n_eff >= joint.MIN_N_EFF
+        assert diag.rhat <= joint.MAX_RHAT
 
     def test_all_fail_falls_back_with_warning(self, rng, caplog):
         # a ladder of absurdly large proposals rejects nearly everything; with

@@ -1,10 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentsurv.data import load_dataset
-from latentsurv.joint import fit_fast, joint_predict
+from latentsurv.joint import _prediction_posterior, fit_fast, joint_predict
 from latentsurv.serialize import (
     MODEL_FORMAT_VERSION,
     atomic_write,
@@ -60,6 +63,34 @@ class TestManifestHash:
         assert block_manifest_hash((shifted,)) == block_manifest_hash(ds.blocks)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_distinct_manifests_distinct_digests(self, data):
+        """Different manifests never share a digest: neither two drawn
+        independently nor two that split the same characters differently into
+        feature names."""
+        text = st.text(alphabet="ab1", max_size=3)
+        manifest = st.lists(st.tuples(text, st.sampled_from(("normal", "binomial")),
+                                      st.integers(1, 12), st.lists(text, max_size=3)),
+                            min_size=1, max_size=3)
+        a = data.draw(manifest)
+        resplit = []
+        for name, kind, trials, features in a:
+            joined = "".join(features)
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(joined)), max_size=3)))
+            bounds = zip([0] + cuts, cuts + [len(joined)])
+            resplit.append((name, kind, trials, [joined[i:j] for i, j in bounds]))
+
+        def digest(m):
+            return block_manifest_hash([SimpleNamespace(name=n, kind=k, b=trials,
+                                                        feature_names=tuple(f))
+                                        for n, k, trials, f in m])
+
+        for b in (resplit, data.draw(manifest)):
+            if b != a:
+                assert digest(a) != digest(b)
+
+
 class TestModelRoundtrip:
     def test_predictions_bit_identical(self, rng, tmp_path):
         ds = make_dataset(rng, N=25, with_binomial=True)
@@ -70,6 +101,26 @@ class TestModelRoundtrip:
         after = joint_predict(loaded, ds.blocks)
         np.testing.assert_array_equal(before, after)
         assert stored_hash == block_manifest_hash(ds.blocks)
+
+    def test_loaded_predicts_bit_identically_at_criterion_1_size(self, tmp_path):
+        """Criterion-1 generator, N = 300: the fitted model and its saved copy
+        give the same predictions and projections, bit for bit."""
+        beta = np.random.default_rng(202).standard_normal(3)
+        scn = SimScenario(
+            d_z=3,
+            blocks=(BlockSpec(name="expr", kind="normal", d_x=200, w_scale=0.8),
+                    BlockSpec(name="mut", kind="binomial", d_x=50, b=1, w_scale=1.2),
+                    BlockSpec(name="subtype", kind="multinomial", d_x=4, b=1, w_scale=1.2)),
+            w_T=np.concatenate([[0.0], 3.0 * beta / np.linalg.norm(beta)]),
+            w_C=np.array([-0.8, 0.0, 0.0, 0.0]), n_train=300, n_test=500, seed=77)
+        train, test, _ = simulate_dataset(scn)
+        model = fit_fast(train, 3, seed=0)
+        save_model(model, train.blocks, tmp_path / "m.json")
+        loaded, _ = load_model(tmp_path / "m.json")
+        np.testing.assert_array_equal(joint_predict(model, test.blocks),
+                                      joint_predict(loaded, test.blocks))
+        np.testing.assert_array_equal(_prediction_posterior(model, test.blocks).mean,
+                                      _prediction_posterior(loaded, test.blocks).mean)
 
     def test_version_field(self, rng, tmp_path):
         ds = make_dataset(rng, N=15)
