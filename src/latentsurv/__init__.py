@@ -11,7 +11,7 @@ from .data import (
     Dataset,
     ParseError,
     SplitPlan,
-    SurvivalOutcome,
+    Survival,
     adjust_zero_times,
     impute_missing,
     load_dataset,
@@ -51,7 +51,7 @@ __all__ = [
     "PenaltyConfig",
     "SimScenario",
     "SplitPlan",
-    "SurvivalOutcome",
+    "Survival",
     "UndefinedCIndexError",
     "VariationalState",
     "adjust_zero_times",

@@ -37,7 +37,7 @@ def _load_dataset_or_die(path):
     except (OSError, data_mod.ParseError, KeyError, ValueError, json.JSONDecodeError) as exc:
         click.echo(f"error: cannot load dataset: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)
-    masked = [blk.name for blk in dataset.blocks if blk.missing_mask is not None]
+    masked = [blk.name for blk in dataset.blocks if np.isnan(blk.values).any()]
     if masked:
         click.echo(f"error: missing cells in block(s) {', '.join(map(repr, masked))}; "
                    "impute them with latentsurv.data.impute_missing first", err=True)
@@ -101,7 +101,7 @@ main.add_command(simulate_cmd, name="simulate")
 @click.option("--dz", required=True, type=int, help="Latent dimension.")
 @click.option("--fit-mode", type=click.Choice(["fast", "full"]), default="fast",
               show_default=True)
-@click.option("--gem-iters", type=int, default=10, show_default=True,
+@click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True,
               help="Monte Carlo EM iterations (full mode).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(),
@@ -112,10 +112,17 @@ def fit(data_path, dz, fit_mode, gem_iters, seed, out_path):
     if dz < 1 or dz >= dataset.n_samples:
         click.echo(f"error: dz={dz} out of range for N={dataset.n_samples}", err=True)
         sys.exit(EXIT_BAD_INPUT)
-    if fit_mode == "fast":
-        model = joint.fit_fast(dataset, dz, seed=seed)
-    else:
-        model = joint.fit_joint(dataset, dz, gem_iters=gem_iters, seed=seed)
+    # data the fit cannot handle, such as zero total exposure or cells so large
+    # that their squares overflow, end as bad input rather than a traceback
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if fit_mode == "fast":
+                model = joint.fit_fast(dataset, dz, seed=seed)
+            else:
+                model = joint.fit_joint(dataset, dz, gem_iters=gem_iters, seed=seed)
+    except (ValueError, FloatingPointError) as exc:
+        click.echo(f"error: cannot fit this dataset: {exc}", err=True)
+        sys.exit(EXIT_BAD_INPUT)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     serialize.save_model(model, dataset.blocks, out_path)
@@ -135,7 +142,7 @@ def fit(data_path, dz, fit_mode, gem_iters, seed, out_path):
               help="Comma-separated L1 penalties for the baseline.")
 @click.option("--fit-mode", type=click.Choice(["fast", "full"]), default="fast",
               show_default=True)
-@click.option("--gem-iters", type=int, default=10, show_default=True)
+@click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--test-fraction", type=float, default=0.25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -156,10 +163,10 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
         click.echo("error: provide at least one of --dz / --gamma", err=True)
         sys.exit(EXIT_BAD_INPUT)
     mode = "fast_decoupled" if fit_mode == "fast" else "full_mcem"
-    candidates = [evaluate.ModelCandidate(kind="fa_ecph_c", d_z=d, fit_mode=mode,
-                                          gem_iters=gem_iters) for d in dzs]
-    candidates += [evaluate.ModelCandidate(kind="ecph_c_l1", gamma=g) for g in gammas]
     try:
+        candidates = [evaluate.ModelCandidate(kind="fa_ecph_c", d_z=d, fit_mode=mode,
+                                              gem_iters=gem_iters) for d in dzs]
+        candidates += [evaluate.ModelCandidate(kind="ecph_c_l1", gamma=g) for g in gammas]
         split = data_mod.make_split(dataset.n_samples, test_fraction=test_fraction,
                                     n_folds=folds, seed=seed)
     except ValueError as exc:
@@ -240,10 +247,9 @@ def project(model_path, data_path, out_path):
     d_z = model.fa.d_z
     header = "sample_id," + ",".join(f"z{k + 1}" for k in range(d_z)) + ",time_days,event"
     lines = [header]
-    for j, sid in enumerate(dataset.sample_ids):
+    for j, (sid, t, e) in enumerate(zip(dataset.sample_ids, dataset.times(), dataset.events())):
         coords = ",".join(repr(float(v)) for v in post.mean[:, j])
-        s = dataset.survival[j]
-        lines.append(f"{sid},{coords},{s.time!r},{1 if s.event else 0}")
+        lines.append(f"{sid},{coords},{float(t)!r},{int(e)}")
     serialize.atomic_write(out_path, "\n".join(lines) + "\n")
     click.echo(f"wrote {out_path}")
 

@@ -1,11 +1,16 @@
-"""Dataset containers, ingestion, preprocessing, and reproducible splits."""
+"""Dataset containers, ingestion, preprocessing, and reproducible splits.
+
+Survival is columnar: one ``Survival`` holds every sample's time and 0/1 event
+as arrays. A NaN cell of a covariate block is a missing cell; no separate mask
+records it.
+"""
 
 from __future__ import annotations
 
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,23 +26,34 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class SurvivalOutcome:
-    """Observed event time (days) and event indicator (True = event, False = censored)."""
+class Survival:
+    """Observed event times (days) and event indicators (1 = event, 0 =
+    censored), one entry per sample, as read-only float64 arrays."""
 
-    time: float
-    event: bool
+    time: np.ndarray
+    event: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.time < math.inf:
-            raise ValueError(f"invalid time {self.time!r}: must be finite and at least 0")
+        time = np.array(self.time, dtype=float)
+        event = np.array(self.event, dtype=float)
+        if time.ndim != 1 or event.shape != time.shape:
+            raise ValueError("time and event must be 1-d arrays of equal length")
+        bad = time[~((0 <= time) & (time < math.inf))]
+        if bad.size:
+            raise ValueError(f"invalid time {float(bad[0])!r}: must be finite and at least 0")
+        if not np.all((event == 0) | (event == 1)):
+            raise ValueError("events must be 0 or 1")
+        for name, arr in (("time", time), ("event", event)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
 class CovariateBlock:
     """One datatype's feature matrix (features x samples) plus its conditional kind.
 
-    ``missing_mask`` (True where a cell is missing) is only present between
-    ingestion and ``impute_missing``; downstream code requires a mask-free block.
+    A NaN cell is a missing cell. Ingestion keeps them, ``impute_missing``
+    fills them, and the fitters need a block without NaN.
     """
 
     name: str
@@ -45,7 +61,6 @@ class CovariateBlock:
     b: int
     values: np.ndarray
     feature_names: tuple[str, ...]
-    missing_mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in BLOCK_KINDS:
@@ -61,24 +76,21 @@ class CovariateBlock:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        if self.missing_mask is not None:
-            mask = np.asarray(self.missing_mask, dtype=bool).copy()
-            if mask.shape != values.shape:
-                raise ValueError("missing_mask shape does not match values")
-            mask.setflags(write=False)
-            object.__setattr__(self, "missing_mask", mask)
-        else:
-            self._check_support()
+        self._check_support()
 
     def _check_support(self):
+        """Count kinds: every observed cell is an integer in range, and every
+        complete multinomial column sums to b."""
         v = self.values
+        missing = np.isnan(v)
         if self.kind == "binomial":
-            if not np.all((v == np.round(v)) & (v >= 0) & (v <= self.b)):
+            if not np.all(missing | ((v == np.round(v)) & (v >= 0) & (v <= self.b))):
                 raise ValueError(f"block {self.name!r}: binomial entries must be integers in 0..{self.b}")
         elif self.kind == "multinomial":
-            if not np.all((v == np.round(v)) & (v >= 0)):
+            if not np.all(missing | ((v == np.round(v)) & (v >= 0))):
                 raise ValueError(f"block {self.name!r}: multinomial entries must be non-negative integers")
-            if v.shape[0] and not np.allclose(v.sum(axis=0), self.b):
+            complete = v[:, ~missing.any(axis=0)]
+            if v.shape[0] and not np.allclose(complete.sum(axis=0), self.b):
                 raise ValueError(f"block {self.name!r}: multinomial columns must sum to {self.b}")
 
     @property
@@ -95,15 +107,14 @@ class Dataset:
     """Aligned collection of covariate blocks and survival outcomes."""
 
     blocks: tuple[CovariateBlock, ...]
-    survival: tuple[SurvivalOutcome, ...]
+    survival: Survival
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "survival", tuple(self.survival))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         n = len(self.sample_ids)
-        if len(self.survival) != n:
+        if self.survival.time.size != n:
             raise ValueError("survival length does not match sample_ids")
         for blk in self.blocks:
             if blk.n_samples != n:
@@ -116,21 +127,16 @@ class Dataset:
         return len(self.sample_ids)
 
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.survival], dtype=float)
+        return self.survival.time
 
     def events(self) -> np.ndarray:
-        return np.array([s.event for s in self.survival], dtype=float)
+        return self.survival.event
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        blocks = tuple(
-            replace(blk, values=blk.values[:, idx],
-                    missing_mask=None if blk.missing_mask is None else blk.missing_mask[:, idx])
-            for blk in self.blocks
-        )
         return Dataset(
-            blocks=blocks,
-            survival=tuple(self.survival[i] for i in idx),
+            blocks=tuple(replace(blk, values=blk.values[:, idx]) for blk in self.blocks),
+            survival=Survival(time=self.survival.time[idx], event=self.survival.event[idx]),
             sample_ids=tuple(self.sample_ids[i] for i in idx),
         )
 
@@ -207,6 +213,8 @@ def _read_matrix(path):
 
 
 def _read_survival(path):
+    """Map each sample id to its (time, event) pair, or to None where its
+    survival is missing."""
     header, rows = _read_table(path)
     if [c.lower() for c in header[:3]] != ["sample_id", "time_days", "event"]:
         raise ParseError(f"{path}: expected header sample_id,time_days,event")
@@ -223,12 +231,13 @@ def _read_survival(path):
         if token not in {"1", "true", "0", "false", ""}:
             raise ParseError(f"{path}:{lineno}: bad event value {row[2]!r}")
         # a blank event or a NaN time is missing survival: the sample is dropped later
-        missing = not token or math.isnan(time)
-        try:
-            out[sid] = None if missing else SurvivalOutcome(time=time,
-                                                            event=token in {"1", "true"})
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not token or math.isnan(time):
+            out[sid] = None
+        elif not 0 <= time < math.inf:
+            raise ParseError(f"{path}:{lineno}: invalid time {time!r}: "
+                             "must be finite and at least 0")
+        else:
+            out[sid] = (time, float(token in {"1", "true"}))
     return out
 
 
@@ -266,19 +275,17 @@ def load_dataset(manifest_path) -> Dataset:
     blocks = []
     for spec, sample_ids, feature_names, values in raw_blocks:
         col = {sid: j for j, sid in enumerate(sample_ids)}
-        values = values[:, [col[sid] for sid in ordered]]
-        mask = np.isnan(values)
         blocks.append(CovariateBlock(
             name=spec["name"],
             kind=spec["kind"],
             b=int(spec.get("b", 1)),
-            values=values,
+            values=values[:, [col[sid] for sid in ordered]],
             feature_names=tuple(feature_names),
-            missing_mask=mask if mask.any() else None,
         ))
+    time, event = np.array([survival_map[sid] for sid in ordered], dtype=float).reshape(-1, 2).T
     return Dataset(
         blocks=tuple(blocks),
-        survival=tuple(survival_map[sid] for sid in ordered),
+        survival=Survival(time=time, event=event),
         sample_ids=tuple(ordered),
     )
 
@@ -300,20 +307,20 @@ def variance_filter(block: CovariateBlock, keep_fraction: float) -> CovariateBlo
         block,
         values=block.values[keep],
         feature_names=tuple(block.feature_names[i] for i in keep),
-        missing_mask=None if block.missing_mask is None else block.missing_mask[keep],
     )
 
 
 def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) -> CovariateBlock:
-    """Drop features missing in more than ``max_missing_fraction`` of samples and
-    mean-impute the rest (rounded to the nearest valid integer for count kinds).
+    """Drop features missing (NaN) in more than ``max_missing_fraction`` of
+    samples and mean-impute the rest (rounded to the nearest valid integer for
+    count kinds).
 
     Observed entries are left bit-identical. Imputed multinomial columns are
     re-normalized to sum b by adjusting the imputed entry.
     """
-    if block.missing_mask is None:
+    mask = np.isnan(block.values)
+    if not mask.any():
         return block
-    mask = block.missing_mask
     n = block.n_samples
     frac = mask.sum(axis=1) / max(n, 1)
     all_missing = frac >= 1.0
@@ -347,7 +354,7 @@ def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) ->
                 row = int(np.where(mask[:, j])[0][0])
                 values[row, j] = max(values[row, j] + deficit, 0)
 
-    return replace(block, values=values, feature_names=names, missing_mask=None)
+    return replace(block, values=values, feature_names=names)
 
 
 def zscore_block(block: CovariateBlock) -> CovariateBlock:
@@ -360,26 +367,26 @@ def zscore_block(block: CovariateBlock) -> CovariateBlock:
     return replace(block, values=(v - v.mean(axis=1, keepdims=True)) / sd)
 
 
-def adjust_zero_times(survival) -> tuple[SurvivalOutcome, ...]:
+def adjust_zero_times(survival: Survival) -> Survival:
     """Replace zero event times by 1/10 of the smallest non-zero time."""
-    times = np.array([s.time for s in survival], dtype=float)
-    positive = times[times > 0]
-    if positive.size == 0:
+    positive = survival.time > 0
+    if not positive.any():
         raise ValueError("all event times are zero; no reference scale")
-    floor = positive.min() / 10.0
-    return tuple(
-        s if s.time > 0 else SurvivalOutcome(time=floor, event=s.event)
-        for s in survival
-    )
+    floor = survival.time[positive].min() / 10.0
+    return Survival(time=np.where(positive, survival.time, floor), event=survival.event)
 
 
 def make_split(N: int, test_fraction: float = 0.25, n_folds: int = 5, *, seed: int) -> SplitPlan:
     """Uniform-at-random test/fold assignment, deterministic in the seed."""
-    if N < n_folds + 1:
-        raise ValueError(f"N={N} too small for {n_folds} folds")
+    if not 0 <= test_fraction < 1:
+        raise ValueError(f"test_fraction={test_fraction} must be in [0, 1)")
+    if n_folds < 2:
+        raise ValueError(f"n_folds={n_folds} must be at least 2")
+    n_test = int(round(N * test_fraction))
+    if N < n_folds + 1 or N - n_test < n_folds:
+        raise ValueError(f"N={N} too small for {n_folds} folds after {n_test} test samples")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(N)
-    n_test = int(round(N * test_fraction))
     test = np.sort(perm[:n_test])
     rest = perm[n_test:]
     folds = tuple(tuple(np.sort(part)) for part in np.array_split(rest, n_folds))

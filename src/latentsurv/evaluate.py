@@ -70,6 +70,10 @@ class ModelCandidate:
             raise ValueError("exactly one hyperparameter field must be set")
         if self.kind == "fa_ecph_c" and self.d_z is None:
             raise ValueError("latent-factor candidates need d_z")
+        if self.d_z is not None and self.d_z < 1:
+            raise ValueError(f"d_z={self.d_z} must be at least 1")
+        if self.gamma is not None and not self.gamma >= 0:
+            raise ValueError(f"gamma={self.gamma} must be non-negative")
         if self.kind == "ecph_c_l1" and self.gamma is None:
             raise ValueError("penalized candidates need gamma")
         if self.kind == "ecph_c_fixed" and self.fixed_features is None:

@@ -1,5 +1,8 @@
 """Exponential proportional-hazards model with censoring.
 
+Outcomes come as a ``data.Survival``: times t and event indicators d, one
+entry per sample, the vectors every likelihood and Newton step works on.
+
 Each part is fitted by Newton's method with backtracking, run to
 convergence, on the negative log-likelihood plus, when gamma > 0, an L1
 penalty (proximal Newton). A step minimizes Newton's quadratic model, by least
@@ -12,6 +15,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import Survival
 
 logger = logging.getLogger(__name__)
 
@@ -68,15 +73,13 @@ def _design(X: np.ndarray) -> np.ndarray:
     return np.vstack([np.ones(X.shape[1]), X])
 
 
-def _aligned(X: np.ndarray, survival) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _aligned(X: np.ndarray, survival: Survival) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design (intercept row prepended), times and event indicators of the
-    samples, after checking that X has one column per survival record."""
-    t = np.array([s.time for s in survival], dtype=float)
-    d = np.array([float(s.event) for s in survival])
+    samples, after checking that X has one column per sample."""
     Xt = _design(X)
-    if Xt.shape[1] != t.size:
+    if Xt.shape[1] != survival.time.size:
         raise ValueError("X columns must align with survival")
-    return Xt, t, d
+    return Xt, survival.time, survival.event
 
 
 def _intercept_start(t: np.ndarray, d: np.ndarray, p1: int) -> np.ndarray:
@@ -98,7 +101,7 @@ def _part_log_likelihood(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.nda
 
 
 def ecph_log_likelihood(params_T: HazardParams, params_C: HazardParams,
-                        X: np.ndarray, survival) -> float:
+                        X: np.ndarray, survival: Survival) -> float:
     """Log-likelihood of (event time, indicator) pairs; additive in the T and C parts."""
     Xt, t, d = _aligned(X, survival)
     return (_part_log_likelihood(params_T.w, Xt, t, d)
@@ -271,18 +274,26 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
     w = _intercept_start(t, d, p1)
     if not d.any():
         return w  # intercept-only at the rate floor
+    if gamma == 0 and p1 >= t.size and not d.all() and np.linalg.matrix_rank(Xt) == t.size:
+        # every linear predictor is reachable, so a censored term's
+        # -t exp(eta) has no maximiser; the fit stops where its rule cuts
+        logger.warning("no maximum-likelihood estimate: the design has rank N = %d and a "
+                       "censored sample; the weights depend on the stop rule", t.size)
     penalized = np.ones(p1, dtype=bool)
     penalized[0] = penalize_intercept
     return _newton_fit(Xt, t, d, w, gamma, penalized)
 
 
-def fit_ecph(X: np.ndarray, survival,
+def fit_ecph(X: np.ndarray, survival: Survival,
              penalty: PenaltyConfig | None = None) -> tuple[HazardParams, HazardParams]:
-    """Fit event (T) and censoring (C) hazards.
+    """Fit event (T) and censoring (C) hazards on the (p x N) covariates X and
+    the samples' ``Survival`` (times and 0/1 events).
 
     The two parts factor, so they are fitted independently, each by Newton's
     method with backtracking run to convergence; a part with a positive L1
-    strength takes proximal Newton steps.
+    strength takes proximal Newton steps. At gamma = 0 a part logs a warning
+    when its MLE cannot exist: the design has rank N and the part has a
+    censored sample.
     """
     Xt, t, d = _aligned(X, survival)
     if t.sum() <= 0:

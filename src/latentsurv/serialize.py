@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CovariateBlock, Dataset
+from .data import Dataset
 from .factor import BlockParams, FaModel, VariationalState
 from .hazard import HazardParams
 from .joint import JointModel, averaged_variational
@@ -211,8 +210,8 @@ def write_dataset(dataset: Dataset, out_dir, prefix: str) -> Path:
         manifest["blocks"].append(
             {"name": block.name, "kind": block.kind, "b": block.b, "path": fname})
     surv_lines = ["sample_id,time_days,event"]
-    for sid, s in zip(dataset.sample_ids, dataset.survival):
-        surv_lines.append(f"{sid},{_format_cell(s.time)},{1 if s.event else 0}")
+    for sid, t, e in zip(dataset.sample_ids, dataset.times(), dataset.events()):
+        surv_lines.append(f"{sid},{_format_cell(t)},{int(e)}")
     atomic_write(out_dir / manifest["survival"], "\n".join(surv_lines) + "\n")
     manifest_path = out_dir / f"{prefix}_manifest.json"
     atomic_write(manifest_path, json.dumps(manifest, indent=1))

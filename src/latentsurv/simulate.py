@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, softmax
 
-from .data import CovariateBlock, Dataset, SurvivalOutcome
+from .data import CovariateBlock, Dataset, Survival
 from .joint import JointModel
 
 
@@ -102,10 +102,8 @@ def simulate_dataset(scenario: SimScenario):
         else:
             tt = t
             delta = np.ones(n, dtype=bool)
-        survival = tuple(SurvivalOutcome(time=float(ti), event=bool(di))
-                         for ti, di in zip(tt, delta))
         ids = tuple(f"{tag}{j:05d}" for j in range(n))
-        return Dataset(blocks=blocks, survival=survival, sample_ids=ids), Z
+        return Dataset(blocks=blocks, survival=Survival(time=tt, event=delta), sample_ids=ids), Z
 
     train, z_train = draw(scenario.n_train, censored=True, tag="tr")
     test, z_test = draw(scenario.n_test, censored=False, tag="te")

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from latentsurv.data import CovariateBlock, Dataset, SurvivalOutcome
+from latentsurv.data import CovariateBlock, Dataset, Survival
 
 
 def make_survival(times, events):
-    return tuple(SurvivalOutcome(time=float(t), event=bool(d))
-                 for t, d in zip(times, events))
+    return Survival(time=times, event=events)
 
 
 def normal_block(rng, d_x, N, name="norm", W=None, mu=None, psi=None, d_z=2):

@@ -289,6 +289,27 @@ class TestCvCommand:
         assert result.exit_code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("args", [
+    ["cv", "--dz", "1", "--test-fraction", "1.5"],
+    ["cv", "--dz", "1", "--test-fraction", "1.0"],
+    ["cv", "--dz", "1", "--test-fraction", "-0.5"],
+    ["cv", "--dz", "1", "--folds", "1"],
+    ["cv", "--dz", "0"],
+    ["cv", "--gamma", "-1"],
+    ["cv", "--dz", "1", "--fit-mode", "full", "--gem-iters", "-2"],
+    ["fit", "--dz", "1", "--fit-mode", "full", "--gem-iters", "-2"],
+])
+def test_out_of_range_options_exit_2(runner, tmp_path, args):
+    scn = scenario_file(tmp_path, n_train=30, n_test=0)
+    sim = tmp_path / "sim"
+    run_ok(runner, ["simulate", "--scenario", str(scn), "--out", str(sim)])
+    result = runner.invoke(main, args + ["--data", str(sim / "train_manifest.json"),
+                                         "--out", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_BAD_INPUT, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
+
+
 class TestSerializationThroughCli:
     def test_saved_model_predictions_bit_exact(self, runner, tmp_path):
         scn = scenario_file(tmp_path)

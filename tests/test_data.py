@@ -1,14 +1,21 @@
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latentsurv.cli import main
 from latentsurv.data import (
     CovariateBlock,
     Dataset,
     ParseError,
-    SurvivalOutcome,
+    Survival,
     adjust_zero_times,
     impute_missing,
     load_dataset,
@@ -16,7 +23,7 @@ from latentsurv.data import (
     variance_filter,
     zscore_block,
 )
-from tests.conftest import make_survival
+from tests.conftest import make_dataset, make_survival
 
 
 def write_manifest(tmp_path, blocks, survival_rows, delim=","):
@@ -56,8 +63,8 @@ class TestLoadDataset:
             [("a", "normal", 1, ["s1", "s2"], [("f1", 1.0, 2.0)])],
             ["s1,5.0,1", "s2,3.0,0"])
         ds = load_dataset(mpath)
-        assert ds.survival[0].event is True
-        assert ds.survival[1].event is False
+        assert ds.events()[0] == 1.0
+        assert ds.events()[1] == 0.0
 
     def test_missing_sample_dropped_with_warning(self, tmp_path, caplog):
         mpath = write_manifest(
@@ -111,7 +118,7 @@ class TestLoadDataset:
                                                      ("f2", "+nan", 2.0, "-nan")])],
             ["s1,5.0,1", "s2,3.0,0", "s3,1.0,1"])
         ds = load_dataset(mpath)
-        np.testing.assert_array_equal(ds.blocks[0].missing_mask,
+        np.testing.assert_array_equal(np.isnan(ds.blocks[0].values),
                                       [[False, True, False], [True, False, True]])
 
     @pytest.mark.parametrize("row, cells", [("s2,3.0", 2), ("s2,3.0,0,x", 4)])
@@ -122,6 +129,48 @@ class TestLoadDataset:
             ["s1,5.0,1", row])
         with pytest.raises(ParseError, match=f"surv.csv:3: expected 3 cells, got {cells}"):
             load_dataset(mpath)
+
+
+def _cells(n, tokens, numbers):
+    """n cells: all drawn from tokens and numbers, so that whole files load, or
+    each one also from arbitrary text."""
+    valid = st.one_of(st.sampled_from(tokens), numbers.map(repr))
+    return st.one_of(st.lists(valid, min_size=n, max_size=n),
+                     st.lists(st.one_of(valid, st.text(max_size=6)), min_size=n, max_size=n))
+
+
+TIME_CELLS = _cells(4, ["0", "1", " 2.5 ", "1e300", "5e-324", "nan", "", "-1", "inf", "1e400"],
+                    st.floats(min_value=0))
+EVENT_CELLS = _cells(4, ["0", "1", "true", "FALSE", "", "2", "-1"], st.integers(0, 1))
+BLOCK_CELLS = _cells(8, ["0", "1", "-2", "2.5", "NA", "", "-nan", "inf", "1e300"], st.floats())
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(times=TIME_CELLS, events=EVENT_CELLS, cells=BLOCK_CELLS)
+    def test_load_returns_valid_survival_or_parse_error(self, times, events, cells):
+        """Arbitrary time, event and block cells: the loader returns finite
+        non-negative times and 0/1 events, or a ParseError naming file:line;
+        ``fit`` on the same files exits 0 or 2 without a traceback."""
+        ids = ["s1", "s2", "s3", "s4"]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            mpath = write_manifest(
+                tmp, [("a", "normal", 1, ids, [("f1", *cells[:4]), ("f2", *cells[4:])])],
+                [f"{sid},{t},{e}" for sid, t, e in zip(ids, times, events)])
+            try:
+                ds = load_dataset(mpath)
+            except ParseError as exc:
+                assert re.match(r"\S+\.csv:\d+: ", str(exc)), str(exc)
+            else:
+                t, e = ds.times(), ds.events()
+                assert np.all(np.isfinite(t) & (t >= 0))
+                assert np.all((e == 0) | (e == 1))
+            result = CliRunner().invoke(main, ["fit", "--data", str(mpath), "--dz", "1",
+                                               "--out", str(tmp / "model.json")])
+            assert result.exit_code in (0, 2), result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                repr(result.exception)
 
 
 class TestBlockInvariants:
@@ -135,10 +184,29 @@ class TestBlockInvariants:
             CovariateBlock(name="x", kind="multinomial", b=1,
                            values=[[1.0, 1.0], [1.0, 0.0]], feature_names=("a", "b"))
 
+    def test_observed_count_cells_checked_beside_nan(self):
+        with pytest.raises(ValueError, match="binomial"):
+            CovariateBlock(name="x", kind="binomial", b=1,
+                           values=[[np.nan, 2.0]], feature_names=("f",))
+        with pytest.raises(ValueError, match="sum"):
+            CovariateBlock(name="x", kind="multinomial", b=1,
+                           values=[[np.nan, 1.0], [1.0, 1.0]], feature_names=("a", "b"))
+
+    @pytest.mark.parametrize("time, event", [([1.0, 2.0], [1]), ([[1.0]], [[1]]),
+                                             ([1.0], [2]), ([1.0], [np.nan])])
+    def test_survival_shape_and_events_checked(self, time, event):
+        with pytest.raises(ValueError):
+            Survival(time=time, event=event)
+
+    def test_survival_columns_stored_read_only(self, rng):
+        ds = make_dataset(rng, N=5)
+        assert ds.times() is ds.survival.time and ds.events() is ds.survival.event
+        assert not ds.times().flags.writeable and not ds.events().flags.writeable
+
     def test_survival_negative_time_rejected(self, tmp_path):
         for time in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                SurvivalOutcome(time=time, event=True)
+                Survival(time=[time], event=[1])
         # read from a file, the error names the file and the line
         for time in ("-1.0", "inf"):
             mpath = write_manifest(
@@ -194,18 +262,16 @@ class TestVarianceFilter:
 class TestImputeMissing:
     def test_feature_over_threshold_dropped(self):
         values = np.arange(40, dtype=float).reshape(2, 20)
-        mask = np.zeros((2, 20), dtype=bool)
-        mask[0, :3] = True  # 15% missing
+        values[0, :3] = np.nan  # 15% missing
         block = CovariateBlock(name="x", kind="normal", b=1, values=values,
-                               feature_names=("f0", "f1"), missing_mask=mask)
+                               feature_names=("f0", "f1"))
         out = impute_missing(block, 0.10)
         assert out.feature_names == ("f1",)
 
     def test_mean_imputation(self):
         values = np.array([[1.0, np.nan, 3.0]])
-        mask = np.array([[False, True, False]])
         block = CovariateBlock(name="x", kind="normal", b=1, values=values,
-                               feature_names=("f",), missing_mask=mask)
+                               feature_names=("f",))
         out = impute_missing(block, max_missing_fraction=0.5)
         assert out.values[0, 1] == 2.0
 
@@ -221,16 +287,15 @@ class TestImputeMissing:
         masked = values.copy()
         masked[mask] = np.nan
         block = CovariateBlock(name="x", kind="normal", b=1, values=masked,
-                               feature_names=tuple("abcd"), missing_mask=mask)
+                               feature_names=tuple("abcd"))
         out = impute_missing(block)
         assert np.array_equal(out.values[~mask], values[~mask])
 
     def test_count_rounding_ties_toward_zero(self):
         # observed mean 0.5 -> tie -> rounds toward zero
         values = np.array([[0.0, 1.0, np.nan]])
-        mask = np.array([[False, False, True]])
         block = CovariateBlock(name="x", kind="binomial", b=1, values=values,
-                               feature_names=("f",), missing_mask=mask)
+                               feature_names=("f",))
         out = impute_missing(block, max_missing_fraction=0.5)
         assert out.values[0, 2] == 0.0
 
@@ -238,11 +303,8 @@ class TestImputeMissing:
         values = np.array([[1.0, np.nan],
                            [0.0, 0.0],
                            [0.0, 0.0]])
-        mask = np.array([[False, True],
-                         [False, False],
-                         [False, False]])
         block = CovariateBlock(name="x", kind="multinomial", b=1, values=values,
-                               feature_names=("a", "b", "c"), missing_mask=mask)
+                               feature_names=("a", "b", "c"))
         out = impute_missing(block, max_missing_fraction=0.6)
         np.testing.assert_allclose(out.values.sum(axis=0), 1.0)
 
@@ -250,16 +312,16 @@ class TestImputeMissing:
 class TestAdjustZeroTimes:
     def test_worked_example(self):
         out = adjust_zero_times(make_survival([0, 5, 10], [1, 1, 1]))
-        assert [s.time for s in out] == [0.5, 5, 10]
+        assert list(out.time) == [0.5, 5, 10]
 
     def test_identity(self):
         surv = make_survival([1, 2], [1, 0])
         out = adjust_zero_times(surv)
-        assert [s.time for s in out] == [1, 2]
+        assert list(out.time) == [1, 2]
 
     def test_two_zeros(self):
         out = adjust_zero_times(make_survival([0, 0, 3], [1, 0, 1]))
-        assert [s.time for s in out] == pytest.approx([0.3, 0.3, 3])
+        assert list(out.time) == pytest.approx([0.3, 0.3, 3])
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -268,7 +330,7 @@ class TestAdjustZeroTimes:
     def test_order_preserved_and_positive(self, rng):
         times = np.concatenate([[0.0], rng.uniform(0.1, 9, size=20)])
         out = adjust_zero_times(make_survival(times, np.ones(21)))
-        new = np.array([s.time for s in out])
+        new = out.time
         assert np.all(new > 0)
         pos = times > 0
         assert np.array_equal(np.argsort(new[pos]), np.argsort(times[pos]))
@@ -319,4 +381,4 @@ def test_dataset_subset_alignment(rng):
     sub = ds.subset([3, 1, 7])
     assert sub.sample_ids == ("s3", "s1", "s7")
     np.testing.assert_array_equal(sub.blocks[0].values[:, 0], ds.blocks[0].values[:, 3])
-    assert sub.survival[1] == ds.survival[1]
+    assert sub.times()[1] == ds.times()[1] and sub.events()[1] == ds.events()[1]

@@ -50,8 +50,8 @@ def aliased_instance(rng, N=24, p_normal=15, groups=4):
 def nll_gradient(w, X, survival, event_part=True):
     """Gradient of the negative log-likelihood of one part at w."""
     Xt = np.vstack([np.ones(X.shape[1]), X])
-    t = np.array([s.time for s in survival])
-    d = np.array([float(s.event == event_part) for s in survival])
+    t = survival.time
+    d = survival.event if event_part else 1.0 - survival.event
     return Xt @ (t * np.exp(w @ Xt) - d)
 
 
@@ -75,11 +75,12 @@ class TestLogLikelihood:
         assert ecph_log_likelihood(params, params, X, surv) == pytest.approx(-2.0)
 
     def test_duplication_doubles(self, rng):
-        X, surv, *_ = simulate_instance(rng)
+        X, surv, times, events = simulate_instance(rng)
         w_T = HazardParams(rng.normal(size=3))
         w_C = HazardParams(rng.normal(size=3))
         one = ecph_log_likelihood(w_T, w_C, X, surv)
-        two = ecph_log_likelihood(w_T, w_C, np.hstack([X, X]), surv + surv)
+        twice = make_survival(np.tile(times, 2), np.tile(events, 2))
+        two = ecph_log_likelihood(w_T, w_C, np.hstack([X, X]), twice)
         assert two == pytest.approx(2 * one)
 
     def test_matches_term_by_term_oracle(self, rng):
@@ -156,8 +157,10 @@ class TestFitEcph:
         assert np.abs(nll_gradient(w_T.w, X, surv, True)).max() <= 1e-8
         assert np.abs(nll_gradient(w_C.w, X, surv, False)).max() <= 1e-8
 
-    def test_more_features_than_samples_finite(self):
-        """Raw stacked features of the criterion-1 generator at N = 40, p = 54."""
+    def test_more_features_than_samples_finite(self, caplog):
+        """Raw stacked features of the criterion-1 generator at N = 40, p = 54.
+        The design has rank N and both parts have censored samples, so no MLE
+        exists, and each part says so."""
         beta = np.random.default_rng(202).standard_normal(3)
         beta *= 3.0 / np.linalg.norm(beta)
         scenario = SimScenario(
@@ -169,10 +172,22 @@ class TestFitEcph:
             w_T=np.concatenate([[0.0], beta]), w_C=np.array([-0.8, 0.0, 0.0, 0.0]),
             n_train=40, n_test=0, seed=77)
         train, _, _ = simulate_dataset(scenario)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), caplog.at_level("WARNING", logger="latentsurv.hazard"):
             warnings.simplefilter("error", RuntimeWarning)
             w_T, w_C = fit_ecph(train.stacked_values(), train.survival)
         assert np.isfinite(w_T.w).all() and np.isfinite(w_C.w).all()
+        assert 0 < train.events().sum() < train.n_samples
+        no_mle = [r for r in caplog.records if "no maximum-likelihood estimate" in r.message]
+        assert len(no_mle) == 2
+
+    def test_no_mle_warning_needs_rank_n(self, rng, caplog):
+        """p + 1 >= N alone does not warn: repeated features leave rank 2 < N."""
+        N = 10
+        X = np.tile(rng.standard_normal(N), (12, 1))
+        surv = make_survival(rng.exponential(size=N), np.arange(N) % 2)
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            fit_ecph(X, surv)
+        assert not any("no maximum-likelihood" in r.message for r in caplog.records)
 
     def test_degenerate_class_floor(self, caplog):
         surv = make_survival([1, 2, 3], [1, 1, 1])  # no censoring
@@ -244,8 +259,8 @@ class TestPenalizedFit:
         and the objective of neither part rises."""
         X, surv = aliased_instance(rng)
         Xt = np.vstack([np.ones(X.shape[1]), X])
-        t = np.array([s.time for s in surv])
-        events = np.array([float(s.event) for s in surv])
+        t = surv.time
+        events = surv.event
         with caplog.at_level("DEBUG", logger="latentsurv.hazard"):
             fitted = fit_ecph(X, surv, penalty=PenaltyConfig(0.5, 0.0))
         runs = []
