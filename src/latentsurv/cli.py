@@ -191,7 +191,11 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
 
     # Refit the selected candidate on the full learning set and score held-out data.
     chosen = next(c for c in candidates if c.candidate_id == selected)
-    fitted = evaluate.fit_candidate(chosen, learning, seed)
+    try:
+        fitted = evaluate.fit_candidate(chosen, learning, seed)
+    except ValueError as exc:
+        click.echo(f"error: cannot fit this dataset: {exc}", err=True)
+        sys.exit(EXIT_BAD_INPUT)
     test = dataset.subset(split.test_indices)
     if test.n_samples >= 2:
         preds = evaluate.predict_candidate(chosen, fitted, test)

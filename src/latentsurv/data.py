@@ -53,7 +53,8 @@ class CovariateBlock:
     """One datatype's feature matrix (features x samples) plus its conditional kind.
 
     A NaN cell is a missing cell. Ingestion keeps them, ``impute_missing``
-    fills them, and the fitters need a block without NaN.
+    fills them, and the fitters need a block without NaN. Infinite cells are
+    rejected.
     """
 
     name: str
@@ -68,6 +69,8 @@ class CovariateBlock:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d (features x samples) matrix")
+        if np.isinf(values).any():
+            raise ValueError(f"block {self.name!r}: cells must be finite or NaN (missing)")
         if len(self.feature_names) != values.shape[0]:
             raise ValueError("feature_names length does not match values rows")
         if self.kind != "normal" and self.b < 1:
@@ -193,7 +196,7 @@ def _read_table(path):
 
 def _read_matrix(path):
     """Read a delimited matrix file: header row of sample ids, first column
-    feature names. Missing cells are NaN."""
+    feature names. Missing cells are NaN; an infinite cell is an error."""
     header, rows = _read_table(path)
     sample_ids = header[1:]
     if len(set(sample_ids)) != len(sample_ids):
@@ -209,7 +212,13 @@ def _read_matrix(path):
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric cell {token!r} (column {col})") from None
         values.append(vals)
-    return sample_ids, feature_names, np.array(values, dtype=float).reshape(len(rows), len(sample_ids))
+    matrix = np.array(values, dtype=float).reshape(len(rows), len(sample_ids))
+    bad = np.argwhere(np.isinf(matrix))
+    if bad.size:
+        r, c = bad[0]
+        lineno, row = rows[r]
+        raise ParseError(f"{path}:{lineno}: non-finite cell {row[c + 1].strip()!r} (column {c + 2})")
+    return sample_ids, feature_names, matrix
 
 
 def _read_survival(path):

@@ -7,6 +7,8 @@ Gaussian for any mix of block kinds, so one accumulation (``_accumulate``)
 serves the E-step, the bound and the joint model's Metropolis targets, and one
 conditional sweep (``_conditional_sweep``) is the M-step of ``fit_fa``, of the
 joint model's Monte-Carlo EM and of the single-block ``*_mstep`` functions.
+The bound is the log-normaliser of the posterior Gaussian, so ``fit_fa`` gets
+both at each parameter point from one accumulation and one inverse.
 """
 
 from __future__ import annotations
@@ -134,14 +136,15 @@ def _centered_counts(X: np.ndarray, b: int, xi: np.ndarray, shift: np.ndarray,
 
 def _block_quadratic(X: np.ndarray, b: int, params: BlockParams,
                      state: VariationalState | None):
-    """Precision contribution (either (d_z,d_z) shared or (N,d_z,d_z)) and
-    linear contribution h (d_z x N) of one block's (bounded) likelihood. A
-    block without a variational state is normal; one whose state carries
-    alpha is multinomial."""
+    """Precision contribution (N x d_z x d_z; a normal block's is one matrix
+    broadcast over samples) and linear contribution h (d_z x N) of one block's
+    (bounded) likelihood. A block without a variational state is normal; one
+    whose state carries alpha is multinomial."""
     W = params.W
     if state is None:
         Wp = W / params.psi[:, None]
-        return W.T @ Wp, Wp.T @ (X - params.mu[:, None])
+        prec = np.broadcast_to(W.T @ Wp, (X.shape[1], W.shape[1], W.shape[1]))
+        return prec, Wp.T @ (X - params.mu[:, None])
     lam, c = _centered_counts(X, b, state.xi, params.mu[:, None], state.alpha)
     return 2.0 * b * np.einsum("in,ij,ik->njk", lam, W, W), W.T @ c
 
@@ -155,21 +158,15 @@ def _accumulate(blocks, block_params, variational) -> tuple[np.ndarray, np.ndarr
     h = np.zeros((d_z, N))
     for block, params, state in zip(blocks, block_params, variational):
         p, hb = _block_quadratic(block.values, block.b, params, state)
-        prec += p  # (d_z,d_z) broadcasts over samples
+        prec += p
         h += hb
     return prec, h
 
 
-def _posterior_from_quadratic(prec_total, h, d_z: int) -> LatentPosterior:
-    N = h.shape[1]
-    if prec_total.ndim == 2:
-        C = np.linalg.inv(prec_total)
-        C = 0.5 * (C + C.T)
-        return LatentPosterior(mean=C @ h, cov=np.broadcast_to(C, (N, d_z, d_z)).copy())
-    C = np.linalg.inv(prec_total)
+def _posterior_from_inverse(C: np.ndarray, h: np.ndarray) -> LatentPosterior:
+    """N(C h, C) per sample, from the inverse precision C symmetrised."""
     C = 0.5 * (C + np.transpose(C, (0, 2, 1)))
-    mean = np.einsum("njk,kn->jn", C, h)
-    return LatentPosterior(mean=mean, cov=C)
+    return LatentPosterior(mean=np.einsum("njk,kn->jn", C, h), cov=C)
 
 
 def _single_block_estep(params: BlockParams, state: VariationalState | None,
@@ -177,7 +174,7 @@ def _single_block_estep(params: BlockParams, state: VariationalState | None,
     """Posterior given one block: normal without a state, multinomial when the
     state carries alpha, binomial otherwise."""
     prec, h = _block_quadratic(np.asarray(X, dtype=float), b, params, state)
-    return _posterior_from_quadratic(prec + np.eye(params.d_z), h, params.d_z)
+    return _posterior_from_inverse(np.linalg.inv(prec + np.eye(params.d_z)), h)
 
 
 binomial_estep = multinomial_estep = _single_block_estep
@@ -209,7 +206,7 @@ def gaussian_mstep(X: np.ndarray, posterior: LatentPosterior,
 def diverse_estep(block_params, variational, blocks) -> LatentPosterior:
     """Joint posterior given all blocks."""
     prec, h = _accumulate(blocks, block_params, variational)
-    return _posterior_from_quadratic(prec, h, block_params[0].d_z)
+    return _posterior_from_inverse(np.linalg.inv(prec), h)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +368,11 @@ def variational_log_marginal(block_params, variational, blocks) -> float:
     """Sum over blocks/samples of the exact Gaussian marginal log-density
     (normal blocks) and the analytically integrated variational lower bound
     (binomial/multinomial blocks)."""
+    return _posterior_and_bound(block_params, variational, blocks)[1]
+
+
+def _posterior_and_bound(block_params, variational, blocks) -> tuple[LatentPosterior, float]:
+    """The joint posterior and the bound (its log-normaliser) from one inverse."""
     prec, h = _accumulate(blocks, block_params, variational)
     const = sum(_block_constant(block, params, state)
                 for block, params, state in zip(blocks, block_params, variational))
@@ -379,7 +381,7 @@ def variational_log_marginal(block_params, variational, blocks) -> float:
         raise FloatingPointError("posterior precision not positive definite")
     C = np.linalg.inv(prec)
     quad = 0.5 * np.einsum("jn,njk,kn->n", h, C, h)
-    return float((const + quad - 0.5 * logdet).sum())
+    return _posterior_from_inverse(C, h), float((const + quad - 0.5 * logdet).sum())
 
 
 def gaussian_log_likelihood(params: BlockParams, X: np.ndarray) -> float:
@@ -461,10 +463,10 @@ def _heywood(block_params, blocks) -> bool:
 
 def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 100,
            rel_tol: float = 1e-6) -> tuple[FaModel, LatentPosterior]:
-    """Alternate the joint E-step with the conditional sweep until the tracked
+    """Alternate the conditional sweep with the joint E-step until the tracked
     objective's relative change falls below ``rel_tol``, or warn after
-    ``max_iters`` sweeps. The posterior is refreshed between the sweep's
-    phases so each phase is monotone in the bound."""
+    ``max_iters`` sweeps. The posterior is refreshed between the sweep's phases
+    so each is monotone in the bound, which comes with the next posterior."""
     if d_z < 1:
         raise ValueError("d_z must be >= 1")
     blocks = dataset.blocks
@@ -475,21 +477,21 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 100,
     heywood = False
     prev_obj = None
     change = math.nan
-    for _ in range(max_iters):
-        post = diverse_estep(params, states, blocks)
+    post = diverse_estep(params, states, blocks)
+    for it in range(max_iters):
         _conditional_sweep(data, params, states, post,
                            lambda p, s: diverse_estep(p, s, blocks))
         heywood = heywood or _heywood(params, blocks)
-        obj = variational_log_marginal(params, states, blocks)
+        post, obj = _posterior_and_bound(params, states, blocks)
         if prev_obj is not None:
             change = abs(obj - prev_obj) / max(abs(prev_obj), 1.0)
             if change < rel_tol:
+                logger.info("fit_fa converged after %d iterations; change %.3g", it + 1, change)
                 break
         prev_obj = obj
     else:
         logger.warning("fit_fa stopped at max_iters=%d before reaching rel_tol=%g; "
                        "last relative change %.3g", max_iters, rel_tol, change)
-    post = diverse_estep(params, states, blocks)
     model = FaModel(d_z=d_z, block_params=tuple(params),
                     variational=tuple(states), heywood_flag=heywood)
     return model, post

@@ -293,11 +293,14 @@ def fit_ecph(X: np.ndarray, survival: Survival,
     method with backtracking run to convergence; a part with a positive L1
     strength takes proximal Newton steps. At gamma = 0 a part logs a warning
     when its MLE cannot exist: the design has rank N and the part has a
-    censored sample.
+    censored sample. Every time must be positive; ``data.adjust_zero_times``
+    replaces zero times.
     """
     Xt, t, d = _aligned(X, survival)
-    if t.sum() <= 0:
-        raise ValueError("total exposure is zero")
+    zero = np.flatnonzero(t <= 0)
+    if zero.size:
+        raise ValueError(f"sample {zero[0]} has time 0; the hazards need positive times "
+                         "(data.adjust_zero_times replaces zero times)")
     penalty = penalty or PenaltyConfig()
     w_T = _fit_one(Xt, t, d, penalty.gamma_T, penalty.penalize_intercept)
     w_C = _fit_one(Xt, t, 1.0 - d, penalty.gamma_C, penalty.penalize_intercept)

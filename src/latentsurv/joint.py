@@ -303,7 +303,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     mh = mh or MhConfig()
     times = dataset.times()
     events = dataset.events()
-    fa_model, post = factor.fit_fa(dataset, d_z)
+    fa_model, _ = factor.fit_fa(dataset, d_z)
     params = list(fa_model.block_params)
     states = list(fa_model.variational)
     heywood = fa_model.heywood_flag
@@ -316,6 +316,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     data = [(block.values, block.b) for block in blocks]
     for it in range(gem_iters):
         targets = SampleTargets(params, states, blocks, w_T, w_C, times, events)
+        post = factor._posterior_from_inverse(np.linalg.inv(targets.prec), targets.h)
         if kappa is None:
             kappa = tune_kappa(targets, mh, tune_seed, post.mean[:, 0].copy(), post.cov[0])
         samples = _mc_estep(targets, post, kappa, mh, seed_root.spawn(1)[0])
@@ -331,7 +332,6 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
 
         w_T = newton_mstep_w(w_T, samples, times, events)
         w_C = newton_mstep_w(w_C, samples, times, 1.0 - events)
-        post = factor.diverse_estep(params, states, blocks)
 
     fa_out = FaModel(d_z=d_z, block_params=tuple(params),
                      variational=tuple(states), heywood_flag=heywood)

@@ -55,6 +55,19 @@ def make_dataset(rng, N=40, d_z=2, with_binomial=False, with_multinomial=False,
                    sample_ids=tuple(f"s{j}" for j in range(N)))
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; returns a one-item list holding its call count."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

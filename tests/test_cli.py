@@ -150,9 +150,19 @@ class TestFitPredictProject:
                                                     lambda c: c[:2]))),
             ("train_survival.csv:2: invalid time inf",
              fit(corrupt("inf", "train", "survival", lambda c: [c[0], "inf", c[2]]))),
+            ("sample 0 has time 0; the hazards need positive times (data.adjust_zero_times",
+             fit(corrupt("zero", "train", "survival", lambda c: [c[0], "0", c[2]]))),
+            ("adjust_zero_times", ["cv", "--data", str(tmp_path / "zero/train_manifest.json"),
+                                   "--dz", "2", "--folds", "2", "--test-fraction", "0",
+                                   "--out", str(tmp_path / "refused_cv")]),
             ("impute_missing", ["predict", "--model", str(model),
                                 "--data", str(corrupt("na_test", "test", "expr", na)),
                                 "--out", str(tmp_path / "refused.csv")]),
+            ("test_expr.csv:2: non-finite cell 'inf' (column 2)",
+             ["predict", "--model", str(model),
+              "--data", str(corrupt("inf_test", "test", "expr",
+                                    lambda c: [c[0], "inf"] + c[2:])),
+              "--out", str(tmp_path / "refused.csv")]),
         ]
         for message, args in calls:
             result = runner.invoke(main, args)

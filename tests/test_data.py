@@ -86,6 +86,16 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="oops"):
             load_dataset(mpath)
 
+    @pytest.mark.parametrize("cell", ["-inf", "1e400"])
+    def test_infinite_cell_raises_with_location(self, tmp_path, cell):
+        mpath = write_manifest(
+            tmp_path,
+            [("a", "normal", 1, ["s1", "s2"], [("f1", 1.0, 2.0), ("f2", 0.5, cell)])],
+            ["s1,5.0,1", "s2,3.0,0"])
+        with pytest.raises(ParseError, match=re.escape(
+                f"a.csv:3: non-finite cell {cell!r} (column 3)")):
+            load_dataset(mpath)
+
     def test_duplicate_sample_ids_raise(self, tmp_path):
         mpath = write_manifest(
             tmp_path,
@@ -166,6 +176,7 @@ class TestLoaderFuzz:
                 t, e = ds.times(), ds.events()
                 assert np.all(np.isfinite(t) & (t >= 0))
                 assert np.all((e == 0) | (e == 1))
+                assert not any(np.isinf(blk.values).any() for blk in ds.blocks)
             result = CliRunner().invoke(main, ["fit", "--data", str(mpath), "--dz", "1",
                                                "--out", str(tmp / "model.json")])
             assert result.exit_code in (0, 2), result.output
@@ -191,6 +202,12 @@ class TestBlockInvariants:
         with pytest.raises(ValueError, match="sum"):
             CovariateBlock(name="x", kind="multinomial", b=1,
                            values=[[np.nan, 1.0], [1.0, 1.0]], feature_names=("a", "b"))
+
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf])
+    def test_infinite_cells_rejected(self, cell):
+        with pytest.raises(ValueError, match="finite or NaN"):
+            CovariateBlock(name="x", kind="normal", b=1, values=[[1.0, cell]],
+                           feature_names=("f",))
 
     @pytest.mark.parametrize("time, event", [([1.0, 2.0], [1]), ([[1.0]], [[1]]),
                                              ([1.0], [2]), ([1.0], [np.nan])])

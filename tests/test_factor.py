@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
+from latentsurv import factor
 from latentsurv.data import CovariateBlock, Dataset
 from latentsurv.factor import (
     BlockParams,
@@ -29,7 +30,7 @@ from latentsurv.factor import (
     update_xi,
     variational_log_marginal,
 )
-from tests.conftest import make_dataset, make_survival, normal_block
+from tests.conftest import count_calls, make_dataset, make_survival, normal_block
 
 
 def sigmoid_bound(x, xi):
@@ -487,6 +488,31 @@ class TestFitFa:
         with caplog.at_level("WARNING", logger="latentsurv.factor"):
             fit_fa(ds, 2, rel_tol=1e-3)
         assert not caplog.records
+
+    def test_logs_convergence_at_info(self, rng, caplog):
+        ds = make_dataset(rng, N=30, with_binomial=True)
+        with caplog.at_level("INFO", logger="latentsurv.factor"):
+            fit_fa(ds, 2, rel_tol=1e-3)
+        [record] = caplog.records
+        assert record.levelname == "INFO" and "converged after" in record.message
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_one_accumulation_per_iteration(self, rng, monkeypatch, k):
+        """Normal + binomial data: per iteration the sweep refreshes the
+        posterior twice (before W and before mu) and one accumulation gives
+        the bound and the next posterior; one more gives the first posterior."""
+        ds = make_dataset(rng, N=30, with_binomial=True)
+        calls = count_calls(monkeypatch, factor, "_accumulate")
+        fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
+        assert calls[0] == 3 * k + 1
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_returned_posterior_is_estep_at_returned_parameters(self, rng, k):
+        ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
+        model, post = fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
+        ref = diverse_estep(model.block_params, model.variational, ds.blocks)
+        np.testing.assert_array_equal(post.mean, ref.mean)
+        np.testing.assert_array_equal(post.cov, ref.cov)
 
 
 class TestFaObjective:

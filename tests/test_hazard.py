@@ -200,6 +200,10 @@ class TestFitEcph:
         with pytest.raises(ValueError):
             fit_ecph(np.empty((0, 1)), make_survival([0.0], [1]))
 
+    def test_zero_time_rejected(self):
+        with pytest.raises(ValueError, match="sample 0 has time 0.*adjust_zero_times"):
+            fit_ecph(np.empty((0, 4)), make_survival([0.0, 2.0, 3.0, 4.0], [1, 0, 1, 1]))
+
     def test_gamma_zero_matches_unpenalized(self, rng):
         X, surv, *_ = simulate_instance(rng)
         plain_T, plain_C = fit_ecph(X, surv)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from latentsurv import factor
 from latentsurv.data import Dataset
 from latentsurv.factor import BlockParams, FaModel, LatentPosterior, fit_fa
 from latentsurv.hazard import HazardParams
@@ -25,7 +26,7 @@ from latentsurv.joint import (
     tune_kappa,
 )
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
-from tests.conftest import make_dataset, make_survival, normal_block
+from tests.conftest import count_calls, make_dataset, make_survival, normal_block
 
 FAST_MH = MhConfig(burn_in=100, n_keep=100)
 
@@ -331,6 +332,16 @@ class TestFitJoint:
         np.testing.assert_array_equal(m1.w_T.w, m2.w_T.w)
         np.testing.assert_array_equal(m1.w_C.w, m2.w_C.w)
         assert m1.kappa_used == m2.kappa_used
+
+    def test_one_accumulation_per_gem_iteration(self, rng, monkeypatch):
+        """Each GEM iteration's proposal posterior comes from the targets it
+        builds, so only those accumulate beyond the initial fit_fa."""
+        ds = make_dataset(rng, N=20, with_binomial=True)
+        calls = count_calls(monkeypatch, factor, "_accumulate")
+        fit_fa(ds, 2)
+        fa_calls = calls[0]
+        fit_joint(ds, 2, gem_iters=3, mh=FAST_MH, seed=0)
+        assert calls[0] - 2 * fa_calls == 3
 
     def test_null_simulation_beta_near_zero(self):
         scn = SimScenario(
