@@ -6,6 +6,7 @@ selection, 4 model/dataset feature-manifest mismatch.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -17,8 +18,6 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluate, joint, serialize, simulate
-
-logger = logging.getLogger(__name__)
 
 EXIT_BAD_INPUT = 2
 EXIT_ALL_EXCLUDED = 3
@@ -56,6 +55,18 @@ def _load_model_or_die(path, blocks):
                    err=True)
         sys.exit(EXIT_MANIFEST_MISMATCH)
     return model
+
+
+@contextlib.contextmanager
+def _fit_guard():
+    """Data a fit cannot handle, such as a zero time or cells whose squares
+    overflow, ends as bad input rather than a traceback."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (ValueError, FloatingPointError) as exc:
+        click.echo(f"error: cannot fit this dataset: {exc}", err=True)
+        sys.exit(EXIT_BAD_INPUT)
 
 
 def _parse_list(text: str, parse) -> list:
@@ -99,7 +110,7 @@ main.add_command(simulate_cmd, name="simulate")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True),
               help="Dataset manifest JSON.")
 @click.option("--dz", required=True, type=int, help="Latent dimension.")
-@click.option("--fit-mode", type=click.Choice(["fast", "full"]), default="fast",
+@click.option("--fit-mode", type=click.Choice(list(joint.FIT_MODES)), default="fast",
               show_default=True)
 @click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True,
               help="Monte Carlo EM iterations (full mode).")
@@ -109,20 +120,10 @@ main.add_command(simulate_cmd, name="simulate")
 def fit(data_path, dz, fit_mode, gem_iters, seed, out_path):
     """Fit the latent-factor survival model and save it."""
     dataset = _load_dataset_or_die(data_path)
-    if dz < 1 or dz >= dataset.n_samples:
-        click.echo(f"error: dz={dz} out of range for N={dataset.n_samples}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    # data the fit cannot handle, such as zero total exposure or cells so large
-    # that their squares overflow, end as bad input rather than a traceback
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if fit_mode == "fast":
-                model = joint.fit_fast(dataset, dz, seed=seed)
-            else:
-                model = joint.fit_joint(dataset, dz, gem_iters=gem_iters, seed=seed)
-    except (ValueError, FloatingPointError) as exc:
-        click.echo(f"error: cannot fit this dataset: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
+    with _fit_guard():
+        candidate = evaluate.ModelCandidate(kind="fa_ecph_c", d_z=dz, gem_iters=gem_iters,
+                                            fit_mode=joint.FIT_MODES[fit_mode])
+        model = evaluate.fit_candidate(candidate, dataset, seed)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     serialize.save_model(model, dataset.blocks, out_path)
@@ -140,7 +141,7 @@ def fit(data_path, dz, fit_mode, gem_iters, seed, out_path):
 @click.option("--dz", "dz_list", default="", help="Comma-separated latent dimensions.")
 @click.option("--gamma", "gamma_list", default="",
               help="Comma-separated L1 penalties for the baseline.")
-@click.option("--fit-mode", type=click.Choice(["fast", "full"]), default="fast",
+@click.option("--fit-mode", type=click.Choice(list(joint.FIT_MODES)), default="fast",
               show_default=True)
 @click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--folds", type=int, default=5, show_default=True)
@@ -162,10 +163,9 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
     if not dzs and not gammas:
         click.echo("error: provide at least one of --dz / --gamma", err=True)
         sys.exit(EXIT_BAD_INPUT)
-    mode = "fast_decoupled" if fit_mode == "fast" else "full_mcem"
     try:
-        candidates = [evaluate.ModelCandidate(kind="fa_ecph_c", d_z=d, fit_mode=mode,
-                                              gem_iters=gem_iters) for d in dzs]
+        candidates = [evaluate.ModelCandidate(kind="fa_ecph_c", d_z=d, gem_iters=gem_iters,
+                                              fit_mode=joint.FIT_MODES[fit_mode]) for d in dzs]
         candidates += [evaluate.ModelCandidate(kind="ecph_c_l1", gamma=g) for g in gammas]
         split = data_mod.make_split(dataset.n_samples, test_fraction=test_fraction,
                                     n_folds=folds, seed=seed)
@@ -173,7 +173,8 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)
 
-    reports = evaluate.run_cv(dataset, candidates, split, seed=seed)
+    with _fit_guard():
+        reports = evaluate.run_cv(dataset, candidates, split, seed=seed)
     learning = dataset.subset(sorted(i for f in split.folds for i in f))
     try:
         selected = evaluate.select_model(reports, candidates)
@@ -191,18 +192,15 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
 
     # Refit the selected candidate on the full learning set and score held-out data.
     chosen = next(c for c in candidates if c.candidate_id == selected)
-    try:
-        fitted = evaluate.fit_candidate(chosen, learning, seed)
-    except ValueError as exc:
-        click.echo(f"error: cannot fit this dataset: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
     test = dataset.subset(split.test_indices)
-    if test.n_samples >= 2:
-        preds = evaluate.predict_candidate(chosen, fitted, test)
-        try:
-            report_doc["test_cindex"] = evaluate.c_index(test.times(), test.events(), preds)
-        except evaluate.UndefinedCIndexError:
-            report_doc["test_cindex"] = None
+    with _fit_guard():
+        fitted = evaluate.fit_candidate(chosen, learning, seed)
+        if test.n_samples >= 2:
+            preds = evaluate.predict_candidate(chosen, fitted, test)
+            try:
+                report_doc["test_cindex"] = evaluate.c_index(test.times(), test.events(), preds)
+            except evaluate.UndefinedCIndexError:
+                report_doc["test_cindex"] = None
     serialize.atomic_write(out / "cv_report.json", json.dumps(report_doc, indent=1))
 
     lines = ["candidate,fold,c_index"]

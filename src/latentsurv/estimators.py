@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import hazard, joint
+from . import evaluate, hazard, joint
 from .data import Dataset
 from .hazard import PenaltyConfig
 
@@ -39,6 +39,7 @@ class LatentSurvival(_BaseEstimator):
 
     ``fit_mode='fast'`` fits the factor model first and regresses hazards on
     posterior means; ``'full'`` runs Monte Carlo EM on the joint likelihood.
+    ``fit`` goes through ``evaluate.fit_candidate``, as the CLI does.
     """
 
     _param_names = ("d_z", "fit_mode", "gem_iters", "seed")
@@ -50,13 +51,10 @@ class LatentSurvival(_BaseEstimator):
         self.seed = seed
 
     def fit(self, dataset: Dataset):
-        if self.fit_mode == "fast":
-            self.model_ = joint.fit_fast(dataset, self.d_z, seed=self.seed)
-        elif self.fit_mode == "full":
-            self.model_ = joint.fit_joint(dataset, self.d_z, gem_iters=self.gem_iters,
-                                          seed=self.seed)
-        else:
-            raise ValueError(f"fit_mode must be 'fast' or 'full', got {self.fit_mode!r}")
+        candidate = evaluate.ModelCandidate(
+            kind="fa_ecph_c", d_z=self.d_z, gem_iters=self.gem_iters,
+            fit_mode=joint.FIT_MODES.get(self.fit_mode, self.fit_mode))
+        self.model_ = evaluate.fit_candidate(candidate, dataset, self.seed)
         self.heywood_flag_ = self.model_.fa.heywood_flag
         return self
 

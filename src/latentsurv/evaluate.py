@@ -57,13 +57,13 @@ class ModelCandidate:
     d_z: int | None = None
     gamma: float | None = None
     fixed_features: tuple | None = None   # ((block_index, feature_index), ...)
-    fit_mode: str = "fast_decoupled"
+    fit_mode: str = joint_mod.FIT_MODES["fast"]
     gem_iters: int = 10
 
     def __post_init__(self):
         if self.kind not in ("fa_ecph_c", "ecph_c_l1", "ecph_c_fixed"):
             raise ValueError(f"unknown candidate kind {self.kind!r}")
-        if self.fit_mode not in ("fast_decoupled", "full_mcem"):
+        if self.fit_mode not in joint_mod.FIT_MODES.values():
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
         populated = sum(x is not None for x in (self.d_z, self.gamma, self.fixed_features))
         if populated != 1:
@@ -82,7 +82,7 @@ class ModelCandidate:
     @property
     def candidate_id(self) -> str:
         if self.kind == "fa_ecph_c":
-            mode = "fast" if self.fit_mode == "fast_decoupled" else "full"
+            mode = {v: k for k, v in joint_mod.FIT_MODES.items()}[self.fit_mode]
             return f"latent_dz{self.d_z}_{mode}"
         if self.kind == "ecph_c_l1":
             return f"l1_gamma{self.gamma:g}"
@@ -120,9 +120,10 @@ def _covariates(candidate: ModelCandidate, data: Dataset) -> np.ndarray:
 
 def fit_candidate(candidate: ModelCandidate, train: Dataset, seed: int):
     """Fit one candidate on a learning set; returns a ``JointModel`` for latent
-    candidates and the ``(w_T, w_C)`` hazard pair otherwise."""
+    candidates and the ``(w_T, w_C)`` hazard pair otherwise. Every fit goes
+    through here: CLI ``fit``, CV folds, the ``cv`` refit, ``LatentSurvival``."""
     if candidate.kind == "fa_ecph_c":
-        if candidate.fit_mode == "fast_decoupled":
+        if candidate.fit_mode == joint_mod.FIT_MODES["fast"]:
             return joint_mod.fit_fast(train, candidate.d_z, seed=seed)
         return joint_mod.fit_joint(train, candidate.d_z,
                                    gem_iters=candidate.gem_iters, seed=seed)
@@ -140,7 +141,8 @@ def predict_candidate(candidate: ModelCandidate, fitted, data: Dataset) -> np.nd
 
 def run_cv(dataset: Dataset, candidates, split: SplitPlan, seed: int = 0) -> list[CvReport]:
     """Fit every candidate on each fold's complement, score on the fold, and
-    flag candidates whose factor fit hits a near-zero noise variance."""
+    flag candidates whose factor fit hits a near-zero noise variance. A fold
+    that raises is logged as a warning and recorded in ``error_folds``."""
     reports = []
     for candidate in candidates:
         fold_cs, errors = [], []
@@ -154,8 +156,11 @@ def run_cv(dataset: Dataset, candidates, split: SplitPlan, seed: int = 0) -> lis
                     heywood = True
                 preds = predict_candidate(candidate, fitted, valid)
                 fold_cs.append(c_index(valid.times(), valid.events(), preds))
-            except Exception:
-                logger.exception("candidate %s failed on fold %d", candidate.candidate_id, v)
+            except Exception as exc:
+                # data a fit cannot handle is one line; a fault in the code keeps its traceback
+                logger.warning("candidate %s failed on fold %d: %s: %s",
+                               candidate.candidate_id, v, type(exc).__name__, exc,
+                               exc_info=not isinstance(exc, (ValueError, FloatingPointError)))
                 errors.append(v)
         reports.append(CvReport.from_folds(candidate.candidate_id, fold_cs,
                                            heywood_excluded=heywood,

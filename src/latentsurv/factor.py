@@ -466,10 +466,17 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 100,
     """Alternate the conditional sweep with the joint E-step until the tracked
     objective's relative change falls below ``rel_tol``, or warn after
     ``max_iters`` sweeps. The posterior is refreshed between the sweep's phases
-    so each is monotone in the bound, which comes with the next posterior."""
-    if d_z < 1:
-        raise ValueError("d_z must be >= 1")
+    so each is monotone in the bound, which comes with the next posterior.
+
+    Every cell must be observed: a block with a missing (NaN) cell is refused
+    with a ``ValueError``; ``data.impute_missing`` fills such cells in."""
+    if not 1 <= d_z < dataset.n_samples:
+        raise ValueError(f"d_z={d_z} out of range for N={dataset.n_samples}")
     blocks = dataset.blocks
+    for block in blocks:
+        if np.isnan(block.values).any():
+            raise ValueError(f"missing cells in block {block.name!r}; "
+                             "impute them with latentsurv.data.impute_missing first")
     inits = [_init_block(block, d_z) for block in blocks]
     params = [p for p, _ in inits]
     states = [s for _, s in inits]

@@ -82,6 +82,14 @@ def _aligned(X: np.ndarray, survival: Survival) -> tuple[np.ndarray, np.ndarray,
     return Xt, survival.time, survival.event
 
 
+def _require_positive_times(survival: Survival) -> None:
+    """Refuse a zero time, naming its sample: the hazards need positive times."""
+    zero = np.flatnonzero(survival.time <= 0)
+    if zero.size:
+        raise ValueError(f"sample {zero[0]} has time 0; the hazards need positive times "
+                         "(data.adjust_zero_times replaces zero times)")
+
+
 def _intercept_start(t: np.ndarray, d: np.ndarray, p1: int) -> np.ndarray:
     """Intercept-only start of length p1: log(events / exposure), then zero
     effects; a class without events starts at the rate floor
@@ -297,10 +305,7 @@ def fit_ecph(X: np.ndarray, survival: Survival,
     replaces zero times.
     """
     Xt, t, d = _aligned(X, survival)
-    zero = np.flatnonzero(t <= 0)
-    if zero.size:
-        raise ValueError(f"sample {zero[0]} has time 0; the hazards need positive times "
-                         "(data.adjust_zero_times replaces zero times)")
+    _require_positive_times(survival)
     penalty = penalty or PenaltyConfig()
     w_T = _fit_one(Xt, t, d, penalty.gamma_T, penalty.penalize_intercept)
     w_C = _fit_one(Xt, t, 1.0 - d, penalty.gamma_C, penalty.penalize_intercept)

@@ -26,10 +26,12 @@ import numpy as np
 from . import factor
 from .data import Dataset
 from .factor import FaModel, LatentPosterior, VariationalState
-from .hazard import HazardParams, _intercept_start, fit_ecph
+from .hazard import HazardParams, _intercept_start, _require_positive_times, fit_ecph
 
 logger = logging.getLogger(__name__)
 
+# The two fit modes by command-line name; a JointModel records the value.
+FIT_MODES = {"fast": "fast_decoupled", "full": "full_mcem"}
 DEFAULT_KAPPA_LADDER = (6.0, 5.5, 5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0.25, 0.1)
 # A kappa rung passes when its TUNING_CHAINS chains accept between ACCEPT_LO
 # and ACCEPT_HI of the proposals, with n_eff >= MIN_N_EFF and R-hat <= MAX_RHAT.
@@ -66,10 +68,10 @@ class JointModel:
     w_T: HazardParams
     w_C: HazardParams
     kappa_used: float | None
-    fit_mode: str  # "full_mcem" | "fast_decoupled"
+    fit_mode: str  # a value of FIT_MODES
 
     def __post_init__(self):
-        if self.fit_mode not in ("full_mcem", "fast_decoupled"):
+        if self.fit_mode not in FIT_MODES.values():
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
         if self.w_T.w.size != self.fa.d_z + 1 or self.w_C.w.size != self.fa.d_z + 1:
             raise ValueError("hazard parameter length must be d_z + 1")
@@ -301,6 +303,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     layer's conditional sweep against the Monte-Carlo moments, one Newton step
     per hazard."""
     mh = mh or MhConfig()
+    _require_positive_times(dataset.survival)
     times = dataset.times()
     events = dataset.events()
     fa_model, _ = factor.fit_fa(dataset, d_z)
@@ -336,16 +339,17 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     fa_out = FaModel(d_z=d_z, block_params=tuple(params),
                      variational=tuple(states), heywood_flag=heywood)
     return JointModel(fa=fa_out, w_T=w_T, w_C=w_C,
-                      kappa_used=kappa, fit_mode="full_mcem")
+                      kappa_used=kappa, fit_mode=FIT_MODES["full"])
 
 
 def fit_fast(dataset: Dataset, d_z: int, seed: int = 0) -> JointModel:
     """Decoupled approximation: fit the factor model to convergence, then fit
     the hazards on the posterior means as covariates."""
+    _require_positive_times(dataset.survival)
     fa_model, post = factor.fit_fa(dataset, d_z)
     w_T, w_C = fit_ecph(post.mean, dataset.survival)
     return JointModel(fa=fa_model, w_T=w_T, w_C=w_C,
-                      kappa_used=None, fit_mode="fast_decoupled")
+                      kappa_used=None, fit_mode=FIT_MODES["fast"])
 
 
 # ---------------------------------------------------------------------------

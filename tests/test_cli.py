@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,27 @@ def run_ok(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+def corrupted_copy(sim_dir, out, prefix, name, edit):
+    """Copy one simulated dataset to ``out`` and edit the cells of its first
+    data row in one file; returns the copy's manifest."""
+    out.mkdir()
+    for f in sim_dir.glob(f"{prefix}_*"):
+        shutil.copy(f, out)
+    path = out / f"{prefix}_{name}.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(edit(lines[1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    return out / f"{prefix}_manifest.json"
+
+
+def zero_time(cells):
+    return [cells[0], "0", cells[2]]
+
+
+def huge_cell(cells):
+    return [cells[0], "1e300"] + cells[2:]
 
 
 class TestSimulateCommand:
@@ -125,17 +150,7 @@ class TestFitPredictProject:
                         "--dz", "2", "--out", str(model)])
 
         def corrupt(tag, prefix, name, edit):
-            """Copy one simulated dataset and edit the cells of its first data row
-            in one file; returns the copy's manifest."""
-            out = tmp_path / tag
-            out.mkdir()
-            for f in sim_dir.glob(f"{prefix}_*"):
-                shutil.copy(f, out)
-            path = out / f"{prefix}_{name}.csv"
-            lines = path.read_text().splitlines()
-            lines[1] = ",".join(edit(lines[1].split(",")))
-            path.write_text("\n".join(lines) + "\n")
-            return out / f"{prefix}_manifest.json"
+            return corrupted_copy(sim_dir, tmp_path / tag, prefix, name, edit)
 
         def na(cells):
             return [cells[0], "NA"] + cells[2:]
@@ -151,7 +166,10 @@ class TestFitPredictProject:
             ("train_survival.csv:2: invalid time inf",
              fit(corrupt("inf", "train", "survival", lambda c: [c[0], "inf", c[2]]))),
             ("sample 0 has time 0; the hazards need positive times (data.adjust_zero_times",
-             fit(corrupt("zero", "train", "survival", lambda c: [c[0], "0", c[2]]))),
+             fit(corrupt("zero", "train", "survival", zero_time))),
+            ("sample 0 has time 0; the hazards need positive times (data.adjust_zero_times",
+             fit(tmp_path / "zero/train_manifest.json") + ["--fit-mode", "full",
+                                                           "--gem-iters", "1"]),
             ("adjust_zero_times", ["cv", "--data", str(tmp_path / "zero/train_manifest.json"),
                                    "--dz", "2", "--folds", "2", "--test-fraction", "0",
                                    "--out", str(tmp_path / "refused_cv")]),
@@ -170,6 +188,28 @@ class TestFitPredictProject:
             assert isinstance(result.exception, SystemExit)
             assert result.output.startswith("error:") and result.output.count("\n") == 1
             assert message in result.output
+
+    @pytest.mark.parametrize("name, edit", [("survival", zero_time), ("expr", huge_cell)])
+    def test_cv_on_bad_cells_in_a_real_process(self, sim_dir, tmp_path, name, edit):
+        """The log reaches stderr only in a real process: each failed fold is
+        one warning line, and the failed refit one error line."""
+        manifest = corrupted_copy(sim_dir, tmp_path / "bad", "train", name, edit)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "latentsurv.cli", "cv", "--data", str(manifest),
+             "--dz", "2,3", "--folds", "3", "--out", str(tmp_path / "cv")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == EXIT_BAD_INPUT, result.stderr
+        for text in ("Traceback", "RuntimeWarning", "DLASCL"):
+            assert text not in result.stderr
+        lines = result.stderr.splitlines()
+        [error] = [line for line in lines if line.startswith("error:")]
+        assert error.startswith("error: cannot fit this dataset:")
+        # sample 0 is in the learning set of two of the three folds
+        failed = [line for line in lines if line.startswith("WARNING latentsurv.evaluate:")]
+        assert len(failed) == 4 and all(" failed on fold " in line for line in failed)
 
     def test_manifest_mismatch_exit_4(self, runner, sim_dir, tmp_path):
         model = tmp_path / "model.json"

@@ -246,6 +246,40 @@ class TestRunCv:
         reports = run_cv(ds, [ModelCandidate(kind="fa_ecph_c", d_z=1)], split)
         assert reports[0].heywood_excluded
 
+    def test_failed_fold_logs_one_warning_without_traceback(self, rng, caplog):
+        ds = signal_dataset(rng, N=30)
+        times = ds.times().copy()
+        times[0] = 0.0
+        ds = Dataset(blocks=ds.blocks, survival=make_survival(times, ds.events()),
+                     sample_ids=ds.sample_ids)
+        split = make_split(30, test_fraction=0.0, n_folds=3, seed=0)
+        with caplog.at_level("WARNING", logger="latentsurv.evaluate"):
+            [r] = run_cv(ds, [ModelCandidate(kind="ecph_c_l1", gamma=1.0)], split)
+        # sample 0 is in the learning set of every fold but its own
+        assert len(r.error_folds) == 2 and len(r.fold_cindices) == 1
+        assert len(caplog.records) == 2
+        for record, v in zip(caplog.records, r.error_folds):
+            assert record.levelname == "WARNING" and not record.exc_info
+            assert record.getMessage().startswith(
+                f"candidate l1_gamma1 failed on fold {v}: ValueError: sample ")
+            assert "adjust_zero_times" in record.getMessage()
+
+    def test_failed_fold_from_a_code_fault_keeps_its_traceback(self, rng, caplog,
+                                                                monkeypatch):
+        import latentsurv.evaluate as evaluate_mod
+
+        def broken(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(evaluate_mod, "fit_candidate", broken)
+        ds = signal_dataset(rng, N=30)
+        split = make_split(30, test_fraction=0.0, n_folds=3, seed=0)
+        with caplog.at_level("WARNING", logger="latentsurv.evaluate"):
+            [r] = run_cv(ds, [ModelCandidate(kind="ecph_c_l1", gamma=1.0)], split)
+        assert r.error_folds == (0, 1, 2)
+        assert len(caplog.records) == 3
+        assert all(record.exc_info for record in caplog.records)
+
     def test_candidate_order_permutation(self, rng):
         ds = signal_dataset(rng, N=40)
         split = make_split(40, test_fraction=0.25, n_folds=3, seed=2)

@@ -465,6 +465,17 @@ class TestFitFa:
         with pytest.raises(ValueError):
             fit_fa(ds, 0)
 
+    def test_missing_cell_names_block_and_imputation(self, rng):
+        ds = make_dataset(rng, N=20, with_binomial=True)
+        values = ds.blocks[0].values.copy()
+        values[2, 5] = np.nan
+        block = CovariateBlock(name="expr", kind="normal", b=1, values=values,
+                               feature_names=ds.blocks[0].feature_names)
+        ds = Dataset(blocks=(block, ds.blocks[1]), survival=ds.survival,
+                     sample_ids=ds.sample_ids)
+        with pytest.raises(ValueError, match="block 'expr'.*data.impute_missing"):
+            fit_fa(ds, 2)
+
     def test_mixed_objective_monotone_across_iterations(self, rng):
         ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
         # re-run the fit loop manually by tracking the objective each iteration

@@ -343,6 +343,21 @@ class TestFitJoint:
         fit_joint(ds, 2, gem_iters=3, mh=FAST_MH, seed=0)
         assert calls[0] - 2 * fa_calls == 3
 
+    def test_zero_time_refused_before_the_factor_fit(self, rng, monkeypatch):
+        """Both modes refuse a zero time as ``fit_ecph`` does, and spend no
+        factor fit on it."""
+        ds = make_dataset(rng, N=20)
+        times = ds.times().copy()
+        times[3] = 0.0
+        ds = Dataset(blocks=ds.blocks, survival=make_survival(times, ds.events()),
+                     sample_ids=ds.sample_ids)
+        calls = count_calls(monkeypatch, factor, "fit_fa")
+        with pytest.raises(ValueError, match="sample 3 has time 0.*adjust_zero_times"):
+            fit_joint(ds, 2, gem_iters=1, mh=FAST_MH, seed=0)
+        with pytest.raises(ValueError, match="sample 3 has time 0.*adjust_zero_times"):
+            fit_fast(ds, 2)
+        assert calls[0] == 0
+
     def test_null_simulation_beta_near_zero(self):
         scn = SimScenario(
             d_z=1,
