@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from latentsurv import factor
-from latentsurv.data import CovariateBlock, Dataset
+from latentsurv.data import CovariateBlock, Dataset, make_split
 from latentsurv.factor import (
     BlockParams,
     FaModel,
@@ -509,13 +510,68 @@ class TestFitFa:
 
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_one_accumulation_per_iteration(self, rng, monkeypatch, k):
-        """Normal + binomial data: per iteration the sweep refreshes the
-        posterior twice (before W and before mu) and one accumulation gives
-        the bound and the next posterior; one more gives the first posterior."""
+        """Normal + binomial data: each sweep costs three accumulations (the
+        posterior it starts from, then a refresh before W and before mu),
+        one more gives the first posterior and bound, and a cycle that falls
+        back spends one on the bound of its two-step point."""
         ds = make_dataset(rng, N=30, with_binomial=True)
-        calls = count_calls(monkeypatch, factor, "_accumulate")
+        accumulations = count_calls(monkeypatch, factor, "_accumulate")
+        sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
+        bounds = count_calls(monkeypatch, factor, "_posterior_and_bound")
+        cycles = count_calls(monkeypatch, factor, "_step_length")
         fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
-        assert calls[0] == 3 * k + 1
+        # one bound per accepted point (a cycle or a plain step), plus the first
+        plain_steps = sweeps[0] - 3 * cycles[0]
+        fallbacks = bounds[0] - 1 - cycles[0] - plain_steps
+        assert sweeps[0] == k
+        assert accumulations[0] == 3 * sweeps[0] + 1 + fallbacks
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_sweeps_capped_by_max_iters(self, rng, monkeypatch, k):
+        ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
+        sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
+        fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
+        assert sweeps[0] <= k
+
+    def test_bound_never_falls_when_every_extrapolation_is_refused(self, rng, monkeypatch):
+        """A step length of -1e6 throws each cycle far off, so every cycle
+        falls back to its two plain EM steps, and the bound still never falls."""
+        ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
+        monkeypatch.setattr(factor, "_step_length", lambda r, v: -1e6)
+        objs = [fa_objective(fit_fa(ds, 2, max_iters=3 * c, rel_tol=0.0)[0], ds)
+                for c in range(6)]
+        assert np.all(np.diff(objs) >= -1e-10 * np.abs(objs[:-1]))
+        # one refused cycle is two plain steps
+        cycle, post = fit_fa(ds, 2, max_iters=3, rel_tol=0.0)
+        plain, plain_post = fit_fa(ds, 2, max_iters=2, rel_tol=0.0)
+        for a, b in zip(cycle.block_params, plain.block_params):
+            np.testing.assert_array_equal(a.W, b.W)
+        np.testing.assert_array_equal(post.mean, plain_post.mean)
+
+    def test_select_fast_draw_converges_under_the_default_cap(self, caplog):
+        """The slowest fit of the benchmark's select_fast workload at its
+        default seed (d_z = 5 on the learning set of fold 2) stops on rel_tol."""
+        from perfbench.workloads import SelectFast  # the draw is the benchmark's own
+        workload = SelectFast()
+        train = workload.setup(workload.default_seed, None)["train"]
+        split = make_split(train.n_samples, test_fraction=0.0, n_folds=workload.folds, seed=0)
+        with caplog.at_level("INFO", logger="latentsurv.factor"):
+            fit_fa(train.subset(split.learning_indices(2)), 5)
+        [record] = caplog.records
+        assert record.levelname == "INFO" and "converged after" in record.message
+
+    def test_overflowing_cell_raises_without_runtime_warning(self, rng):
+        ds = make_dataset(rng, N=20, with_binomial=True)
+        values = ds.blocks[0].values.copy()
+        values[2, 5] = 1e300
+        block = CovariateBlock(name="expr", kind="normal", b=1, values=values,
+                               feature_names=ds.blocks[0].feature_names)
+        ds = Dataset(blocks=(block, ds.blocks[1]), survival=ds.survival,
+                     sample_ids=ds.sample_ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                fit_fa(ds, 2)
 
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_returned_posterior_is_estep_at_returned_parameters(self, rng, k):
