@@ -8,14 +8,17 @@ serves the E-step, the bound and the joint model's Metropolis targets, and one
 conditional sweep (``_conditional_sweep``) is the M-step of ``fit_fa``, of the
 joint model's Monte-Carlo EM and of the single-block ``*_mstep`` functions.
 The bound is the log-normaliser of the posterior Gaussian, so ``fit_fa`` gets
-both at each parameter point from one accumulation and one inverse.
+both at each parameter point from one accumulation and one inverse. The
+small-matrix kernels are GEMMs against the outer products of the loading rows.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, gammaln, log_expit
@@ -71,6 +74,11 @@ class VariationalState:
         if self.alpha is not None:
             object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float).ravel())
 
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """lambda(xi), computed once per state."""
+        return lambda_of_xi(self.xi)
+
 
 @dataclass(frozen=True)
 class LatentPosterior:
@@ -89,8 +97,11 @@ class LatentPosterior:
 
     def second_moments(self) -> np.ndarray:
         """E[z z^T | x] per sample: cov_n + mean_n mean_n^T, shape (N, d_z, d_z)."""
-        m = self.mean
-        return self.cov + np.einsum("jn,kn->njk", m, m)
+        return self._ezz
+
+    @cached_property
+    def _ezz(self) -> np.ndarray:  # computed once per posterior
+        return self.cov + np.einsum("jn,kn->njk", self.mean, self.mean)
 
     def sum_second_moments(self) -> np.ndarray:
         return self.cov.sum(axis=0) + self.mean @ self.mean.T
@@ -113,25 +124,49 @@ class FaModel:
 def lambda_of_xi(xi):
     """(sigma(xi) - 1/2) / (2 xi), with the analytic limit 1/8 at xi = 0."""
     xi = np.asarray(xi, dtype=float)
-    out = np.full(xi.shape, 0.125)
     big = np.abs(xi) > XI_LIMIT
-    out[big] = (expit(xi[big]) - 0.5) / (2.0 * xi[big])
-    if out.ndim == 0:
-        return float(out)
-    return out
+    safe = np.where(big, xi, 1.0)  # no division by a zero xi
+    out = np.where(big, (expit(safe) - 0.5) / (2.0 * safe), 0.125)
+    return float(out) if out.ndim == 0 else out
+
+
+# A block's values, b and data-only term, made once per fit by _fit_block: a
+# normal block's psi floor, a count block's log binomial/multinomial coefficient.
+_FitBlock = namedtuple("_FitBlock", "values b term")
+
+
+def _fit_block(block: CovariateBlock) -> _FitBlock:
+    X, b = block.values, block.b
+    if block.kind == "normal":  # a tiny fraction of each feature's variance
+        term = np.maximum(HEYWOOD_REL_THRESHOLD * X.var(axis=1), PSI_FLOOR)
+    elif block.kind == "binomial":
+        term = gammaln(b + 1) - gammaln(X + 1) - gammaln(b - X + 1)
+    else:
+        term = gammaln(b + 1) / block.d_x - gammaln(X + 1)
+    return _FitBlock(X, b, term)
 
 
 # ---------------------------------------------------------------------------
 # per-block quadratic contributions to the latent posterior
 # ---------------------------------------------------------------------------
 
-def _centered_counts(X: np.ndarray, b: int, xi: np.ndarray, shift: np.ndarray,
-                     alpha: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _outer_rows(W: np.ndarray) -> np.ndarray:
+    """Row i is vec(w_i w_i^T), the outer product of W's row i: (d_x, d_z^2)."""
+    return (W[:, :, None] * W[:, None, :]).reshape(W.shape[0], -1)
+
+
+def _weighted_sum(weights: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """(K, d, d): sum_m weights[k, m] F_m as one GEMM, where flat[m] = vec(F_m)."""
+    d = math.isqrt(flat.shape[1])
+    return (weights @ flat).reshape(-1, d, d)
+
+
+def _centered_counts(X: np.ndarray, b: int, state: VariationalState,
+                     shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lam (d_x x N) and the centering term x - b/2 - 2 b lam * (shift [- alpha])."""
-    lam = lambda_of_xi(xi)
-    if alpha is not None:
-        shift = shift - alpha[None, :]
-    return lam, X - b / 2.0 - 2.0 * b * lam * shift
+    if state.alpha is not None:
+        shift = shift - state.alpha[None, :]
+    return state.lam, X - b / 2.0 - 2.0 * b * state.lam * shift
 
 
 def _block_quadratic(X: np.ndarray, b: int, params: BlockParams,
@@ -145,15 +180,15 @@ def _block_quadratic(X: np.ndarray, b: int, params: BlockParams,
         Wp = W / params.psi[:, None]
         prec = np.broadcast_to(W.T @ Wp, (X.shape[1], W.shape[1], W.shape[1]))
         return prec, Wp.T @ (X - params.mu[:, None])
-    lam, c = _centered_counts(X, b, state.xi, params.mu[:, None], state.alpha)
-    return 2.0 * b * np.einsum("in,ij,ik->njk", lam, W, W), W.T @ c
+    lam, c = _centered_counts(X, b, state, params.mu[:, None])
+    return 2.0 * b * _weighted_sum(lam.T, _outer_rows(W)), W.T @ c
 
 
 def _accumulate(blocks, block_params, variational) -> tuple[np.ndarray, np.ndarray]:
     """Posterior precision (N x d_z x d_z, prior included) and linear term
-    h (d_z x N) given all blocks."""
+    h (d_z x N) given all blocks (``CovariateBlock``s or ``_FitBlock``s)."""
     d_z = block_params[0].d_z
-    N = blocks[0].n_samples
+    N = blocks[0].values.shape[1]
     prec = np.broadcast_to(np.eye(d_z), (N, d_z, d_z)).copy()
     h = np.zeros((d_z, N))
     for block, params, state in zip(blocks, block_params, variational):
@@ -198,8 +233,7 @@ def gaussian_mstep(X: np.ndarray, posterior: LatentPosterior,
     S_zz = posterior.sum_second_moments()
     W = np.linalg.solve(S_zz.T, S_xz.T).T
     psi = (np.einsum("ij,ij->i", Xc, Xc) - np.einsum("ij,ij->i", W, S_xz)) / N
-    floor = np.broadcast_to(np.asarray(psi_floor, dtype=float), psi.shape)
-    psi = np.maximum(psi, floor)
+    psi = np.maximum(psi, psi_floor)
     return BlockParams(W=W, mu=mu, psi=psi)
 
 
@@ -218,15 +252,15 @@ def update_xi(params: BlockParams, posterior: LatentPosterior,
     """Optimal xi^2 = E[(W_i z + mu_i - alpha_n)^2]; returns the non-negative root."""
     W, mu = params.W, params.mu
     ezz = posterior.second_moments()
-    quad = np.einsum("ij,njk,ik->in", W, ezz, W)
+    quad = _outer_rows(W) @ ezz.reshape(ezz.shape[0], -1).T
     offset = mu[:, None] if alpha is None else mu[:, None] - alpha[None, :]
     xi_sq = quad + 2.0 * (W @ posterior.mean) * offset + offset**2
     return np.sqrt(np.maximum(xi_sq, 0.0))
 
 
 def update_alpha(params: BlockParams, posterior: LatentPosterior,
-                 xi: np.ndarray) -> np.ndarray:
-    lam = lambda_of_xi(xi)
+                 state: VariationalState) -> np.ndarray:
+    lam = state.lam
     denom = lam.sum(axis=0)
     if np.any(denom <= 0):
         raise FloatingPointError("degenerate multinomial variational weights")
@@ -236,13 +270,12 @@ def update_alpha(params: BlockParams, posterior: LatentPosterior,
 
 
 def update_W(block_values: np.ndarray, b: int, params: BlockParams,
-             posterior: LatentPosterior, xi: np.ndarray,
-             alpha: np.ndarray | None = None) -> np.ndarray:
+             posterior: LatentPosterior, state: VariationalState) -> np.ndarray:
     """Per-feature d_z-dimensional solves via the Cholesky factor of the
     weighted second-moment accumulation."""
-    lam, c = _centered_counts(block_values, b, xi, params.mu[:, None], alpha)
+    lam, c = _centered_counts(block_values, b, state, params.mu[:, None])
     ezz = posterior.second_moments()
-    M = 2.0 * b * np.einsum("in,njk->ijk", lam, ezz)
+    M = 2.0 * b * _weighted_sum(lam, ezz.reshape(ezz.shape[0], -1))
     r = c @ posterior.mean.T
     try:
         np.linalg.cholesky(M)
@@ -253,29 +286,15 @@ def update_W(block_values: np.ndarray, b: int, params: BlockParams,
 
 
 def update_mu(block_values: np.ndarray, b: int, W: np.ndarray,
-              posterior: LatentPosterior, xi: np.ndarray,
-              alpha: np.ndarray | None = None) -> np.ndarray:
-    lam, c = _centered_counts(block_values, b, xi, W @ posterior.mean, alpha)
+              posterior: LatentPosterior, state: VariationalState) -> np.ndarray:
+    lam, c = _centered_counts(block_values, b, state, W @ posterior.mean)
     return c.sum(axis=1) / (2.0 * b * lam.sum(axis=1))
-
-
-def _psi_floor(X: np.ndarray) -> np.ndarray:
-    """The normal-block noise floor: a tiny fraction of each feature's variance."""
-    return np.maximum(HEYWOOD_REL_THRESHOLD * X.var(axis=1), PSI_FLOOR)
-
-
-def _zero_last_row(params: BlockParams) -> BlockParams:
-    W = params.W.copy()
-    mu = params.mu.copy()
-    W[-1, :] = 0.0
-    mu[-1] = 0.0
-    return replace(params, W=W, mu=mu)
 
 
 def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
                        refresh) -> None:
     """The conditional updates xi -> alpha -> W (and psi) -> mu over all
-    blocks, in place; ``data`` holds each block's (values, b). A block is
+    blocks, in place; ``data`` holds each block's ``_FitBlock``. A block is
     normal without a state and multinomial (last row of W and mu kept zero)
     when its state carries alpha. The first phase with blocks to update uses
     ``post``, each later one ``refresh(params, states)``."""
@@ -293,20 +312,20 @@ def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
     if multi:
         post = posterior()
         for i in multi:
-            states[i] = replace(states[i], alpha=update_alpha(params[i], post, states[i].xi))
+            states[i] = replace(states[i], alpha=update_alpha(params[i], post, states[i]))
     post = posterior()
-    for i, (X, b) in enumerate(data):
+    for i, (X, b, floor) in enumerate(data):
         if states[i] is None:
-            params[i] = gaussian_mstep(X, post, psi_floor=_psi_floor(X))
+            params[i] = gaussian_mstep(X, post, psi_floor=floor)
         else:
-            W = update_W(X, b, params[i], post, states[i].xi, alpha=states[i].alpha)
+            W = update_W(X, b, params[i], post, states[i])
             if i in multi:
                 W[-1, :] = 0.0
             params[i] = replace(params[i], W=W)
     if var:
         post = posterior()
         for i in var:
-            mu = update_mu(*data[i], params[i].W, post, states[i].xi, alpha=states[i].alpha)
+            mu = update_mu(*data[i][:2], params[i].W, post, states[i])
             if i in multi:
                 mu[-1] = 0.0
             params[i] = replace(params[i], mu=mu)
@@ -328,7 +347,7 @@ def multinomial_mstep(params: BlockParams, state: VariationalState,
     the updates, so that none of them can decrease the marginal bound."""
     X = np.asarray(X, dtype=float)
     params, states = [params], [state]
-    _conditional_sweep([(X, b)], params, states, posterior,
+    _conditional_sweep([_FitBlock(X, b, None)], params, states, posterior,
                        lambda p, s: _single_block_estep(p[0], s[0], X, b))
     return params[0], states[0]
 
@@ -337,45 +356,41 @@ def multinomial_mstep(params: BlockParams, state: VariationalState,
 # objective, initialization, and the fitting loop
 # ---------------------------------------------------------------------------
 
-def _block_constant(block: CovariateBlock, params: BlockParams,
+def _block_constant(block: _FitBlock, params: BlockParams,
                     state: VariationalState | None) -> np.ndarray:
     """z-independent part of each sample's (bounded) log-likelihood, length N."""
-    X = block.values
-    if block.kind == "normal":
-        d_x = block.d_x
+    X, b, comb = block
+    if state is None:
         Xc = X - params.mu[:, None]
         quad = np.einsum("in,in->n", Xc, Xc / params.psi[:, None])
-        return -0.5 * (d_x * math.log(2 * math.pi) + np.log(params.psi).sum() + quad)
-    b = block.b
+        return -0.5 * (X.shape[0] * math.log(2 * math.pi) + np.log(params.psi).sum() + quad)
     xi = state.xi
-    lam = lambda_of_xi(xi)
-    if block.kind == "binomial":
-        comb = gammaln(b + 1) - gammaln(X + 1) - gammaln(b - X + 1)
-        offset = params.mu[:, None]
-        extra = np.zeros(X.shape[1])
-    else:
-        comb = gammaln(b + 1) / block.d_x - gammaln(X + 1)
-        offset = params.mu[:, None] - state.alpha[None, :]
-        extra = -b * state.alpha
+    offset = params.mu[:, None]
+    if state.alpha is not None:
+        offset = offset - state.alpha[None, :]
     per_feature = (comb + b * log_expit(xi)
                    - 0.5 * b * (offset + xi)
-                   - b * lam * (offset**2 - xi**2)
+                   - b * state.lam * (offset**2 - xi**2)
                    + X * params.mu[:, None])
-    return per_feature.sum(axis=0) + extra
+    if state.alpha is None:
+        return per_feature.sum(axis=0)
+    return per_feature.sum(axis=0) - b * state.alpha
 
 
 def variational_log_marginal(block_params, variational, blocks) -> float:
     """Sum over blocks/samples of the exact Gaussian marginal log-density
     (normal blocks) and the analytically integrated variational lower bound
     (binomial/multinomial blocks)."""
-    return _posterior_and_bound(block_params, variational, blocks)[1]
+    data = [_fit_block(block) for block in blocks]
+    return _posterior_and_bound(block_params, variational, data)[1]
 
 
-def _posterior_and_bound(block_params, variational, blocks) -> tuple[LatentPosterior, float]:
-    """The joint posterior and the bound (its log-normaliser) from one inverse."""
-    prec, h = _accumulate(blocks, block_params, variational)
+def _posterior_and_bound(block_params, variational, data) -> tuple[LatentPosterior, float]:
+    """The joint posterior and the bound (its log-normaliser) from one inverse;
+    ``data`` holds each block's ``_FitBlock``."""
+    prec, h = _accumulate(data, block_params, variational)
     const = sum(_block_constant(block, params, state)
-                for block, params, state in zip(blocks, block_params, variational))
+                for block, params, state in zip(data, block_params, variational))
     sign, logdet = np.linalg.slogdet(prec)
     if np.any(sign <= 0):
         raise FloatingPointError("posterior precision not positive definite")
@@ -447,16 +462,18 @@ def _init_block(block: CovariateBlock, d_z: int) -> tuple[BlockParams, Variation
         xi=np.ones((block.d_x, N)),
         alpha=np.ones(N) if block.kind == "multinomial" else None,
     )
-    if block.kind == "multinomial":
-        params = _zero_last_row(params)
+    if block.kind == "multinomial":  # zero last row of W and mu
+        W, mu = params.W.copy(), params.mu.copy()
+        W[-1, :], mu[-1] = 0.0, 0.0
+        params = replace(params, W=W, mu=mu)
     return params, state
 
 
-def _heywood(block_params, blocks) -> bool:
-    for params, block in zip(block_params, blocks):
+def _heywood(block_params, data) -> bool:
+    for params, block in zip(block_params, data):
         # the M-step clamps psi at exactly this floor, so equality means the
         # unclamped estimate collapsed
-        if params.psi is not None and np.any(params.psi <= _psi_floor(block.values)):
+        if params.psi is not None and np.any(params.psi <= block.term):
             return True
     return False
 
@@ -521,40 +538,40 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
         if np.isnan(block.values).any():
             raise ValueError(f"missing cells in block {block.name!r}; "
                              "impute them with latentsurv.data.impute_missing first")
-    data = [(block.values, block.b) for block in blocks]
 
     def step(params, states, post):
         params, states = list(params), list(states)
         _conditional_sweep(data, params, states, post,
-                           lambda p, s: diverse_estep(p, s, blocks))
+                           lambda p, s: diverse_estep(p, s, data))
         return params, states
 
     with np.errstate(over="raise", invalid="raise", divide="raise"):
+        data = [_fit_block(block) for block in blocks]
         params, states = zip(*(_init_block(block, d_z) for block in blocks))
-        post, obj = _posterior_and_bound(params, states, blocks)
+        post, obj = _posterior_and_bound(params, states, data)
         sweeps, heywood, change = 0, False, math.nan
         while sweeps < max_iters:
             if max_iters - sweeps < 3:  # no room for a cycle: one plain EM step
                 sweeps += 1
                 params, states = step(params, states, post)
-                new_post, new = _posterior_and_bound(params, states, blocks)
+                new_post, new = _posterior_and_bound(params, states, data)
             else:
                 sweeps += 3
                 p1, s1 = step(params, states, post)
-                p2, s2 = step(p1, s1, diverse_estep(p1, s1, blocks))
+                p2, s2 = step(p1, s1, diverse_estep(p1, s1, data))
                 x0, x1 = _coords(params, states), _coords(p1, s1)
                 r, v = x1 - x0, _coords(p2, s2) - 2.0 * x1 + x0
                 try:
                     a = _step_length(r, v)
                     pe, se = _from_coords(x0 - 2.0 * a * r + a * a * v, params, states)
-                    params, states = step(pe, se, diverse_estep(pe, se, blocks))
-                    new_post, new = _posterior_and_bound(params, states, blocks)
+                    params, states = step(pe, se, diverse_estep(pe, se, data))
+                    new_post, new = _posterior_and_bound(params, states, data)
                 except (FloatingPointError, np.linalg.LinAlgError):
                     new = -math.inf
                 if not new >= obj:  # fall back to the two plain steps
                     params, states = p2, s2
-                    new_post, new = _posterior_and_bound(params, states, blocks)
-            heywood = heywood or _heywood(params, blocks)
+                    new_post, new = _posterior_and_bound(params, states, data)
+            heywood = heywood or _heywood(params, data)
             change = abs(new - obj) / max(abs(obj), 1.0)
             post, obj = new_post, new
             if change < rel_tol:

@@ -316,7 +316,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     tune_seed = int(seed_root.generate_state(1)[0] % (2**31))
     kappa = None
     blocks = dataset.blocks
-    data = [(block.values, block.b) for block in blocks]
+    data = [factor._fit_block(block) for block in blocks]
     for it in range(gem_iters):
         targets = SampleTargets(params, states, blocks, w_T, w_C, times, events)
         post = factor._posterior_from_inverse(np.linalg.inv(targets.prec), targets.h)
@@ -331,7 +331,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
         mc_post = LatentPosterior(mean=mean, cov=cov)
 
         factor._conditional_sweep(data, params, states, mc_post, lambda p, s: mc_post)
-        heywood = heywood or factor._heywood(params, blocks)
+        heywood = heywood or factor._heywood(params, data)
 
         w_T = newton_mstep_w(w_T, samples, times, events)
         w_C = newton_mstep_w(w_C, samples, times, 1.0 - events)

@@ -1,14 +1,18 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
 from latentsurv import factor
 from latentsurv.data import CovariateBlock, Dataset, make_split
 from latentsurv.factor import (
+    XI_LIMIT,
     BlockParams,
     FaModel,
     LatentPosterior,
@@ -46,9 +50,42 @@ def const_posterior(mean, cov):
                            cov=np.broadcast_to(cov, (N,) + np.shape(cov)).copy())
 
 
+def masked_lambda_of_xi(xi):
+    """lambda(xi) by mask indexing: the oracle of the library's np.where form."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.full(xi.shape, 0.125)
+    big = np.abs(xi) > XI_LIMIT
+    out[big] = (expit(xi[big]) - 0.5) / (2.0 * xi[big])
+    return out
+
+
 class TestLambdaOfXi:
     def test_limit_at_zero(self):
         assert lambda_of_xi(0.0) == 0.125
+
+    def test_where_form_equals_mask_form_bit_for_bit(self):
+        edge = np.array([0.0, 1e-300, XI_LIMIT, np.nextafter(XI_LIMIT, 0.0),
+                         np.nextafter(XI_LIMIT, 1.0), 700.0])
+        grid = np.concatenate([edge, -edge, np.linspace(-40.0, 40.0, 1001),
+                               np.geomspace(1e-12, 1e3, 500)])
+        for xi in (grid, np.stack([grid, grid[::-1]])):
+            assert lambda_of_xi(xi).tobytes() == masked_lambda_of_xi(xi).tobytes()
+
+    def test_zero_raises_nothing(self):
+        with np.errstate(all="raise"):
+            assert lambda_of_xi(0.0) == 0.125
+            np.testing.assert_array_equal(lambda_of_xi(np.zeros((3, 4))), 0.125)
+
+    def test_state_never_carries_a_stale_lambda(self, rng):
+        state = VariationalState(xi=rng.uniform(0.0, 3.0, (3, 4)), alpha=np.ones(4))
+        np.testing.assert_array_equal(state.lam, lambda_of_xi(state.xi))  # now cached
+        moved = replace(state, xi=2.0 * state.xi)
+        np.testing.assert_array_equal(moved.lam, lambda_of_xi(moved.xi))
+        params = [BlockParams(W=rng.standard_normal((3, 2)), mu=rng.standard_normal(3))]
+        x = factor._coords(params, [state])
+        _, [extrapolated] = factor._from_coords(x - 0.5, params, [state])
+        assert not np.array_equal(extrapolated.xi, state.xi)
+        np.testing.assert_array_equal(extrapolated.lam, lambda_of_xi(extrapolated.xi))
 
     def test_at_one(self):
         assert lambda_of_xi(1.0) == pytest.approx((expit(1.0) - 0.5) / 2.0, rel=1e-14)
@@ -78,6 +115,46 @@ class TestSoftmaxBound:
             lhs = np.log(np.exp(eta).sum())
             rhs = alpha + np.log1p(np.exp(eta - alpha)).sum()
             assert lhs <= rhs + 1e-12
+
+
+class TestGemmKernels:
+    """The factor kernels are GEMMs against the outer products of the loading
+    rows; the einsums they replaced are their oracles. The draws are positive,
+    so no sum cancels and the two summation orders agree to a few ulps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d_x=st.integers(1, 7), N=st.integers(1, 7), d_z=st.integers(1, 5),
+           b=st.integers(1, 3), multinomial=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_gemm_forms_match_einsums(self, d_x, N, d_z, b, multinomial, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(0.0, 2.0, (d_x, d_z))
+        params = BlockParams(W=W, mu=rng.standard_normal(d_x))
+        state = VariationalState(xi=rng.uniform(0.0, 5.0, (d_x, N)),
+                                 alpha=rng.standard_normal(N) if multinomial else None)
+        L = rng.uniform(0.0, 1.0, (N, d_z, d_z))
+        post = LatentPosterior(mean=rng.uniform(0.0, 2.0, (d_z, N)),
+                               cov=L @ L.transpose(0, 2, 1) + np.eye(d_z))
+        X = rng.integers(0, b + 1, (d_x, N)).astype(float)
+        lam, ezz = state.lam, post.second_moments()
+
+        prec, _ = factor._block_quadratic(X, b, params, state)
+        np.testing.assert_allclose(prec, 2.0 * b * np.einsum("in,ij,ik->njk", lam, W, W),
+                                   rtol=1e-12)
+
+        offset = params.mu[:, None]
+        if multinomial:
+            offset = offset - state.alpha[None, :]
+        quad = np.einsum("ij,njk,ik->in", W, ezz, W)
+        xi_sq = quad + 2.0 * (W @ post.mean) * offset + offset**2
+        np.testing.assert_allclose(update_xi(params, post, alpha=state.alpha),
+                                   np.sqrt(xi_sq), rtol=1e-12)
+
+        np.testing.assert_allclose(factor._weighted_sum(lam, ezz.reshape(N, -1)),
+                                   np.einsum("in,njk->ijk", lam, ezz), rtol=1e-12)
+
+    def test_second_moments_computed_once(self, rng):
+        post = const_posterior(rng.standard_normal((2, 3)), np.eye(2))
+        assert post.second_moments() is post.second_moments()
 
 
 class TestGaussianEstep:
@@ -232,13 +309,13 @@ class TestBinomialMstep:
             assert mid1 >= before - 1e-8 * abs(before)
             # W sub-step
             post = diverse_estep((params,), (state,), blocks)
-            W = update_W(block.values, block.b, params, post, state.xi)
+            W = update_W(block.values, block.b, params, post, state)
             params = BlockParams(W=W, mu=params.mu, psi=None)
             mid2 = variational_log_marginal((params,), (state,), blocks)
             assert mid2 >= mid1 - 1e-8 * abs(mid1)
             # mu sub-step
             post = diverse_estep((params,), (state,), blocks)
-            mu = update_mu(block.values, block.b, W, post, state.xi)
+            mu = update_mu(block.values, block.b, W, post, state)
             params = BlockParams(W=W, mu=mu, psi=None)
             after = variational_log_marginal((params,), (state,), blocks)
             assert after >= mid2 - 1e-8 * abs(mid2)
@@ -310,7 +387,7 @@ class TestMultinomialMstep:
         params = BlockParams(W=np.zeros((d_x, 2)), mu=np.zeros(d_x), psi=None)
         post = const_posterior(np.zeros((2, N)), np.eye(2))
         xi = np.full((d_x, N), 1.5)
-        alpha = update_alpha(params, post, xi)
+        alpha = update_alpha(params, post, VariationalState(xi=xi))
         lam = lambda_of_xi(1.5)
         want = -(1 - d_x / 2) / (2 * d_x * lam)
         np.testing.assert_allclose(alpha, want, rtol=1e-12)
@@ -329,7 +406,7 @@ class TestMultinomialMstep:
         for _ in range(200):
             state = VariationalState(xi=state.xi, alpha=alpha)
             post = diverse_estep((params,), (state,), (block,))
-            alpha = update_alpha(params, post, state.xi)
+            alpha = update_alpha(params, post, state)
         h = 1e-6
         for n in range(5):
             def obj(a_n):
