@@ -1,7 +1,9 @@
 """Command-line interface: simulate, fit, cv, predict, project.
 
 Exit codes: 0 success, 2 bad input, 3 every candidate excluded during model
-selection, 4 model/dataset feature-manifest mismatch.
+selection, 4 model/dataset feature-manifest mismatch. Apart from click's own
+usage errors, every non-zero exit goes through ``_fail``, the one exit
+helper: one ``error:`` line on stderr, then the code.
 """
 
 from __future__ import annotations
@@ -24,53 +26,64 @@ EXIT_ALL_EXCLUDED = 3
 EXIT_MANIFEST_MISMATCH = 4
 
 
-def _echo_config(out_dir: Path, command: str, options: dict):
-    """Record the exact invocation next to the outputs for reproducibility."""
-    doc = {"command": command, "options": options}
-    serialize.atomic_write(out_dir / f"{command}_config.json", json.dumps(doc, indent=1))
+def _fail(message: str, code: int = EXIT_BAD_INPUT):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
-def _load_dataset_or_die(path):
+@contextlib.contextmanager
+def _exit_on(errors, prefix: str, code: int = EXIT_BAD_INPUT):
+    """End the command through ``_fail`` when the block raises one of ``errors``."""
     try:
-        dataset = data_mod.load_dataset(path)
-    except (OSError, data_mod.ParseError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"error: cannot load dataset: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    masked = [blk.name for blk in dataset.blocks if np.isnan(blk.values).any()]
-    if masked:
-        click.echo(f"error: missing cells in block(s) {', '.join(map(repr, masked))}; "
-                   "impute them with latentsurv.data.impute_missing first", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    return dataset
-
-
-def _load_model_or_die(path, blocks):
-    try:
-        model, stored_hash = serialize.load_model(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        click.echo(f"error: cannot load model: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    if not serialize.manifest_matches(stored_hash, blocks):
-        click.echo("error: model was fitted on different features than this dataset",
-                   err=True)
-        sys.exit(EXIT_MANIFEST_MISMATCH)
-    return model
+        yield
+    except errors as exc:
+        _fail(f"{prefix}{exc}", code)
 
 
 @contextlib.contextmanager
 def _fit_guard():
     """Data a fit cannot handle, such as a zero time or cells whose squares
     overflow, ends as bad input rather than a traceback."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except (ValueError, FloatingPointError) as exc:
-        click.echo(f"error: cannot fit this dataset: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
+    with _exit_on((ValueError, FloatingPointError), "cannot fit this dataset: "), \
+            np.errstate(over="raise", divide="raise", invalid="raise"):
+        yield
 
 
-def _parse_list(text: str, parse) -> list:
-    return [parse(tok) for tok in text.split(",") if tok.strip()]
+def _echo_config(out_dir: Path):
+    """Record the running command and its options, in declaration order,
+    next to its outputs for reproducibility."""
+    ctx = click.get_current_context()
+    doc = {"command": ctx.info_name,
+           "options": {param.name: ctx.params[param.name] for param in ctx.command.params}}
+    serialize.atomic_write(out_dir / f"{ctx.info_name}_config.json",
+                           json.dumps(doc, indent=1, default=str))
+
+
+def _load_dataset(path):
+    with _exit_on((OSError, ValueError), "cannot load dataset: "):
+        dataset = data_mod.load_dataset(path)
+    masked = [blk.name for blk in dataset.blocks if np.isnan(blk.values).any()]
+    if masked:
+        _fail(f"missing cells in block(s) {', '.join(map(repr, masked))}; "
+              "impute them with latentsurv.data.impute_missing first")
+    return dataset
+
+
+def _load_model(path, blocks):
+    with _exit_on((OSError, ValueError), "cannot load model: "):
+        model, stored_hash = serialize.load_model(path)
+    if not serialize.manifest_matches(stored_hash, blocks):
+        _fail("model was fitted on different features than this dataset",
+              EXIT_MANIFEST_MISMATCH)
+    return model
+
+
+def _list_of(parse):
+    """An option callback that parses a comma-separated list."""
+    def callback(ctx, param, text):
+        with _exit_on(ValueError, "bad --dz/--gamma list: "):
+            return [parse(tok) for tok in text.split(",") if tok.strip()]
+    return callback
 
 
 @click.group()
@@ -81,33 +94,25 @@ def main(verbose):
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-@main.command()
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True),
+@main.command("simulate")
+@click.option("--scenario", required=True, type=click.Path(exists=True),
               help="JSON scenario description.")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
-def simulate_cmd(scenario_path, out_dir):
+@click.option("--out", required=True, type=click.Path(path_type=Path), help="Output directory.")
+def simulate_cmd(scenario, out):
     """Draw a synthetic dataset and write it in the manifest format."""
-    try:
-        scenario = serialize.load_scenario(scenario_path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        click.echo(f"error: cannot load scenario: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    train, test, latents = simulate.simulate_dataset(scenario)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _exit_on((OSError, ValueError), "cannot load scenario: "):
+        scn = serialize.load_scenario(scenario)
+    train, test, latents = simulate.simulate_dataset(scn)
     train_manifest = serialize.write_dataset(train, out, "train")
     click.echo(f"wrote {train_manifest}")
     if test.n_samples:
         test_manifest = serialize.write_dataset(test, out, "test")
         click.echo(f"wrote {test_manifest}")
-    _echo_config(out, "simulate", {"scenario": str(scenario_path), "out": str(out_dir)})
-
-
-main.add_command(simulate_cmd, name="simulate")
+    _echo_config(out)
 
 
 @main.command()
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True),
+@click.option("--data", required=True, type=click.Path(exists=True),
               help="Dataset manifest JSON.")
 @click.option("--dz", required=True, type=int, help="Latent dimension.")
 @click.option("--fit-mode", type=click.Choice(list(joint.FIT_MODES)), default="fast",
@@ -115,31 +120,28 @@ main.add_command(simulate_cmd, name="simulate")
 @click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True,
               help="Monte Carlo EM iterations (full mode).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path(),
+@click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Output model JSON path.")
-def fit(data_path, dz, fit_mode, gem_iters, seed, out_path):
+def fit(data, dz, fit_mode, gem_iters, seed, out):
     """Fit the latent-factor survival model and save it."""
-    dataset = _load_dataset_or_die(data_path)
+    dataset = _load_dataset(data)
     with _fit_guard():
         candidate = evaluate.ModelCandidate(kind="fa_ecph_c", d_z=dz, gem_iters=gem_iters,
                                             fit_mode=joint.FIT_MODES[fit_mode])
         model = evaluate.fit_candidate(candidate, dataset, seed)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    serialize.save_model(model, dataset.blocks, out_path)
+    serialize.save_model(model, dataset.blocks, out)
     if model.fa.heywood_flag:
         click.echo("warning: near-zero residual variance detected in the factor fit",
                    err=True)
-    _echo_config(out_path.parent, "fit",
-                 {"data": str(data_path), "dz": dz, "fit_mode": fit_mode,
-                  "gem_iters": gem_iters, "seed": seed, "out": str(out_path)})
-    click.echo(f"wrote {out_path}")
+    _echo_config(out.parent)
+    click.echo(f"wrote {out}")
 
 
 @main.command()
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
-@click.option("--dz", "dz_list", default="", help="Comma-separated latent dimensions.")
-@click.option("--gamma", "gamma_list", default="",
+@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--dz", default="", callback=_list_of(int),
+              help="Comma-separated latent dimensions.")
+@click.option("--gamma", default="", callback=_list_of(float),
               help="Comma-separated L1 penalties for the baseline.")
 @click.option("--fit-mode", type=click.Choice(list(joint.FIT_MODES)), default="fast",
               show_default=True)
@@ -147,43 +149,27 @@ def fit(data_path, dz, fit_mode, gem_iters, seed, out_path):
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--test-fraction", type=float, default=0.25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(),
+@click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Output directory.")
-def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction,
-       seed, out_dir):
+def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
     """Cross-validate a candidate grid, select a model, and refit it on the
     full learning set."""
-    dataset = _load_dataset_or_die(data_path)
-    try:
-        dzs = _parse_list(dz_list, int)
-        gammas = _parse_list(gamma_list, float)
-    except ValueError as exc:
-        click.echo(f"error: bad --dz/--gamma list: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    if not dzs and not gammas:
-        click.echo("error: provide at least one of --dz / --gamma", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    try:
+    dataset = _load_dataset(data)
+    if not dz and not gamma:
+        _fail("provide at least one of --dz / --gamma")
+    with _exit_on(ValueError, ""):
         candidates = [evaluate.ModelCandidate(kind="fa_ecph_c", d_z=d, gem_iters=gem_iters,
-                                              fit_mode=joint.FIT_MODES[fit_mode]) for d in dzs]
-        candidates += [evaluate.ModelCandidate(kind="ecph_c_l1", gamma=g) for g in gammas]
+                                              fit_mode=joint.FIT_MODES[fit_mode]) for d in dz]
+        candidates += [evaluate.ModelCandidate(kind="ecph_c_l1", gamma=g) for g in gamma]
         split = data_mod.make_split(dataset.n_samples, test_fraction=test_fraction,
                                     n_folds=folds, seed=seed)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
 
     with _fit_guard():
         reports = evaluate.run_cv(dataset, candidates, split, seed=seed)
     learning = dataset.subset(sorted(i for f in split.folds for i in f))
-    try:
+    with _exit_on(ValueError, "", EXIT_ALL_EXCLUDED):
         selected = evaluate.select_model(reports, candidates)
-    except ValueError:
-        click.echo("error: every candidate was excluded or failed", err=True)
-        sys.exit(EXIT_ALL_EXCLUDED)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "selected": selected,
         "reports": [dataclasses.asdict(r) for r in reports],
@@ -202,58 +188,46 @@ def cv(data_path, dz_list, gamma_list, fit_mode, gem_iters, folds, test_fraction
             except evaluate.UndefinedCIndexError:
                 report_doc["test_cindex"] = None
     serialize.atomic_write(out / "cv_report.json", json.dumps(report_doc, indent=1))
-
-    lines = ["candidate,fold,c_index"]
-    for r in reports:
-        for v, c in enumerate(r.fold_cindices):
-            lines.append(f"{r.candidate_id},{v},{c!r}")
-    serialize.atomic_write(out / "cv_folds.csv", "\n".join(lines) + "\n")
+    serialize.write_table(out / "cv_folds.csv", ["candidate", "fold", "c_index"],
+                          ([r.candidate_id, str(v), repr(c)]
+                           for r in reports for v, c in enumerate(r.fold_cindices)))
 
     if chosen.kind == "fa_ecph_c":
         serialize.save_model(fitted, learning.blocks, out / "selected_model.json")
-    _echo_config(out, "cv", {"data": str(data_path), "dz": dzs, "gamma": gammas,
-                             "fit_mode": fit_mode, "gem_iters": gem_iters,
-                             "folds": folds, "test_fraction": test_fraction,
-                             "seed": seed, "out": str(out_dir)})
+    _echo_config(out)
     click.echo(f"selected: {selected}")
 
 
 @main.command()
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
-def predict(model_path, data_path, out_path):
+@click.option("--model", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--out", required=True, type=click.Path(path_type=Path))
+def predict(model, data, out):
     """Predict expected event times for each sample."""
-    dataset = _load_dataset_or_die(data_path)
-    model = _load_model_or_die(model_path, dataset.blocks)
-    preds = joint.joint_predict(model, dataset.blocks)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["sample_id,predicted_time"]
-    lines += [f"{sid},{float(p)!r}" for sid, p in zip(dataset.sample_ids, preds)]
-    serialize.atomic_write(out_path, "\n".join(lines) + "\n")
-    click.echo(f"wrote {out_path}")
+    dataset = _load_dataset(data)
+    preds = joint.joint_predict(_load_model(model, dataset.blocks), dataset.blocks)
+    serialize.write_table(out, ["sample_id", "predicted_time"],
+                          zip(dataset.sample_ids, map(repr, preds.tolist())))
+    _echo_config(out.parent)
+    click.echo(f"wrote {out}")
 
 
 @main.command()
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
-def project(model_path, data_path, out_path):
+@click.option("--model", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--out", required=True, type=click.Path(path_type=Path))
+def project(model, data, out):
     """Write each sample's posterior-mean latent coordinates plus its outcome."""
-    dataset = _load_dataset_or_die(data_path)
-    model = _load_model_or_die(model_path, dataset.blocks)
-    post = joint._prediction_posterior(model, dataset.blocks)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    d_z = model.fa.d_z
-    header = "sample_id," + ",".join(f"z{k + 1}" for k in range(d_z)) + ",time_days,event"
-    lines = [header]
-    for j, (sid, t, e) in enumerate(zip(dataset.sample_ids, dataset.times(), dataset.events())):
-        coords = ",".join(repr(float(v)) for v in post.mean[:, j])
-        lines.append(f"{sid},{coords},{float(t)!r},{int(e)}")
-    serialize.atomic_write(out_path, "\n".join(lines) + "\n")
-    click.echo(f"wrote {out_path}")
+    dataset = _load_dataset(data)
+    fitted = _load_model(model, dataset.blocks)
+    post = joint._prediction_posterior(fitted, dataset.blocks)
+    header = ["sample_id", *(f"z{k + 1}" for k in range(fitted.fa.d_z)), "time_days", "event"]
+    rows = ([sid, *map(repr, coords), repr(t), str(int(e))] for sid, coords, t, e in
+            zip(dataset.sample_ids, post.mean.T.tolist(), dataset.times().tolist(),
+                dataset.events().tolist()))
+    serialize.write_table(out, header, rows)
+    _echo_config(out.parent)
+    click.echo(f"wrote {out}")
 
 
 if __name__ == "__main__":

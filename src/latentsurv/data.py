@@ -8,9 +8,11 @@ records it.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -256,38 +258,42 @@ def load_dataset(manifest_path) -> Dataset:
     Samples missing from any block file or with missing survival are dropped
     (with a logged count). Block columns are aligned by sample id.
     """
-    import json
-    from pathlib import Path
-
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     base = manifest_path.parent
+    try:
+        survival_path = base / manifest["survival"]
+        specs = [(spec["name"], spec["kind"], int(spec.get("b", 1)), base / spec["path"])
+                 for spec in manifest["blocks"]]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{manifest_path}: not a dataset manifest "
+                         f"({type(exc).__name__}: {exc})") from exc
 
-    survival_map = _read_survival(base / manifest["survival"])
+    survival_map = _read_survival(survival_path)
     dropped_survival = [sid for sid, s in survival_map.items() if s is None]
     if dropped_survival:
         logger.warning("dropping %d samples with missing survival", len(dropped_survival))
     keep = {sid for sid, s in survival_map.items() if s is not None}
 
     raw_blocks = []
-    for spec in manifest["blocks"]:
-        sample_ids, feature_names, values = _read_matrix(base / spec["path"])
-        raw_blocks.append((spec, sample_ids, feature_names, values))
+    for name, kind, b, path in specs:
+        sample_ids, feature_names, values = _read_matrix(path)
+        raw_blocks.append((name, kind, b, sample_ids, feature_names, values))
         before = len(keep)
         keep &= set(sample_ids)
         if len(keep) < before:
-            logger.warning("block %r: %d samples missing, dropped", spec["name"], before - len(keep))
+            logger.warning("block %r: %d samples missing, dropped", name, before - len(keep))
 
     # Keep a deterministic sample order: survival-file order restricted to shared ids.
     ordered = [sid for sid in survival_map if sid in keep]
     blocks = []
-    for spec, sample_ids, feature_names, values in raw_blocks:
+    for name, kind, b, sample_ids, feature_names, values in raw_blocks:
         col = {sid: j for j, sid in enumerate(sample_ids)}
         blocks.append(CovariateBlock(
-            name=spec["name"],
-            kind=spec["kind"],
-            b=int(spec.get("b", 1)),
+            name=name,
+            kind=kind,
+            b=b,
             values=values[:, [col[sid] for sid in ordered]],
             feature_names=tuple(feature_names),
         ))
@@ -321,8 +327,8 @@ def variance_filter(block: CovariateBlock, keep_fraction: float) -> CovariateBlo
 
 def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) -> CovariateBlock:
     """Drop features missing (NaN) in more than ``max_missing_fraction`` of
-    samples and mean-impute the rest (rounded to the nearest valid integer for
-    count kinds).
+    samples, or in all of them, and mean-impute the rest (rounded to the
+    nearest valid integer for count kinds).
 
     Observed entries are left bit-identical. Imputed multinomial columns are
     re-normalized to sum b by adjusting the imputed entry.
@@ -336,7 +342,7 @@ def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) ->
     if all_missing.any():
         logger.warning("block %r: %d features missing in all samples, dropped",
                        block.name, int(all_missing.sum()))
-    keep = frac <= max_missing_fraction
+    keep = (frac <= max_missing_fraction) & ~all_missing
     values = block.values[keep].copy()
     mask = mask[keep]
     names = tuple(name for name, k in zip(block.feature_names, keep) if k)
@@ -345,23 +351,14 @@ def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) ->
         if not mask[i].any():
             continue
         mean = values[i, ~mask[i]].mean()
-        if block.kind != "normal":
-            # nearest valid integer, ties toward zero
-            fill = math.floor(mean + 0.5) if mean >= 0 else math.ceil(mean - 0.5)
-            if abs(mean - math.trunc(mean)) == 0.5:
-                fill = math.trunc(mean)
-            fill = min(max(fill, 0), block.b)
-        else:
-            fill = mean
-        values[i, mask[i]] = fill
+        # an observed count mean is never negative: nearest integer, ties down, at most b
+        values[i, mask[i]] = (mean if block.kind == "normal"
+                              else min(math.ceil(mean - 0.5), block.b))
 
     if block.kind == "multinomial" and values.shape[0]:
-        col_missing = mask.any(axis=0)
-        for j in np.where(col_missing)[0]:
-            deficit = block.b - values[:, j].sum()
-            if deficit != 0:
-                row = int(np.where(mask[:, j])[0][0])
-                values[row, j] = max(values[row, j] + deficit, 0)
+        for j in np.where(mask.any(axis=0))[0]:
+            row = int(np.where(mask[:, j])[0][0])
+            values[row, j] = max(values[row, j] + block.b - values[:, j].sum(), 0)
 
     return replace(block, values=values, feature_names=names)
 

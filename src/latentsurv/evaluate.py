@@ -186,7 +186,7 @@ def select_model(reports, candidates=None) -> str:
             )
     usable = [r for r in reports if not r.heywood_excluded and r.fold_cindices]
     if not usable:
-        raise ValueError("all candidates excluded")
+        raise ValueError("every candidate was excluded or failed")
 
     def sort_key(r):
         return (-r.mean, order_key.get(r.candidate_id, (0, 0.0)))

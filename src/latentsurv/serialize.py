@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, ParseError
 from .factor import BlockParams, FaModel, VariationalState
 from .hazard import HazardParams
 from .joint import JointModel, averaged_variational
@@ -23,8 +23,10 @@ V1_DIGEST_PREFIX = "v1:"
 
 
 def atomic_write(path, text: str):
-    """Write via a temp file + rename so partial output never lands."""
+    """Write via a temp file + rename so partial output never lands; makes
+    the parent directory if it is missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -34,6 +36,13 @@ def atomic_write(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_table(path, header, rows):
+    """Write a comma-separated table of string cells: the header, then one
+    line per row."""
+    lines = [",".join(header), *map(",".join, rows)]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def block_manifest_hash(blocks) -> str:
@@ -135,9 +144,20 @@ def save_model(model: JointModel, blocks, path):
     atomic_write(path, json.dumps(model_to_dict(model, blocks), indent=1))
 
 
-def load_model(path) -> tuple[JointModel, str]:
+def _load_document(path, from_dict, what: str):
+    """Read a JSON document and rebuild its objects with ``from_dict``; a
+    document of the wrong shape raises ParseError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return from_dict(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path}: not a {what} document "
+                         f"({type(exc).__name__}: {exc})") from exc
+
+
+def load_model(path) -> tuple[JointModel, str]:
+    return _load_document(path, model_from_dict, "model")
 
 
 # ---------------------------------------------------------------------------
@@ -183,36 +203,28 @@ def scenario_from_dict(doc: dict) -> SimScenario:
 
 
 def load_scenario(path) -> SimScenario:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+    return _load_document(path, scenario_from_dict, "scenario")
 
 
 # ---------------------------------------------------------------------------
 # dataset writing (manifest format understood by data.load_dataset)
 # ---------------------------------------------------------------------------
 
-def _format_cell(x: float) -> str:
-    return repr(float(x))
-
-
 def write_dataset(dataset: Dataset, out_dir, prefix: str) -> Path:
     """Write block matrices, the survival table, and a manifest; returns the
     manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"blocks": [], "survival": f"{prefix}_survival.csv"}
     for block in dataset.blocks:
         fname = f"{prefix}_{block.name}.csv"
-        lines = ["feature," + ",".join(dataset.sample_ids)]
-        for i, name in enumerate(block.feature_names):
-            lines.append(name + "," + ",".join(_format_cell(v) for v in block.values[i]))
-        atomic_write(out_dir / fname, "\n".join(lines) + "\n")
+        write_table(out_dir / fname, ["feature", *dataset.sample_ids],
+                    ([name, *map(repr, row)]
+                     for name, row in zip(block.feature_names, block.values.tolist())))
         manifest["blocks"].append(
             {"name": block.name, "kind": block.kind, "b": block.b, "path": fname})
-    surv_lines = ["sample_id,time_days,event"]
-    for sid, t, e in zip(dataset.sample_ids, dataset.times(), dataset.events()):
-        surv_lines.append(f"{sid},{_format_cell(t)},{int(e)}")
-    atomic_write(out_dir / manifest["survival"], "\n".join(surv_lines) + "\n")
+    write_table(out_dir / manifest["survival"], ["sample_id", "time_days", "event"],
+                ([sid, repr(t), str(int(e))] for sid, t, e in
+                 zip(dataset.sample_ids, dataset.times().tolist(), dataset.events().tolist())))
     manifest_path = out_dir / f"{prefix}_manifest.json"
     atomic_write(manifest_path, json.dumps(manifest, indent=1))
     return manifest_path

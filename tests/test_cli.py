@@ -228,6 +228,68 @@ class TestFitPredictProject:
         assert result.exit_code == EXIT_MANIFEST_MISMATCH
 
 
+def test_every_command_echoes_its_options(runner, tmp_path):
+    """Each command writes ``<command>_config.json`` in its output directory,
+    or beside its output file, holding every option as invoked."""
+    scn = scenario_file(tmp_path, n_train=40, n_test=10)
+    sim, model, cv_dir = tmp_path / "sim", tmp_path / "fit" / "model.json", tmp_path / "cv"
+    train, test = str(sim / "train_manifest.json"), str(sim / "test_manifest.json")
+    calls = [
+        (sim, ["simulate", "--scenario", str(scn), "--out", str(sim)],
+         {"scenario": str(scn), "out": str(sim)}),
+        (model.parent, ["fit", "--data", train, "--dz", "2", "--seed", "4", "--out", str(model)],
+         {"data": train, "dz": 2, "fit_mode": "fast", "gem_iters": 10, "seed": 4,
+          "out": str(model)}),
+        (cv_dir, ["cv", "--data", train, "--dz", "1,2", "--gamma", "0.5", "--folds", "2",
+                  "--out", str(cv_dir)],
+         {"data": train, "dz": [1, 2], "gamma": [0.5], "fit_mode": "fast", "gem_iters": 10,
+          "folds": 2, "test_fraction": 0.25, "seed": 0, "out": str(cv_dir)}),
+        (tmp_path / "p", ["predict", "--model", str(model), "--data", test,
+                          "--out", str(tmp_path / "p" / "preds.csv")],
+         {"model": str(model), "data": test, "out": str(tmp_path / "p" / "preds.csv")}),
+        (tmp_path / "q", ["project", "--model", str(model), "--data", train,
+                          "--out", str(tmp_path / "q" / "proj.csv")],
+         {"model": str(model), "data": train, "out": str(tmp_path / "q" / "proj.csv")}),
+    ]
+    for out_dir, args, options in calls:
+        run_ok(runner, args)
+        doc = json.loads((out_dir / f"{args[0]}_config.json").read_text())
+        assert doc == {"command": args[0], "options": options}
+        assert list(doc["options"]) == list(options)
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("model", {"format_version": 2, "blocks": 5, "d_z": 2}),
+    ("model", [1, 2]),
+    ("manifest", {"blocks": 7}),
+    ("manifest", {"blocks": ["expr"]}),
+    ("manifest", []),
+    ("scenario", ["x"]),
+])
+def test_wrong_shape_document_exit_2(runner, tmp_path, kind, doc):
+    """A JSON document of the wrong shape is bad input: one error line that
+    names the file, never a traceback."""
+    sim = tmp_path / "sim"
+    run_ok(runner, ["simulate", "--scenario", str(scenario_file(tmp_path, n_test=0)),
+                    "--out", str(sim)])
+    train = sim / "train_manifest.json"
+    if kind == "manifest" and isinstance(doc, dict):
+        doc = {**json.loads(train.read_text()), **doc}
+    # a manifest sits beside the block files it names
+    path = (sim if kind == "manifest" else tmp_path) / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    args = {"model": ["predict", "--model", str(path), "--data", str(train),
+                      "--out", str(tmp_path / "p.csv")],
+            "manifest": ["fit", "--data", str(path), "--dz", "2",
+                         "--out", str(tmp_path / "m.json")],
+            "scenario": ["simulate", "--scenario", str(path), "--out", str(tmp_path / "s")]}
+    result = runner.invoke(main, args[kind])
+    assert result.exit_code == EXIT_BAD_INPUT, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error:") and result.output.count("\n") == 1
+    assert str(path) in result.output and "Traceback" not in result.output
+
+
 class TestManifestDigest:
     @staticmethod
     def _dataset(names):

@@ -316,6 +316,35 @@ class TestImputeMissing:
         out = impute_missing(block, max_missing_fraction=0.5)
         assert out.values[0, 2] == 0.0
 
+    @pytest.mark.parametrize("kind", ["normal", "binomial"])
+    def test_all_missing_feature_dropped_at_fraction_one(self, kind):
+        values = np.array([[np.nan, np.nan, np.nan],
+                           [1.0, np.nan, 0.0]])
+        block = CovariateBlock(name="x", kind=kind, b=1, values=values,
+                               feature_names=("gone", "kept"))
+        out = impute_missing(block, max_missing_fraction=1.0)
+        assert out.feature_names == ("kept",)
+        assert out.values.tolist() == [[1.0, 0.5 if kind == "normal" else 0.0, 0.0]]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_count_fill_rule(self, n):
+        """The fill is the nearest integer to the observed mean, ties toward
+        zero, at most b: the floor/ceil/tie rule written out in full."""
+        b = 4
+        for k in range(b * n + 1):
+            # n observed cells whose mean is k/n, then one missing cell
+            observed = [b] * (k // b) + ([k % b] if k % b else [])
+            observed += [0] * (n - len(observed))
+            block = CovariateBlock(name="x", kind="binomial", b=b,
+                                   values=np.array([observed + [np.nan]], dtype=float),
+                                   feature_names=("f",))
+            mean = np.mean(observed)
+            expected = math.floor(mean + 0.5) if mean >= 0 else math.ceil(mean - 0.5)
+            if abs(mean - math.trunc(mean)) == 0.5:
+                expected = math.trunc(mean)
+            expected = min(max(expected, 0), b)
+            assert impute_missing(block, max_missing_fraction=0.5).values[0, -1] == expected
+
     def test_multinomial_columns_renormalized(self):
         values = np.array([[1.0, np.nan],
                            [0.0, 0.0],

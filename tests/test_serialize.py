@@ -41,6 +41,11 @@ class TestAtomicWrite:
         atomic_write(tmp_path / "out.txt", "x")
         assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_makes_missing_parent_directory(self, tmp_path):
+        p = tmp_path / "a" / "b" / "out.txt"
+        atomic_write(p, "x")
+        assert p.read_text() == "x"
+
 
 class TestManifestHash:
     def test_stable(self, rng):
