@@ -75,6 +75,11 @@ def _load_model(path, blocks):
     if not serialize.manifest_matches(stored_hash, blocks):
         _fail("model was fitted on different features than this dataset",
               EXIT_MANIFEST_MISMATCH)
+    model_sizes = [params.d_x for params in model.fa.block_params]
+    data_sizes = [blk.d_x for blk in blocks]
+    if model_sizes != data_sizes:
+        _fail(f"cannot load model: {path}: its blocks have {model_sizes} features, "
+              f"the dataset's {data_sizes}")
     return model
 
 

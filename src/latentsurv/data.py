@@ -174,6 +174,17 @@ class SplitPlan:
         return tuple(i for v, f in enumerate(self.folds) if v != fold for i in f)
 
 
+def load_document(path, build, what: str):
+    """Read the JSON document at ``path`` and return ``build(document)``. A
+    file that is not JSON, or a document that ``build`` refuses for its shape
+    or its values, raises ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from exc
+
+
 def _read_table(path):
     """Read a comma- or tab-delimited table (whichever the header uses more).
 
@@ -258,17 +269,11 @@ def load_dataset(manifest_path) -> Dataset:
     Samples missing from any block file or with missing survival are dropped
     (with a logged count). Block columns are aligned by sample id.
     """
-    manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    base = manifest_path.parent
-    try:
-        survival_path = base / manifest["survival"]
-        specs = [(spec["name"], spec["kind"], int(spec.get("b", 1)), base / spec["path"])
-                 for spec in manifest["blocks"]]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"{manifest_path}: not a dataset manifest "
-                         f"({type(exc).__name__}: {exc})") from exc
+    base = Path(manifest_path).parent
+    survival_path, specs = load_document(manifest_path, lambda manifest: (
+        base / manifest["survival"],
+        [(spec["name"], spec["kind"], int(spec.get("b", 1)), base / spec["path"])
+         for spec in manifest["blocks"]]), "dataset manifest")
 
     survival_map = _read_survival(survival_path)
     dropped_survival = [sid for sid, s in survival_map.items() if s is None]

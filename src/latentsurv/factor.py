@@ -119,6 +119,15 @@ class FaModel:
             raise ValueError("d_z must be >= 1")
         object.__setattr__(self, "block_params", tuple(self.block_params))
         object.__setattr__(self, "variational", tuple(self.variational))
+        for i, (params, state) in enumerate(zip(self.block_params, self.variational)):
+            if (params.psi is None) == (state is None):
+                raise ValueError(f"block {i}: needs either psi (normal) or a variational state")
+            d_x = params.W.shape[:1]
+            if (params.W.shape[1:] != (self.d_z,) or params.mu.shape != d_x
+                    or (params.psi is not None and params.psi.shape != d_x)
+                    or (state is not None and state.xi.shape[:1] != d_x)):
+                raise ValueError(f"block {i}: W must be d_x x {self.d_z}, and mu, psi "
+                                 "and the rows of xi must have length d_x")
 
 
 def lambda_of_xi(xi):
@@ -208,8 +217,7 @@ def _single_block_estep(params: BlockParams, state: VariationalState | None,
                         X: np.ndarray, b: int = 1) -> LatentPosterior:
     """Posterior given one block: normal without a state, multinomial when the
     state carries alpha, binomial otherwise."""
-    prec, h = _block_quadratic(np.asarray(X, dtype=float), b, params, state)
-    return _posterior_from_inverse(np.linalg.inv(prec + np.eye(params.d_z)), h)
+    return diverse_estep([params], [state], [_FitBlock(np.asarray(X, dtype=float), b, None)])
 
 
 binomial_estep = multinomial_estep = _single_block_estep
@@ -300,20 +308,14 @@ def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
     ``post``, each later one ``refresh(params, states)``."""
     var = [i for i, s in enumerate(states) if s is not None]
     multi = [i for i in var if states[i].alpha is not None]
-    fresh = [post]
-
-    def posterior():
-        return fresh.pop() if fresh else refresh(params, states)
-
     if var:
-        post = posterior()
         for i in var:
             states[i] = replace(states[i], xi=update_xi(params[i], post, alpha=states[i].alpha))
+        post = refresh(params, states)
     if multi:
-        post = posterior()
         for i in multi:
             states[i] = replace(states[i], alpha=update_alpha(params[i], post, states[i]))
-    post = posterior()
+        post = refresh(params, states)
     for i, (X, b, floor) in enumerate(data):
         if states[i] is None:
             params[i] = gaussian_mstep(X, post, psi_floor=floor)
@@ -323,7 +325,7 @@ def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
                 W[-1, :] = 0.0
             params[i] = replace(params[i], W=W)
     if var:
-        post = posterior()
+        post = refresh(params, states)
         for i in var:
             mu = update_mu(*data[i][:2], params[i].W, post, states[i])
             if i in multi:

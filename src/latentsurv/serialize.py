@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, ParseError
+from .data import Dataset, load_document
 from .factor import BlockParams, FaModel, VariationalState
 from .hazard import HazardParams
 from .joint import JointModel, averaged_variational
@@ -119,23 +120,14 @@ def model_from_dict(doc: dict) -> tuple[JointModel, str]:
         raise ValueError(f"unsupported model format {version!r}")
     params, states = [], []
     for blk in doc["blocks"]:
-        params.append(BlockParams(
-            W=np.array(blk["W"], dtype=float),
-            mu=np.array(blk["mu"], dtype=float),
-            psi=None if blk["psi"] is None else np.array(blk["psi"], dtype=float)))
-        if blk["xi_mean"] is None:
-            states.append(None)
-        else:
-            xi = np.array(blk["xi_mean"], dtype=float)[:, None]
-            alpha = None if blk["alpha_mean"] is None else np.array([blk["alpha_mean"]])
-            states.append(VariationalState(xi=xi, alpha=alpha))
+        params.append(BlockParams(W=blk["W"], mu=blk["mu"], psi=blk["psi"]))
+        states.append(None if blk["xi_mean"] is None else VariationalState(
+            xi=np.reshape(blk["xi_mean"], (-1, 1)),
+            alpha=None if blk["alpha_mean"] is None else [blk["alpha_mean"]]))
     fa = FaModel(d_z=int(doc["d_z"]), block_params=tuple(params),
                  variational=tuple(states), heywood_flag=bool(doc["heywood_flag"]))
-    model = JointModel(fa=fa,
-                       w_T=HazardParams(np.array(doc["w_T"], dtype=float)),
-                       w_C=HazardParams(np.array(doc["w_C"], dtype=float)),
-                       kappa_used=doc["kappa_used"],
-                       fit_mode=doc["fit_mode"])
+    model = JointModel(fa=fa, w_T=HazardParams(doc["w_T"]), w_C=HazardParams(doc["w_C"]),
+                       kappa_used=doc["kappa_used"], fit_mode=doc["fit_mode"])
     prefix = V1_DIGEST_PREFIX if version == 1 else ""
     return model, prefix + doc["manifest_hash"]
 
@@ -144,66 +136,31 @@ def save_model(model: JointModel, blocks, path):
     atomic_write(path, json.dumps(model_to_dict(model, blocks), indent=1))
 
 
-def _load_document(path, from_dict, what: str):
-    """Read a JSON document and rebuild its objects with ``from_dict``; a
-    document of the wrong shape raises ParseError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return from_dict(doc)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"{path}: not a {what} document "
-                         f"({type(exc).__name__}: {exc})") from exc
-
-
 def load_model(path) -> tuple[JointModel, str]:
-    return _load_document(path, model_from_dict, "model")
+    return load_document(path, model_from_dict, "model document")
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: the documents hold the dataclasses' fields by name
 # ---------------------------------------------------------------------------
+
+def _fields_dict(obj) -> dict:
+    """A dataclass's fields by name, with arrays and tuples as lists."""
+    return {field.name: _arr(value) if isinstance(value, np.ndarray)
+            else list(value) if isinstance(value, tuple) else value
+            for field in dataclasses.fields(obj) for value in [getattr(obj, field.name)]}
+
 
 def scenario_to_dict(scenario: SimScenario) -> dict:
-    return {
-        "d_z": scenario.d_z,
-        "n_train": scenario.n_train,
-        "n_test": scenario.n_test,
-        "seed": scenario.seed,
-        "w_T": _arr(scenario.w_T),
-        "w_C": _arr(scenario.w_C),
-        "blocks": [
-            {
-                "name": s.name, "kind": s.kind, "d_x": s.d_x, "b": s.b,
-                "W": _arr(s.W), "mu": _arr(s.mu), "psi": _arr(s.psi),
-                "w_scale": s.w_scale, "psi_range": list(s.psi_range),
-            }
-            for s in scenario.blocks
-        ],
-    }
+    return {**_fields_dict(scenario), "blocks": [_fields_dict(s) for s in scenario.blocks]}
 
 
 def scenario_from_dict(doc: dict) -> SimScenario:
-    blocks = tuple(
-        BlockSpec(
-            name=b["name"], kind=b["kind"], d_x=int(b["d_x"]), b=int(b.get("b", 1)),
-            W=None if b.get("W") is None else np.array(b["W"], dtype=float),
-            mu=None if b.get("mu") is None else np.array(b["mu"], dtype=float),
-            psi=None if b.get("psi") is None else np.array(b["psi"], dtype=float),
-            w_scale=float(b.get("w_scale", 1.0)),
-            psi_range=tuple(b.get("psi_range", (0.5, 1.5))),
-        )
-        for b in doc["blocks"]
-    )
-    return SimScenario(d_z=int(doc["d_z"]), blocks=blocks,
-                       w_T=np.array(doc["w_T"], dtype=float),
-                       w_C=np.array(doc["w_C"], dtype=float),
-                       n_train=int(doc["n_train"]), n_test=int(doc["n_test"]),
-                       seed=int(doc["seed"]))
+    return SimScenario(**{**doc, "blocks": tuple(BlockSpec(**b) for b in doc["blocks"])})
 
 
 def load_scenario(path) -> SimScenario:
-    return _load_document(path, scenario_from_dict, "scenario")
+    return load_document(path, scenario_from_dict, "scenario document")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, softmax
 
-from .data import CovariateBlock, Dataset, Survival
+from .data import BLOCK_KINDS, CovariateBlock, Dataset, Survival
 from .joint import JointModel
 
 
@@ -24,6 +24,25 @@ class BlockSpec:
     w_scale: float = 1.0
     psi_range: tuple[float, float] = (0.5, 1.5)
 
+    def __post_init__(self):
+        for name, kind in (("d_x", int), ("b", int), ("w_scale", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "psi_range", tuple(map(float, self.psi_range)))
+        for name in ("W", "mu", "psi"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.kind not in BLOCK_KINDS:
+            raise ValueError(f"block {self.name!r}: unknown block kind {self.kind!r}")
+        if self.d_x < 1 or self.b < 1:
+            raise ValueError(f"block {self.name!r}: d_x and b must be at least 1")
+        lo, hi = self.psi_range
+        if not 0 < lo <= hi:
+            raise ValueError(f"block {self.name!r}: psi_range must satisfy 0 < lo <= hi")
+        if any(a is not None and a.shape != (self.d_x,) for a in (self.mu, self.psi)):
+            raise ValueError(f"block {self.name!r}: mu and psi must have d_x entries")
+        if self.psi is not None and not np.all(self.psi > 0):
+            raise ValueError(f"block {self.name!r}: psi entries must be positive")
+
 
 @dataclass(frozen=True)
 class SimScenario:
@@ -36,6 +55,10 @@ class SimScenario:
     seed: int
 
     def __post_init__(self):
+        for name in ("d_z", "n_train", "n_test", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.d_z < 0 or self.n_train < 1 or self.n_test < 0 or self.seed < 0:
+            raise ValueError("need d_z >= 0, n_train >= 1, n_test >= 0 and seed >= 0")
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "w_T", np.asarray(self.w_T, dtype=float).ravel())
         object.__setattr__(self, "w_C", np.asarray(self.w_C, dtype=float).ravel())
@@ -48,9 +71,9 @@ class SimScenario:
 
 def _realize_params(spec: BlockSpec, d_z: int, rng: np.random.Generator):
     if spec.W is not None:
-        W = np.asarray(spec.W, dtype=float)
-        mu = np.zeros(spec.d_x) if spec.mu is None else np.asarray(spec.mu, dtype=float)
-        psi = np.ones(spec.d_x) if spec.psi is None else np.asarray(spec.psi, dtype=float)
+        W = spec.W
+        mu = np.zeros(spec.d_x) if spec.mu is None else spec.mu
+        psi = np.ones(spec.d_x) if spec.psi is None else spec.psi
     else:
         W = rng.normal(scale=spec.w_scale, size=(spec.d_x, d_z))
         mu = np.zeros(spec.d_x)

@@ -258,6 +258,14 @@ def test_every_command_echoes_its_options(runner, tmp_path):
         assert list(doc["options"]) == list(options)
 
 
+def assert_refused(result, path):
+    """Exit 2 through one ``error:`` line that names ``path``, no traceback."""
+    assert result.exit_code == EXIT_BAD_INPUT, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error:") and result.output.count("\n") == 1
+    assert str(path) in result.output and "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("kind, doc", [
     ("model", {"format_version": 2, "blocks": 5, "d_z": 2}),
     ("model", [1, 2]),
@@ -265,10 +273,11 @@ def test_every_command_echoes_its_options(runner, tmp_path):
     ("manifest", {"blocks": ["expr"]}),
     ("manifest", []),
     ("scenario", ["x"]),
+    ("model", None),
 ])
 def test_wrong_shape_document_exit_2(runner, tmp_path, kind, doc):
-    """A JSON document of the wrong shape is bad input: one error line that
-    names the file, never a traceback."""
+    """A JSON document of the wrong shape, or a file that is not JSON, is bad
+    input: one error line that names the file, never a traceback."""
     sim = tmp_path / "sim"
     run_ok(runner, ["simulate", "--scenario", str(scenario_file(tmp_path, n_test=0)),
                     "--out", str(sim)])
@@ -277,17 +286,87 @@ def test_wrong_shape_document_exit_2(runner, tmp_path, kind, doc):
         doc = {**json.loads(train.read_text()), **doc}
     # a manifest sits beside the block files it names
     path = (sim if kind == "manifest" else tmp_path) / f"{kind}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text("{not json" if doc is None else json.dumps(doc))
     args = {"model": ["predict", "--model", str(path), "--data", str(train),
                       "--out", str(tmp_path / "p.csv")],
             "manifest": ["fit", "--data", str(path), "--dz", "2",
                          "--out", str(tmp_path / "m.json")],
             "scenario": ["simulate", "--scenario", str(path), "--out", str(tmp_path / "s")]}
-    result = runner.invoke(main, args[kind])
-    assert result.exit_code == EXIT_BAD_INPUT, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("error:") and result.output.count("\n") == 1
-    assert str(path) in result.output and "Traceback" not in result.output
+    assert_refused(runner.invoke(main, args[kind]), path)
+
+
+@pytest.mark.parametrize("top, block", [
+    ({}, {"kind": "bogus"}),
+    ({}, {"b": 0}),
+    ({}, {"d_x": 0}),
+    ({}, {"psi_range": [-1, -0.5]}),
+    ({}, {"w_sale": 2.0}),
+    ({}, {"W": [[0.1, 0.2]] * 8, "mu": [0.0] * 3}),
+    ({}, {"W": [[0.1, 0.2]] * 8, "psi": [-1.0] * 8}),
+    ({"n_train": -3}, {}),
+    ({"seed": -1}, {}),
+    (None, None),
+], ids=["kind", "b", "d_x", "psi_range", "unknown_key", "mu", "psi", "n_train", "seed",
+     "not_json"])
+def test_out_of_range_scenario_exit_2(runner, tmp_path, top, block):
+    """A scenario value out of range, a key that is no field name, or a file
+    that is not JSON is bad input naming the file; nothing is written."""
+    path = scenario_file(tmp_path)
+    if top is None:
+        path.write_text("{not json")
+    else:
+        doc = json.loads(path.read_text())
+        doc["blocks"][0].update(block)
+        path.write_text(json.dumps({**doc, **top}))
+    out = tmp_path / "sim"
+    assert_refused(runner.invoke(main, ["simulate", "--scenario", str(path),
+                                        "--out", str(out)]), path)
+    assert not out.exists()
+
+
+def _drop_last_row(doc):
+    doc["blocks"][0]["W"].pop()
+
+
+def _drop_a_column(doc):
+    for row in doc["blocks"][0]["W"]:
+        row.pop()
+
+
+def _drop_second_block(doc):
+    del doc["blocks"][1]
+
+
+def _drop_normal_psi(doc):
+    doc["blocks"][0]["psi"] = None
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A simulated dataset and the model fitted on its training part."""
+    runner, tmp = CliRunner(), tmp_path_factory.mktemp("fitted")
+    run_ok(runner, ["simulate", "--scenario", str(scenario_file(tmp)), "--out", str(tmp)])
+    run_ok(runner, ["fit", "--data", str(tmp / "train_manifest.json"), "--dz", "2",
+                    "--out", str(tmp / "model.json")])
+    return tmp
+
+
+@pytest.mark.parametrize("command", ["predict", "project"])
+@pytest.mark.parametrize("edit", [_drop_last_row, _drop_a_column, _drop_second_block,
+                                  _drop_normal_psi])
+def test_model_arrays_not_fitting_exit_2(runner, fitted, tmp_path, command, edit):
+    """A model whose arrays do not fit its blocks, or whose blocks do not fit
+    the dataset although its manifest digest does, is bad input naming the
+    file; nothing is written."""
+    doc = json.loads((fitted / "model.json").read_text())
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert_refused(runner.invoke(main, [command, "--model", str(path), "--data",
+                                        str(fitted / "train_manifest.json"),
+                                        "--out", str(out)]), path)
+    assert not out.exists()
 
 
 class TestManifestDigest:

@@ -659,6 +659,22 @@ class TestFitFa:
         np.testing.assert_array_equal(post.cov, ref.cov)
 
 
+@pytest.mark.parametrize("params, state", [
+    (BlockParams(W=np.ones((3, 1)), mu=np.zeros(3), psi=np.ones(3)), None),
+    (BlockParams(W=np.ones((2, 2)), mu=np.zeros(3), psi=np.ones(2)), None),
+    (BlockParams(W=np.ones((3, 2)), mu=np.zeros(3), psi=np.ones(2)), None),
+    (BlockParams(W=np.ones((3, 2)), mu=np.zeros(3)), VariationalState(xi=np.ones((2, 1)))),
+    (BlockParams(W=np.ones((3, 2)), mu=np.zeros(3)), None),
+    (BlockParams(W=np.ones((3, 2)), mu=np.zeros(3), psi=np.ones(3)),
+     VariationalState(xi=np.ones((3, 1)))),
+])
+def test_fa_model_refuses_arrays_of_the_wrong_shape(params, state):
+    """W must be d_x x d_z, mu, psi and the rows of xi must number d_x, and a
+    block has either psi (normal) or a variational state."""
+    with pytest.raises(ValueError, match="block 0"):
+        FaModel(d_z=2, block_params=(params,), variational=(state,))
+
+
 class TestFaObjective:
     def test_reduces_to_gaussian_density(self, rng):
         block = normal_block(rng, 4, 12, d_z=2)
