@@ -217,13 +217,17 @@ def _read_matrix(path):
     feature_names, values = [], []
     for lineno, row in rows:
         feature_names.append(row[0].strip())
-        vals = []
-        for col, cell in enumerate(row[1:], start=2):
-            token = cell.strip()
-            try:
-                vals.append(np.nan if token.lower() in MISSING_TOKENS else float(token))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric cell {token!r} (column {col})") from None
+        try:  # float strips whitespace and reads nan itself
+            vals = list(map(float, row[1:]))
+        except ValueError:  # another missing token, or a bad cell: read cell by cell
+            vals = []
+            for col, cell in enumerate(row[1:], start=2):
+                token = cell.strip()
+                try:
+                    vals.append(np.nan if token.lower() in MISSING_TOKENS else float(token))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric cell {token!r} "
+                                     f"(column {col})") from None
         values.append(vals)
     matrix = np.array(values, dtype=float).reshape(len(rows), len(sample_ids))
     bad = np.argwhere(np.isinf(matrix))

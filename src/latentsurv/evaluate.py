@@ -4,6 +4,7 @@ model selection."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +20,56 @@ class UndefinedCIndexError(ValueError):
     """No comparable pairs: the concordance denominator is zero."""
 
 
-def _pair_terms(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Pair term [x_n >= x_m] dx_m - [x_n <= x_m] dx_n over all ordered pairs
-    n != m, zero on the diagonal."""
-    terms = (x[:, None] >= x[None, :]) * dx[None, :] - (x[:, None] <= x[None, :]) * dx[:, None]
-    np.fill_diagonal(terms, 0.0)
-    return terms
+def _half_pair_sum(t, d, x, dx) -> float:
+    """Half of sum_{n,m} T_nm X_nm, where T_nm = [t_n >= t_m] d_m - [t_n <= t_m] d_n
+    and X_nm is the same pair term of (x, dx). Both are antisymmetric, so the
+    sum is sum_m d_m sum_{n: t_n >= t_m} X_nm; the n = m term is zero. Visiting
+    the samples by descending t, each tie group inserted before any member is
+    queried, two Fenwick trees over the ranks of x give #{x_n >= x_m} and
+    sum dx_n [x_n <= x_m]: O(N log N) time, O(N) memory. A NaN t or x compares
+    false with everything, so such a sample adds no pair term; a NaN weight
+    makes the sum NaN, as 0 * NaN does in every pair term of the dense form."""
+    if np.isnan(d).any() or np.isnan(dx).any():
+        return math.nan
+    keep = ~(np.isnan(t) | np.isnan(x))
+    t, d, x, dx = t[keep], d[keep], x[keep], dx[keep]
+    levels, rank = np.unique(x, return_inverse=True)
+    size = levels.size
+    count, weight = [0] * (size + 1), [0.0] * (size + 1)
+    order = np.argsort(-t, kind="stable")
+    t_desc = t[order]
+    bounds = np.flatnonzero(np.r_[True, t_desc[1:] != t_desc[:-1], True]).tolist()
+    order, rank = order.tolist(), (rank + 1).tolist()
+    d, dx = d.tolist(), dx.tolist()
+    total = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = order[lo:hi]
+        for n in group:
+            i, w = rank[n], dx[n]
+            while i <= size:
+                count[i] += 1
+                weight[i] += w
+                i += i & -i
+        for m in group:
+            if not d[m]:
+                continue
+            below, i = 0, rank[m] - 1
+            while i:
+                below += count[i]
+                i -= i & -i
+            at_or_below, i = 0.0, rank[m]
+            while i:
+                at_or_below += weight[i]
+                i -= i & -i
+            # hi samples are in the trees, hi - below of them with x_n >= x_m
+            total += d[m] * ((hi - below) * dx[m] - at_or_below)
+    return total
 
 
 def c_index(t_true, delta, t_pred, delta_pred=None) -> float:
     """Concordance index that zeroes tied comparable pairs; 1 = perfect order,
-    0.5 = random. Predictions default to uncensored."""
+    0.5 = random. Predictions default to uncensored. Exact, in O(N log N) time
+    and O(N) memory; with 0/1 events every partial sum is an integer."""
     t_true = np.asarray(t_true, dtype=float)
     delta = np.asarray(delta, dtype=float)
     t_pred = np.asarray(t_pred, dtype=float)
@@ -40,12 +80,11 @@ def c_index(t_true, delta, t_pred, delta_pred=None) -> float:
         raise ValueError("inputs must have equal length")
     if t_true.size < 2:
         raise ValueError("need at least two samples")
-    truth = _pair_terms(t_true, delta)
     n_pairs = t_true.size * (t_true.size - 1)
-    denom = float((truth * truth).sum() / n_pairs)
+    denom = 2.0 * _half_pair_sum(t_true, delta, t_true, delta) / n_pairs
     if denom <= 0:
         raise UndefinedCIndexError("no comparable pairs; c-index undefined")
-    num = float((truth * _pair_terms(t_pred, delta_pred)).sum() / n_pairs)
+    num = 2.0 * _half_pair_sum(t_true, delta, t_pred, delta_pred) / n_pairs
     return 0.5 * (num / denom + 1.0)
 
 

@@ -79,6 +79,12 @@ class VariationalState:
         """lambda(xi), computed once per state."""
         return lambda_of_xi(self.xi)
 
+    def with_alpha(self, alpha) -> VariationalState:
+        """This state with a new alpha; xi is unchanged, so lambda(xi) carries over."""
+        moved = replace(self, alpha=alpha)
+        moved.__dict__["lam"] = self.lam
+        return moved
+
 
 @dataclass(frozen=True)
 class LatentPosterior:
@@ -314,7 +320,7 @@ def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
         post = refresh(params, states)
     if multi:
         for i in multi:
-            states[i] = replace(states[i], alpha=update_alpha(params[i], post, states[i]))
+            states[i] = states[i].with_alpha(update_alpha(params[i], post, states[i]))
         post = refresh(params, states)
     for i, (X, b, floor) in enumerate(data):
         if states[i] is None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from latentsurv.cli import main
 from latentsurv.data import (
+    MISSING_TOKENS,
     CovariateBlock,
     Dataset,
     ParseError,
@@ -22,6 +23,7 @@ from latentsurv.data import (
     make_split,
     variance_filter,
     zscore_block,
+    _read_matrix,
 )
 from tests.conftest import make_dataset, make_survival
 
@@ -153,6 +155,46 @@ TIME_CELLS = _cells(4, ["0", "1", " 2.5 ", "1e300", "5e-324", "nan", "", "-1", "
                     st.floats(min_value=0))
 EVENT_CELLS = _cells(4, ["0", "1", "true", "FALSE", "", "2", "-1"], st.integers(0, 1))
 BLOCK_CELLS = _cells(8, ["0", "1", "-2", "2.5", "NA", "", "-nan", "inf", "1e300"], st.floats())
+
+
+def per_cell_reading(cells):
+    """One matrix row read cell by cell (strip, a missing token is NaN, else
+    float, then the infinity check): its values, or the error message."""
+    values = []
+    for col, cell in enumerate(cells, start=2):
+        token = cell.strip()
+        try:
+            values.append(np.nan if token.lower() in MISSING_TOKENS else float(token))
+        except ValueError:
+            return f"non-numeric cell {token!r} (column {col})"
+    for col, (cell, value) in enumerate(zip(cells, values), start=2):
+        if math.isinf(value):
+            return f"non-finite cell {cell.strip()!r} (column {col})"
+    return np.array([values])
+
+
+MATRIX_CELLS = [" 1.5 ", "NaN", "nan", "NA", "", "null", "-0", "1e308", "1_0", "inf", "abc",
+                "-nan", "\t2\t", "1e400"]
+
+
+class TestReadMatrixCells:
+    @pytest.mark.parametrize("first", MATRIX_CELLS)
+    def test_row_reads_as_per_cell(self, tmp_path, first):
+        """Every pair of cells in one row: the matrix is byte-equal to the
+        per-cell reading, and a refused cell gets the per-cell message."""
+        path = tmp_path / "m.csv"
+        for second in MATRIX_CELLS:
+            cells = [first, second, "3"]
+            path.write_text("feature,s1,s2,s3\nf1," + ",".join(cells) + "\n")
+            want = per_cell_reading(cells)
+            if isinstance(want, str):
+                with pytest.raises(ParseError) as exc:
+                    _read_matrix(path)
+                assert str(exc.value) == f"{path}:2: {want}"
+            else:
+                ids, names, matrix = _read_matrix(path)
+                assert (ids, names) == (["s1", "s2", "s3"], ["f1"])
+                assert matrix.tobytes() == want.tobytes(), cells
 
 
 class TestLoaderFuzz:

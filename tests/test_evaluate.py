@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentsurv.data import make_split
 from latentsurv.evaluate import (
@@ -46,6 +49,42 @@ def brute_force_c_index(t_true, delta, t_pred, delta_pred=None):
     if den <= 0:
         raise UndefinedCIndexError("no comparable pairs")
     return 0.5 * (num / den + 1.0)
+
+
+def pair_terms(x, dx):
+    """Pair term [x_n >= x_m] dx_m - [x_n <= x_m] dx_n over all ordered pairs
+    n != m, zero on the diagonal."""
+    terms = (x[:, None] >= x[None, :]) * dx[None, :] - (x[:, None] <= x[None, :]) * dx[:, None]
+    np.fill_diagonal(terms, 0.0)
+    return terms
+
+
+def dense_c_index(t_true, delta, t_pred, delta_pred=None):
+    """c_index from the dense N x N pair-term matrices: the same sums as the
+    Fenwick count, in O(N^2) memory."""
+    t_true, delta, t_pred = (np.asarray(a, float) for a in (t_true, delta, t_pred))
+    delta_pred = np.ones_like(t_pred) if delta_pred is None else np.asarray(delta_pred, float)
+    truth = pair_terms(t_true, delta)
+    n_pairs = t_true.size * (t_true.size - 1)
+    denom = float((truth * truth).sum() / n_pairs)
+    if denom <= 0:
+        raise UndefinedCIndexError("no comparable pairs; c-index undefined")
+    num = float((truth * pair_terms(t_pred, delta_pred)).sum() / n_pairs)
+    return 0.5 * (num / denom + 1.0)
+
+
+TIED_VALUES = [0.5, 1.0, 1.5, 2.0, 3.0]
+# dyadic weights keep every sum exact, so a zero denominator is exactly zero
+WEIGHTS = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
+
+
+@st.composite
+def tied_cases(draw):
+    n = draw(st.integers(2, 40))
+    column = lambda values: np.array(draw(st.lists(st.sampled_from(values),
+                                                   min_size=n, max_size=n)))
+    return (column(TIED_VALUES), column(WEIGHTS), column(TIED_VALUES + [np.nan]),
+            column(WEIGHTS))
 
 
 class TestCIndexTrivial:
@@ -136,6 +175,53 @@ class TestCIndexProperties:
             d[0] = 1.0
             p = rng.exponential(1, 8)
             assert 0.0 <= c_index(t, d, p) <= 1.0
+
+
+class TestCIndexAgainstDenseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=tied_cases())
+    def test_weighted_ties_match_oracle(self, case):
+        """Heavy ties in t and p, NaN predictions, non-binary event weights."""
+        try:
+            want = dense_c_index(*case)
+        except UndefinedCIndexError:
+            with pytest.raises(UndefinedCIndexError):
+                c_index(*case)
+            return
+        assert c_index(*case) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("where", ["delta", "delta_pred"])
+    def test_nan_weight_gives_nan(self, where):
+        case = {"t_true": [1.0, 2.0, 3.0], "delta": [1.0, 1.0, 0.0],
+                "t_pred": [1.0, 2.0, 3.0], "delta_pred": [1.0, 1.0, 1.0]}
+        case[where][2] = np.nan
+        assert np.isnan(dense_c_index(**case)) and np.isnan(c_index(**case))
+
+    def test_binary_events_equal_oracle_exactly(self, rng):
+        N = 2000
+        t = np.round(rng.exponential(1.0, N), 1)
+        d = (rng.random(N) < 0.6).astype(float)
+        p = np.round(rng.standard_normal(N), 1)
+        dp = (rng.random(N) < 0.8).astype(float)
+        assert c_index(t, d, p) == dense_c_index(t, d, p)
+        assert c_index(t, d, p, dp) == dense_c_index(t, d, p, dp)
+
+    def test_memory_linear_in_n(self, rng):
+        N = 4000
+        t = rng.permutation(N).astype(float)
+        d = (rng.random(N) < 0.7).astype(float)
+        p = rng.permutation(N).astype(float)
+        tracemalloc.start()
+        try:
+            got = c_index(t, d, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # distinct times and predictions: Harrell's concordant share of usable pairs
+        usable = (d[:, None] == 1) & (t[:, None] < t[None, :])
+        concordant = usable & (p[:, None] < p[None, :])
+        assert got == pytest.approx(concordant.sum() / usable.sum(), rel=1e-12)
 
 
 class TestModelCandidate:

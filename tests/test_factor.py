@@ -81,6 +81,8 @@ class TestLambdaOfXi:
         np.testing.assert_array_equal(state.lam, lambda_of_xi(state.xi))  # now cached
         moved = replace(state, xi=2.0 * state.xi)
         np.testing.assert_array_equal(moved.lam, lambda_of_xi(moved.xi))
+        realpha = state.with_alpha(np.zeros(4))  # same xi, so the same lambda
+        assert realpha.lam is state.lam and np.array_equal(realpha.alpha, np.zeros(4))
         params = [BlockParams(W=rng.standard_normal((3, 2)), mu=rng.standard_normal(3))]
         x = factor._coords(params, [state])
         _, [extrapolated] = factor._from_coords(x - 0.5, params, [state])
@@ -609,6 +611,15 @@ class TestFitFa:
         sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
         fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
         assert sweeps[0] <= k
+
+    def test_one_lambda_per_xi(self, rng, monkeypatch):
+        """One sweep on normal + binomial + multinomial data computes lambda(xi)
+        once per count block for the starting states and once after the xi
+        update; the alpha update keeps xi, and so keeps lambda."""
+        ds = make_dataset(rng, N=40, with_binomial=True, with_multinomial=True)
+        calls = count_calls(monkeypatch, factor, "lambda_of_xi")
+        fit_fa(ds, 2, max_iters=1)
+        assert calls[0] == 4
 
     def test_bound_never_falls_when_every_extrapolation_is_refused(self, rng, monkeypatch):
         """A step length of -1e6 throws each cycle far off, so every cycle
