@@ -71,15 +71,10 @@ def _load_dataset(path):
 
 def _load_model(path, blocks):
     with _exit_on((OSError, ValueError), "cannot load model: "):
-        model, stored_hash = serialize.load_model(path)
-    if not serialize.manifest_matches(stored_hash, blocks):
+        model, digest = serialize.load_model(path)
+    if digest != serialize.block_manifest_hash(blocks):
         _fail("model was fitted on different features than this dataset",
               EXIT_MANIFEST_MISMATCH)
-    model_sizes = [params.d_x for params in model.fa.block_params]
-    data_sizes = [blk.d_x for blk in blocks]
-    if model_sizes != data_sizes:
-        _fail(f"cannot load model: {path}: its blocks have {model_sizes} features, "
-              f"the dataset's {data_sizes}")
     return model
 
 
@@ -179,6 +174,7 @@ def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
         "selected": selected,
         "reports": [dataclasses.asdict(r) for r in reports],
         "test_indices": list(split.test_indices),
+        "test_cindex": None,  # stays None when undefined or under two held-out samples
     }
 
     # Refit the selected candidate on the full learning set and score held-out data.
@@ -188,10 +184,8 @@ def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
         fitted = evaluate.fit_candidate(chosen, learning, seed)
         if test.n_samples >= 2:
             preds = evaluate.predict_candidate(chosen, fitted, test)
-            try:
+            with contextlib.suppress(evaluate.UndefinedCIndexError):
                 report_doc["test_cindex"] = evaluate.c_index(test.times(), test.events(), preds)
-            except evaluate.UndefinedCIndexError:
-                report_doc["test_cindex"] = None
     serialize.atomic_write(out / "cv_report.json", json.dumps(report_doc, indent=1))
     serialize.write_table(out / "cv_folds.csv", ["candidate", "fold", "c_index"],
                           ([r.candidate_id, str(v), repr(c)]

@@ -201,7 +201,12 @@ def _block_quadratic(X: np.ndarray, b: int, params: BlockParams,
 
 def _accumulate(blocks, block_params, variational) -> tuple[np.ndarray, np.ndarray]:
     """Posterior precision (N x d_z x d_z, prior included) and linear term
-    h (d_z x N) given all blocks (``CovariateBlock``s or ``_FitBlock``s)."""
+    h (d_z x N) given all blocks (``CovariateBlock``s or ``_FitBlock``s), which
+    must have the parameters' per-block feature counts."""
+    data_sizes = [block.values.shape[0] for block in blocks]
+    model_sizes = [params.d_x for params in block_params]
+    if data_sizes != model_sizes:
+        raise ValueError(f"the blocks have {data_sizes} features, the parameters {model_sizes}")
     d_z = block_params[0].d_z
     N = blocks[0].values.shape[1]
     prec = np.broadcast_to(np.eye(d_z), (N, d_z, d_z)).copy()

@@ -223,13 +223,6 @@ def mh_sample(targets: SampleTargets, n: int, kappa: float, config: MhConfig,
     return kept[0].T, diag
 
 
-def _tuning_run(targets: SampleTargets, n: int, kappa: float, config: MhConfig,
-                seed: int, z0: np.ndarray, C_n: np.ndarray):
-    seeds = np.random.SeedSequence(seed).spawn(TUNING_CHAINS)
-    return _chains(targets, n, kappa, config, [np.random.default_rng(ss) for ss in seeds],
-                   z0, C_n)[1]
-
-
 def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
                z0: np.ndarray, C_n: np.ndarray) -> float:
     """Walk the kappa ladder (descending) on sample 0 with TUNING_CHAINS
@@ -237,7 +230,9 @@ def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
     R-hat thresholds, else the best composite candidate with a warning."""
     results = []
     for i, kappa in enumerate(config.kappa_ladder):
-        diag = _tuning_run(targets, 0, kappa, config, seed + i, z0, C_n)
+        rngs = [np.random.default_rng(ss)
+                for ss in np.random.SeedSequence(seed + i).spawn(TUNING_CHAINS)]
+        _, diag = _chains(targets, 0, kappa, config, rngs, z0, C_n)
         if (ACCEPT_LO <= diag.acceptance_rate <= ACCEPT_HI
                 and diag.n_eff >= MIN_N_EFF and diag.rhat <= MAX_RHAT):
             return kappa
@@ -253,27 +248,19 @@ def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
 # Monte-Carlo M-step for the hazards
 # ---------------------------------------------------------------------------
 
-def _hazard_moments(w: np.ndarray, samples: np.ndarray):
-    """samples: (N, S, d_z). Returns per-sample E[z~], E[z~ e], E[z~ z~^T e]."""
-    N, S, d_z = samples.shape
-    zt = np.concatenate([np.ones((N, S, 1)), samples], axis=2)
-    e = np.exp(zt @ w)  # (N, S)
-    E1 = zt.mean(axis=1)
-    Ee = np.einsum("nsj,ns->nj", zt, e) / S
-    Eze = np.einsum("nsj,nsk,ns->njk", zt, zt, e) / S
-    return E1, Ee, Eze
-
-
 def newton_mstep_w(w_s: HazardParams, samples: np.ndarray, times: np.ndarray,
                    events: np.ndarray) -> HazardParams:
-    """One Newton-Raphson step on the expected complete-data log-likelihood,
-    with moments estimated from the kept draws (one class: pass delta or 1-delta)."""
+    """One Newton-Raphson step on the expected complete-data log-likelihood, with
+    moments estimated from the kept draws (N, S, d_z) (one class: pass delta or 1-delta)."""
     w = w_s.w
     t = np.asarray(times, dtype=float)
     d = np.asarray(events, dtype=float)
-    E1, Ee, Eze = _hazard_moments(w, samples)
-    g = (d[:, None] * E1 - t[:, None] * Ee).sum(axis=0)
-    H = np.einsum("n,njk->jk", t, Eze)
+    N, S, _ = samples.shape
+    zt = np.concatenate([np.ones((N, S, 1)), samples], axis=2)
+    e = np.exp(zt @ w)  # (N, S)
+    Ee = np.einsum("nsj,ns->nj", zt, e) / S
+    g = (d[:, None] * zt.mean(axis=1) - t[:, None] * Ee).sum(axis=0)
+    H = np.einsum("n,njk->jk", t, np.einsum("nsj,nsk,ns->njk", zt, zt, e) / S)
     try:
         delta = np.linalg.solve(H, g)
     except np.linalg.LinAlgError:
@@ -286,16 +273,6 @@ def newton_mstep_w(w_s: HazardParams, samples: np.ndarray, times: np.ndarray,
 # ---------------------------------------------------------------------------
 # full fits
 # ---------------------------------------------------------------------------
-
-def _mc_estep(targets: SampleTargets, post: LatentPosterior, kappa: float,
-              config: MhConfig, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """Every sample's chain, run in lockstep with per-sample generators, so the
-    result equals sequential per-sample runs. Returns (N, n_keep, d_z)."""
-    rngs = [np.random.default_rng(ss) for ss in seed_seq.spawn(targets.N)]
-    kept, _ = _metropolis(targets, post.mean.T, np.linalg.cholesky(kappa * post.cov), rngs,
-                          config.burn_in, config.n_keep)
-    return kept
-
 
 def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
               mh: MhConfig | None = None, seed: int = 0) -> JointModel:
@@ -322,7 +299,10 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
         post = factor._posterior_from_inverse(np.linalg.inv(targets.prec), targets.h)
         if kappa is None:
             kappa = tune_kappa(targets, mh, tune_seed, post.mean[:, 0].copy(), post.cov[0])
-        samples = _mc_estep(targets, post, kappa, mh, seed_root.spawn(1)[0])
+        # one chain per sample, each with its own generator: (N, n_keep, d_z) draws
+        rngs = [np.random.default_rng(ss) for ss in seed_root.spawn(1)[0].spawn(targets.N)]
+        samples, _ = _metropolis(targets, post.mean.T, np.linalg.cholesky(kappa * post.cov),
+                                 rngs, mh.burn_in, mh.n_keep)
 
         # Monte-Carlo posterior moments for the factor M-steps
         mean = samples.mean(axis=1).T  # (d_z, N)

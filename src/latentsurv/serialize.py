@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .joint import JointModel, averaged_variational
 from .simulate import BlockSpec, SimScenario
 
 MODEL_FORMAT_VERSION = 2
-# A format-1 document's manifest digest comes back from ``model_from_dict``
-# with this prefix, so that ``manifest_matches`` checks it the format-1 way.
-V1_DIGEST_PREFIX = "v1:"
 
 
 def atomic_write(path, text: str):
@@ -67,14 +65,6 @@ def _v1_manifest_hash(blocks) -> str:
     return digest.hexdigest()
 
 
-def manifest_matches(stored: str, blocks) -> bool:
-    """Whether ``stored``, a digest as ``model_from_dict`` returns it, is the
-    manifest digest of ``blocks`` in its document's format."""
-    if stored.startswith(V1_DIGEST_PREFIX):
-        return stored[len(V1_DIGEST_PREFIX):] == _v1_manifest_hash(blocks)
-    return stored == block_manifest_hash(blocks)
-
-
 def _arr(a):
     return None if a is None else np.asarray(a).tolist()
 
@@ -108,9 +98,10 @@ def model_to_dict(model: JointModel, blocks) -> dict:
 
 
 def model_from_dict(doc: dict) -> tuple[JointModel, str]:
-    """Rebuild a model from its document; returns (model, manifest_hash).
-    Formats 1 and 2 differ only in the digest, and a format-1 digest comes
-    back prefixed with V1_DIGEST_PREFIX.
+    """Rebuild a model from its document; returns (model, the
+    ``block_manifest_hash`` of the blocks it lists). Formats 1 and 2 differ
+    only in the stored digest, which must be that of the listed blocks in the
+    document's format, and each listed block needs one W row per feature name.
 
     Stored variational parameters are the learning-set means, so the rebuilt
     state has one shared column per feature (what prediction uses anyway).
@@ -118,9 +109,16 @@ def model_from_dict(doc: dict) -> tuple[JointModel, str]:
     version = doc.get("format_version")
     if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format {version!r}")
+    listed = [SimpleNamespace(**blk) for blk in doc["blocks"]]
+    digest = block_manifest_hash(listed)
+    if doc["manifest_hash"] != (_v1_manifest_hash(listed) if version == 1 else digest):
+        raise ValueError("its manifest_hash is not the digest of the blocks it lists")
     params, states = [], []
     for blk in doc["blocks"]:
         params.append(BlockParams(W=blk["W"], mu=blk["mu"], psi=blk["psi"]))
+        if params[-1].d_x != len(blk["feature_names"]):
+            raise ValueError(f"block {blk['name']!r} has {params[-1].d_x} W rows for "
+                             f"{len(blk['feature_names'])} feature names")
         states.append(None if blk["xi_mean"] is None else VariationalState(
             xi=np.reshape(blk["xi_mean"], (-1, 1)),
             alpha=None if blk["alpha_mean"] is None else [blk["alpha_mean"]]))
@@ -128,8 +126,7 @@ def model_from_dict(doc: dict) -> tuple[JointModel, str]:
                  variational=tuple(states), heywood_flag=bool(doc["heywood_flag"]))
     model = JointModel(fa=fa, w_T=HazardParams(doc["w_T"]), w_C=HazardParams(doc["w_C"]),
                        kappa_used=doc["kappa_used"], fit_mode=doc["fit_mode"])
-    prefix = V1_DIGEST_PREFIX if version == 1 else ""
-    return model, prefix + doc["manifest_hash"]
+    return model, digest
 
 
 def save_model(model: JointModel, blocks, path):

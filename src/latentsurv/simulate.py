@@ -17,7 +17,7 @@ class BlockSpec:
     kind: str
     d_x: int
     b: int = 1
-    # explicit parameters; if W is None a random recipe is drawn
+    # explicit parameters, used whenever given; _realize_params fills the rest
     W: np.ndarray | None = None
     mu: np.ndarray | None = None
     psi: np.ndarray | None = None
@@ -70,13 +70,15 @@ class SimScenario:
 
 
 def _realize_params(spec: BlockSpec, d_z: int, rng: np.random.Generator):
-    if spec.W is not None:
-        W = spec.W
-        mu = np.zeros(spec.d_x) if spec.mu is None else spec.mu
-        psi = np.ones(spec.d_x) if spec.psi is None else spec.psi
+    """The spec's W, mu and psi where given. Otherwise W is drawn at w_scale,
+    mu is zeros, and psi is ones beside an explicit W, else drawn from psi_range."""
+    W = rng.normal(scale=spec.w_scale, size=(spec.d_x, d_z)) if spec.W is None else spec.W
+    mu = np.zeros(spec.d_x) if spec.mu is None else spec.mu
+    if spec.psi is not None:
+        psi = spec.psi
+    elif spec.W is not None:
+        psi = np.ones(spec.d_x)
     else:
-        W = rng.normal(scale=spec.w_scale, size=(spec.d_x, d_z))
-        mu = np.zeros(spec.d_x)
         psi = rng.uniform(*spec.psi_range, size=spec.d_x)
     if spec.kind == "multinomial":
         W = W.copy()

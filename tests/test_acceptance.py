@@ -358,10 +358,11 @@ def test_criterion_7_mh_calibration(capfd):
         tune_cfg = MhConfig(burn_in=300, n_keep=600)
         kappa = tune_kappa(targets, tune_cfg, seed=4, z0=post.mean[:, n].copy(),
                            C_n=post.cov[n])
-        from latentsurv.joint import _tuning_run
+        from latentsurv.joint import TUNING_CHAINS, _chains
         idx = tune_cfg.kappa_ladder.index(kappa)
-        d = _tuning_run(targets, n, kappa, tune_cfg, 4 + idx,
-                        post.mean[:, n].copy(), post.cov[n])
+        rngs = [np.random.default_rng(ss)
+                for ss in np.random.SeedSequence(4 + idx).spawn(TUNING_CHAINS)]
+        _, d = _chains(targets, n, kappa, tune_cfg, rngs, post.mean[:, n].copy(), post.cov[n])
         assert 0.134 <= d.acceptance_rate <= 0.334
         assert d.n_eff >= 10.0
         assert d.rhat <= 1.2

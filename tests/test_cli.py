@@ -341,6 +341,10 @@ def _drop_normal_psi(doc):
     doc["blocks"][0]["psi"] = None
 
 
+def _rename_first_feature(doc):
+    doc["blocks"][0]["feature_names"][0] += "_renamed"
+
+
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
     """A simulated dataset and the model fitted on its training part."""
@@ -353,11 +357,11 @@ def fitted(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["predict", "project"])
 @pytest.mark.parametrize("edit", [_drop_last_row, _drop_a_column, _drop_second_block,
-                                  _drop_normal_psi])
+                                  _drop_normal_psi, _rename_first_feature])
 def test_model_arrays_not_fitting_exit_2(runner, fitted, tmp_path, command, edit):
-    """A model whose arrays do not fit its blocks, or whose blocks do not fit
-    the dataset although its manifest digest does, is bad input naming the
-    file; nothing is written."""
+    """A model whose arrays do not fit its blocks, or whose listed blocks are
+    not those its manifest digest was made from, is bad input naming the file;
+    nothing is written."""
     doc = json.loads((fitted / "model.json").read_text())
     edit(doc)
     path = tmp_path / "model.json"
@@ -398,7 +402,8 @@ class TestManifestDigest:
 
     def test_format_1_model_still_predicts(self, runner, tmp_path):
         """A hand-written format-1 document, its digest the names and fields
-        concatenated: it predicts on its features and refuses others."""
+        concatenated: it predicts on its features and refuses others, also
+        those whose concatenation collides with its own."""
         v1_digest = hashlib.sha256("gnormal1abc".encode()).hexdigest()
         doc = {"format_version": 1, "d_z": 1, "heywood_flag": False,
                "manifest_hash": v1_digest,
@@ -410,8 +415,9 @@ class TestManifestDigest:
         model = tmp_path / "v1.json"
         model.write_text(json.dumps(doc))
         assert self._predict(runner, model, ("ab", "c"), tmp_path).exit_code == 0
-        result = self._predict(runner, model, ("ab", "d"), tmp_path)
-        assert result.exit_code == EXIT_MANIFEST_MISMATCH
+        for names in (("ab", "d"), ("a", "bc")):
+            result = self._predict(runner, model, names, tmp_path)
+            assert result.exit_code == EXIT_MANIFEST_MISMATCH
 
 
 class TestCvCommand:
@@ -444,6 +450,15 @@ class TestCvCommand:
         assert select_model(reports) == doc["selected"]
         if doc["selected"].startswith("latent"):
             assert (out / "selected_model.json").exists()
+
+    def test_no_held_out_samples_null_test_cindex(self, runner, tmp_path):
+        scn = scenario_file(tmp_path, n_train=30, n_test=0)
+        sim = tmp_path / "sim"
+        run_ok(runner, ["simulate", "--scenario", str(scn), "--out", str(sim)])
+        run_ok(runner, ["cv", "--data", str(sim / "train_manifest.json"), "--dz", "1",
+                        "--folds", "3", "--test-fraction", "0", "--out", str(tmp_path / "cv")])
+        doc = json.loads((tmp_path / "cv" / "cv_report.json").read_text())
+        assert doc["test_indices"] == [] and doc["test_cindex"] is None
 
     def test_no_candidates_exit_2(self, runner, tmp_path):
         scn = scenario_file(tmp_path, n_train=30, n_test=0)

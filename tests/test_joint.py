@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,10 +239,11 @@ class TestTuneKappa:
                            C_n=post.cov[0])
         assert kappa in cfg.kappa_ladder
         # re-run the returned entry's run and confirm it passes the thresholds
-        from latentsurv.joint import _tuning_run
+        from latentsurv.joint import _chains
         idx = cfg.kappa_ladder.index(kappa)
-        diag = _tuning_run(targets, 0, kappa, cfg, 3 + idx,
-                           post.mean[:, 0].copy(), post.cov[0])
+        rngs = [np.random.default_rng(ss)
+                for ss in np.random.SeedSequence(3 + idx).spawn(joint.TUNING_CHAINS)]
+        _, diag = _chains(targets, 0, kappa, cfg, rngs, post.mean[:, 0].copy(), post.cov[0])
         assert joint.ACCEPT_LO <= diag.acceptance_rate <= joint.ACCEPT_HI
         assert diag.n_eff >= joint.MIN_N_EFF
         assert diag.rhat <= joint.MAX_RHAT
@@ -399,6 +401,22 @@ class TestFitFast:
         fit_joint(train, 2, gem_iters=10, seed=0)
         full_t = time.perf_counter() - t0
         assert full_t >= 2 * fast_t
+
+
+class TestBlocksNotFittingTheModel:
+    @pytest.mark.parametrize("cut", ["dropped_block", "one_feature_each"])
+    def test_predict_and_objective_refuse(self, rng, cut):
+        """Blocks whose feature counts are not the model's [8, 6] are refused,
+        not broadcast against its parameters."""
+        ds = make_dataset(rng, N=30, with_binomial=True)
+        model = fit_fast(ds, 2)
+        blocks = (ds.blocks[:1] if cut == "dropped_block" else
+                  tuple(replace(b, values=b.values[:1], feature_names=b.feature_names[:1])
+                        for b in ds.blocks))
+        with pytest.raises(ValueError, match=r"\[8, 6\]"):
+            joint_predict(model, blocks)
+        with pytest.raises(ValueError, match=r"\[8, 6\]"):
+            factor.fa_objective(model.fa, replace(ds, blocks=blocks))
 
 
 class TestJointPredict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -139,6 +140,40 @@ class TestModelRoundtrip:
         doc = model_to_dict(fit_fast(ds, 2, seed=0), ds.blocks)
         doc["format_version"] = 999
         with pytest.raises(ValueError):
+            model_from_dict(doc)
+
+    @staticmethod
+    def _v1_document():
+        """A hand-written format-1 document: its digest is the block's name,
+        kind, trial count and feature names concatenated."""
+        return {"format_version": 1, "d_z": 1, "heywood_flag": False,
+                "manifest_hash": hashlib.sha256("gnormal1abc".encode()).hexdigest(),
+                "blocks": [{"name": "g", "kind": "normal", "b": 1, "feature_names": ["ab", "c"],
+                            "W": [[0.5], [-0.25]], "mu": [0.0, 1.0], "psi": [1.0, 2.0],
+                            "xi_mean": None, "alpha_mean": None}],
+                "w_T": [0.1, 0.7], "w_C": [-0.3, 0.0], "kappa_used": None,
+                "fit_mode": "fast_decoupled"}
+
+    def test_format_1_returns_format_2_digest_of_its_blocks(self):
+        _, digest = model_from_dict(self._v1_document())
+        listed = SimpleNamespace(name="g", kind="normal", b=1, feature_names=("ab", "c"))
+        assert digest == block_manifest_hash([listed])
+
+    @pytest.mark.parametrize("version", [1, MODEL_FORMAT_VERSION])
+    def test_blocks_not_matching_stored_digest_rejected(self, rng, version):
+        if version == 1:
+            doc = self._v1_document()
+        else:
+            ds = make_dataset(rng, N=15)
+            doc = model_to_dict(fit_fast(ds, 2, seed=0), ds.blocks)
+        doc["blocks"][0]["feature_names"][0] = "renamed"
+        with pytest.raises(ValueError, match="manifest_hash"):
+            model_from_dict(doc)
+
+    def test_one_W_row_per_feature_name(self):
+        doc = self._v1_document()
+        doc["blocks"][0].update(W=[[0.5]], mu=[0.0], psi=[1.0])
+        with pytest.raises(ValueError, match="1 W rows for 2 feature names"):
             model_from_dict(doc)
 
     def test_roundtrip_preserves_parameters(self, rng, tmp_path):

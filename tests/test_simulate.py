@@ -125,6 +125,23 @@ class TestBlockSampling:
         np.testing.assert_allclose(train.blocks[0].values.mean(axis=1), mu,
                                    atol=5 / math.sqrt(N) * 3)
 
+    def test_given_mu_and_psi_used_with_drawn_W(self):
+        """With W drawn, a regression of each row on the true latents recovers
+        the given mu as its intercept and the given psi as its residual variance."""
+        mu = np.array([100.0, 200.0, 300.0])
+        psi = np.array([0.01, 0.25, 4.0])
+        N = 2000
+        scn = SimScenario(d_z=2,
+                          blocks=(BlockSpec(name="g", kind="normal", d_x=3, mu=mu, psi=psi),),
+                          w_T=np.zeros(3), w_C=np.zeros(3), n_train=N, n_test=0, seed=6)
+        train, _, lat = simulate_dataset(scn)
+        design = np.vstack([np.ones(N), lat["train"]]).T
+        X = train.blocks[0].values
+        coef, *_ = np.linalg.lstsq(design, X.T, rcond=None)
+        resid = X.T - design @ coef
+        np.testing.assert_allclose(coef[0], mu, atol=0.3)
+        np.testing.assert_allclose(resid.var(axis=0), psi, rtol=0.15)
+
     def test_latents_drive_block(self):
         scn = SimScenario(d_z=1,
                           blocks=(BlockSpec(name="g", kind="normal", d_x=3,
