@@ -103,12 +103,13 @@ def simulate_cmd(scenario, out):
     with _exit_on((OSError, ValueError), "cannot load scenario: "):
         scn = serialize.load_scenario(scenario)
     train, test, latents = simulate.simulate_dataset(scn)
-    train_manifest = serialize.write_dataset(train, out, "train")
-    click.echo(f"wrote {train_manifest}")
-    if test.n_samples:
-        test_manifest = serialize.write_dataset(test, out, "test")
-        click.echo(f"wrote {test_manifest}")
-    _echo_config(out)
+    with _exit_on(OSError, "cannot write output: "):
+        train_manifest = serialize.write_dataset(train, out, "train")
+        click.echo(f"wrote {train_manifest}")
+        if test.n_samples:
+            test_manifest = serialize.write_dataset(test, out, "test")
+            click.echo(f"wrote {test_manifest}")
+        _echo_config(out)
 
 
 @main.command()
@@ -129,11 +130,12 @@ def fit(data, dz, fit_mode, gem_iters, seed, out):
         candidate = evaluate.ModelCandidate(kind="fa_ecph_c", d_z=dz, gem_iters=gem_iters,
                                             fit_mode=joint.FIT_MODES[fit_mode])
         model = evaluate.fit_candidate(candidate, dataset, seed)
-    serialize.save_model(model, dataset.blocks, out)
+    with _exit_on(OSError, "cannot write output: "):
+        serialize.save_model(model, dataset.blocks, out)
+        _echo_config(out.parent)
     if model.fa.heywood_flag:
         click.echo("warning: near-zero residual variance detected in the factor fit",
                    err=True)
-    _echo_config(out.parent)
     click.echo(f"wrote {out}")
 
 
@@ -186,14 +188,14 @@ def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
             preds = evaluate.predict_candidate(chosen, fitted, test)
             with contextlib.suppress(evaluate.UndefinedCIndexError):
                 report_doc["test_cindex"] = evaluate.c_index(test.times(), test.events(), preds)
-    serialize.atomic_write(out / "cv_report.json", json.dumps(report_doc, indent=1))
-    serialize.write_table(out / "cv_folds.csv", ["candidate", "fold", "c_index"],
-                          ([r.candidate_id, str(v), repr(c)]
-                           for r in reports for v, c in enumerate(r.fold_cindices)))
-
-    if chosen.kind == "fa_ecph_c":
-        serialize.save_model(fitted, learning.blocks, out / "selected_model.json")
-    _echo_config(out)
+    with _exit_on(OSError, "cannot write output: "):
+        serialize.atomic_write(out / "cv_report.json", json.dumps(report_doc, indent=1))
+        serialize.write_table(out / "cv_folds.csv", ["candidate", "fold", "c_index"],
+                              ([r.candidate_id, str(v), repr(c)]
+                               for r in reports for v, c in enumerate(r.fold_cindices)))
+        if chosen.kind == "fa_ecph_c":
+            serialize.save_model(fitted, learning.blocks, out / "selected_model.json")
+        _echo_config(out)
     click.echo(f"selected: {selected}")
 
 
@@ -205,9 +207,10 @@ def predict(model, data, out):
     """Predict expected event times for each sample."""
     dataset = _load_dataset(data)
     preds = joint.joint_predict(_load_model(model, dataset.blocks), dataset.blocks)
-    serialize.write_table(out, ["sample_id", "predicted_time"],
-                          zip(dataset.sample_ids, map(repr, preds.tolist())))
-    _echo_config(out.parent)
+    with _exit_on(OSError, "cannot write output: "):
+        serialize.write_table(out, ["sample_id", "predicted_time"],
+                              zip(dataset.sample_ids, map(repr, preds.tolist())))
+        _echo_config(out.parent)
     click.echo(f"wrote {out}")
 
 
@@ -224,8 +227,9 @@ def project(model, data, out):
     rows = ([sid, *map(repr, coords), repr(t), str(int(e))] for sid, coords, t, e in
             zip(dataset.sample_ids, post.mean.T.tolist(), dataset.times().tolist(),
                 dataset.events().tolist()))
-    serialize.write_table(out, header, rows)
-    _echo_config(out.parent)
+    with _exit_on(OSError, "cannot write output: "):
+        serialize.write_table(out, header, rows)
+        _echo_config(out.parent)
     click.echo(f"wrote {out}")
 
 

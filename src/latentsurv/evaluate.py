@@ -92,20 +92,18 @@ def c_index(t_true, delta, t_pred, delta_pred=None) -> float:
 class ModelCandidate:
     """One entry of the model-selection grid. Exactly one hyperparameter is set."""
 
-    kind: str                      # "fa_ecph_c" | "ecph_c_l1" | "ecph_c_fixed"
+    kind: str                      # "fa_ecph_c" | "ecph_c_l1"
     d_z: int | None = None
     gamma: float | None = None
-    fixed_features: tuple | None = None   # ((block_index, feature_index), ...)
     fit_mode: str = joint_mod.FIT_MODES["fast"]
     gem_iters: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("fa_ecph_c", "ecph_c_l1", "ecph_c_fixed"):
+        if self.kind not in ("fa_ecph_c", "ecph_c_l1"):
             raise ValueError(f"unknown candidate kind {self.kind!r}")
         if self.fit_mode not in joint_mod.FIT_MODES.values():
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
-        populated = sum(x is not None for x in (self.d_z, self.gamma, self.fixed_features))
-        if populated != 1:
+        if (self.d_z is None) == (self.gamma is None):
             raise ValueError("exactly one hyperparameter field must be set")
         if self.kind == "fa_ecph_c" and self.d_z is None:
             raise ValueError("latent-factor candidates need d_z")
@@ -115,17 +113,13 @@ class ModelCandidate:
             raise ValueError(f"gamma={self.gamma} must be non-negative")
         if self.kind == "ecph_c_l1" and self.gamma is None:
             raise ValueError("penalized candidates need gamma")
-        if self.kind == "ecph_c_fixed" and self.fixed_features is None:
-            raise ValueError("fixed-covariate candidates need fixed_features")
 
     @property
     def candidate_id(self) -> str:
-        if self.kind == "fa_ecph_c":
-            mode = {v: k for k, v in joint_mod.FIT_MODES.items()}[self.fit_mode]
-            return f"latent_dz{self.d_z}_{mode}"
         if self.kind == "ecph_c_l1":
             return f"l1_gamma{self.gamma:g}"
-        return f"fixed_{len(self.fixed_features)}feat"
+        mode = {v: k for k, v in joint_mod.FIT_MODES.items()}[self.fit_mode]
+        return f"latent_dz{self.d_z}_{mode}"
 
 
 @dataclass(frozen=True)
@@ -149,33 +143,25 @@ class CvReport:
                    error_folds=tuple(error_folds))
 
 
-def _covariates(candidate: ModelCandidate, data: Dataset) -> np.ndarray:
-    """A hazard-only candidate's covariates: every stacked feature for L1, the
-    chosen feature rows otherwise."""
-    if candidate.kind == "ecph_c_l1":
-        return data.stacked_values()
-    return np.vstack([data.blocks[b].values[i] for b, i in candidate.fixed_features])
-
-
 def fit_candidate(candidate: ModelCandidate, train: Dataset, seed: int):
     """Fit one candidate on a learning set; returns a ``JointModel`` for latent
-    candidates and the ``(w_T, w_C)`` hazard pair otherwise. Every fit goes
-    through here: CLI ``fit``, CV folds, the ``cv`` refit, ``LatentSurvival``."""
+    candidates and otherwise the ``(w_T, w_C)`` hazard pair on the stacked
+    features. Every fit goes through here: CLI ``fit``, CV folds, the ``cv``
+    refit, ``LatentSurvival``."""
     if candidate.kind == "fa_ecph_c":
         if candidate.fit_mode == joint_mod.FIT_MODES["fast"]:
             return joint_mod.fit_fast(train, candidate.d_z, seed=seed)
         return joint_mod.fit_joint(train, candidate.d_z,
                                    gem_iters=candidate.gem_iters, seed=seed)
-    gamma = candidate.gamma or 0.0
-    return fit_ecph(_covariates(candidate, train), train.survival,
-                    penalty=PenaltyConfig(gamma_T=gamma, gamma_C=gamma))
+    return fit_ecph(train.stacked_values(), train.survival,
+                    penalty=PenaltyConfig(gamma_T=candidate.gamma, gamma_C=candidate.gamma))
 
 
 def predict_candidate(candidate: ModelCandidate, fitted, data: Dataset) -> np.ndarray:
     if candidate.kind == "fa_ecph_c":
         return joint_mod.joint_predict(fitted, data.blocks)
     w_T, _ = fitted
-    return ecph_predict(w_T, _covariates(candidate, data))
+    return ecph_predict(w_T, data.stacked_values())
 
 
 def run_cv(dataset: Dataset, candidates, split: SplitPlan, seed: int = 0) -> list[CvReport]:

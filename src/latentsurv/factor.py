@@ -6,7 +6,7 @@ maximization (xi -> alpha -> loadings -> means). The latent posterior stays
 Gaussian for any mix of block kinds, so one accumulation (``_accumulate``)
 serves the E-step, the bound and the joint model's Metropolis targets, and one
 conditional sweep (``_conditional_sweep``) is the M-step of ``fit_fa``, of the
-joint model's Monte-Carlo EM and of the single-block ``*_mstep`` functions.
+joint model's Monte-Carlo EM and of ``multinomial_mstep`` on one count block.
 The bound is the log-normaliser of the posterior Gaussian, so ``fit_fa`` gets
 both at each parameter point from one accumulation and one inverse. The
 small-matrix kernels are GEMMs against the outer products of the loading rows.
@@ -96,10 +96,6 @@ class LatentPosterior:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-
-    @property
-    def n_samples(self) -> int:
-        return self.mean.shape[1]
 
     def second_moments(self) -> np.ndarray:
         """E[z z^T | x] per sample: cov_n + mean_n mean_n^T, shape (N, d_z, d_z)."""
@@ -231,14 +227,6 @@ def _single_block_estep(params: BlockParams, state: VariationalState | None,
     return diverse_estep([params], [state], [_FitBlock(np.asarray(X, dtype=float), b, None)])
 
 
-binomial_estep = multinomial_estep = _single_block_estep
-
-
-def gaussian_estep(params: BlockParams, X: np.ndarray) -> LatentPosterior:
-    """Exact posterior for a single normal block."""
-    return _single_block_estep(params, None, X)
-
-
 def gaussian_mstep(X: np.ndarray, posterior: LatentPosterior,
                    psi_floor: np.ndarray | float = PSI_FLOOR) -> BlockParams:
     """Closed-form update: means, then loadings, then noise diagonal."""
@@ -344,13 +332,6 @@ def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
             params[i] = replace(params[i], mu=mu)
 
 
-def binomial_mstep(params: BlockParams, posterior: LatentPosterior,
-                   X: np.ndarray, b: int = 1) -> tuple[BlockParams, VariationalState]:
-    """Conditional updates xi^2 -> W -> mu, as ``multinomial_mstep``."""
-    # no prior state: xi is re-estimated before anything reads it
-    return multinomial_mstep(params, VariationalState(xi=np.zeros(0)), posterior, X, b)
-
-
 def multinomial_mstep(params: BlockParams, state: VariationalState,
                       posterior: LatentPosterior, X: np.ndarray,
                       b: int = 1) -> tuple[BlockParams, VariationalState]:
@@ -410,20 +391,6 @@ def _posterior_and_bound(block_params, variational, data) -> tuple[LatentPosteri
     C = np.linalg.inv(prec)
     quad = 0.5 * np.einsum("jn,njk,kn->n", h, C, h)
     return _posterior_from_inverse(C, h), float((const + quad - 0.5 * logdet).sum())
-
-
-def gaussian_log_likelihood(params: BlockParams, X: np.ndarray) -> float:
-    """Exact marginal log-density of a normal block: N(mu, W W^T + Psi)."""
-    X = np.asarray(X, dtype=float)
-    d_x, N = X.shape
-    cov = params.W @ params.W.T + np.diag(params.psi)
-    Xc = X - params.mu[:, None]
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise FloatingPointError("marginal covariance not positive definite")
-    sol = np.linalg.solve(cov, Xc)
-    quad = np.einsum("in,in->", Xc, sol)
-    return float(-0.5 * (N * (d_x * math.log(2 * math.pi) + logdet) + quad))
 
 
 def fa_objective(model: FaModel, dataset: Dataset) -> float:

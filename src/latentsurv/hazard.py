@@ -320,7 +320,3 @@ def ecph_predict(params_T: HazardParams, x: np.ndarray) -> float | np.ndarray:
         return float(np.exp(-params_T.w @ xt))
     return np.exp(-params_T.w @ _design(x))
 
-
-def l1_support(params: HazardParams, tol: float = 1e-10) -> set[int]:
-    """Indices (>= 1) of effect sizes with magnitude above ``tol``."""
-    return {int(i) for i in np.where(np.abs(params.w) > tol)[0] if i >= 1}

@@ -116,15 +116,6 @@ class SampleTargets:
         return quad + lin + surv
 
 
-def conditional_log_density(model: JointModel, z: np.ndarray, dataset: Dataset,
-                            n: int) -> float:
-    """Conditional log-density of sample n's latent vector, up to a constant."""
-    targets = SampleTargets(model.fa.block_params, model.fa.variational,
-                            dataset.blocks, model.w_T, model.w_C,
-                            dataset.times(), dataset.events())
-    return float(targets.rows([n]).logp_all(np.asarray(z, dtype=float)[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # Metropolis-Hastings sampling and diagnostics
 # ---------------------------------------------------------------------------
@@ -276,9 +267,9 @@ def newton_mstep_w(w_s: HazardParams, samples: np.ndarray, times: np.ndarray,
 
 def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
               mh: MhConfig | None = None, seed: int = 0) -> JointModel:
-    """Ten-iteration approximate generalized EM: Metropolis E-step, the factor
-    layer's conditional sweep against the Monte-Carlo moments, one Newton step
-    per hazard."""
+    """Approximate generalized EM for ``gem_iters`` iterations: Metropolis
+    E-step, the factor layer's conditional sweep against the Monte-Carlo
+    moments, one Newton step per hazard."""
     mh = mh or MhConfig()
     _require_positive_times(dataset.survival)
     times = dataset.times()

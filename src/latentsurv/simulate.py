@@ -8,7 +8,6 @@ import numpy as np
 from scipy.special import expit, softmax
 
 from .data import BLOCK_KINDS, CovariateBlock, Dataset, Survival
-from .joint import JointModel
 
 
 @dataclass(frozen=True)
@@ -134,17 +133,3 @@ def simulate_dataset(scenario: SimScenario):
     test, z_test = draw(scenario.n_test, censored=False, tag="te")
     return train, test, {"train": z_train, "test": z_test}
 
-
-def scenario_from_model(model: JointModel, blocks, n_train: int, n_test: int,
-                        seed: int) -> SimScenario:
-    """Scenario carrying a fitted model's parameters verbatim; ``blocks`` gives
-    the kinds/trial counts matching the fitted block parameters."""
-    specs = []
-    for block, params in zip(blocks, model.fa.block_params):
-        specs.append(BlockSpec(
-            name=block.name, kind=block.kind, d_x=params.d_x, b=block.b,
-            W=params.W.copy(), mu=params.mu.copy(),
-            psi=None if params.psi is None else params.psi.copy()))
-    return SimScenario(d_z=model.fa.d_z, blocks=tuple(specs),
-                       w_T=model.w_T.w.copy(), w_C=model.w_C.w.copy(),
-                       n_train=n_train, n_test=n_test, seed=seed)

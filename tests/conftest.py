@@ -1,4 +1,6 @@
-"""Shared builders for synthetic datasets used across the test suite."""
+"""Shared builders for synthetic datasets, and oracles, used across the test suite."""
+
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +55,25 @@ def make_dataset(rng, N=40, d_z=2, with_binomial=False, with_multinomial=False,
     events = rng.random(N) < 0.6
     return Dataset(blocks=tuple(blocks), survival=make_survival(times, events),
                    sample_ids=tuple(f"s{j}" for j in range(N)))
+
+
+def gaussian_log_likelihood(params, X) -> float:
+    """Exact marginal log-density of a normal block: N(mu, W W^T + Psi)."""
+    X = np.asarray(X, dtype=float)
+    d_x, N = X.shape
+    cov = params.W @ params.W.T + np.diag(params.psi)
+    Xc = X - params.mu[:, None]
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0:
+        raise FloatingPointError("marginal covariance not positive definite")
+    sol = np.linalg.solve(cov, Xc)
+    quad = np.einsum("in,in->", Xc, sol)
+    return float(-0.5 * (N * (d_x * math.log(2 * math.pi) + logdet) + quad))
+
+
+def l1_support(params, tol=1e-10) -> set[int]:
+    """Indices (>= 1) of a hazard's effect sizes with magnitude above ``tol``."""
+    return {int(i) for i in np.flatnonzero(np.abs(params.w) > tol) if i >= 1}
 
 
 def count_calls(monkeypatch, module, name):

@@ -373,6 +373,22 @@ def test_model_arrays_not_fitting_exit_2(runner, fitted, tmp_path, command, edit
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "cv", "predict", "project"])
+def test_unwritable_out_exit_2(runner, fitted, tmp_path, command):
+    """An --out below a regular file cannot be written: one error line that
+    names the path, never a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    train, model = str(fitted / "train_manifest.json"), str(fitted / "model.json")
+    args = {"simulate": ["--scenario", str(scenario_file(tmp_path))],
+            "fit": ["--data", train, "--dz", "2"],
+            "cv": ["--data", train, "--gamma", "0.5", "--folds", "2"],
+            "predict": ["--model", model, "--data", train],
+            "project": ["--model", model, "--data", train]}[command]
+    result = runner.invoke(main, [command, *args, "--out", str(blocker / "out")])
+    assert_refused(result, blocker)
+
+
 class TestManifestDigest:
     @staticmethod
     def _dataset(names):

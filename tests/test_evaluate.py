@@ -241,6 +241,7 @@ class TestModelCandidate:
         {"kind": "nonsense", "d_z": 2},
         {"kind": "fa_ecph_c", "d_z": 2, "fit_mode": "bogus"},
         {"kind": "ecph_c_l1", "gamma": 1.0, "fit_mode": "full"},
+        {"kind": "ecph_c_fixed", "gamma": 1.0},
     ])
     def test_unknown_kind_or_fit_mode_rejected(self, fields):
         with pytest.raises(ValueError, match="unknown"):
@@ -251,8 +252,6 @@ class TestModelCandidate:
         full = ModelCandidate(kind="fa_ecph_c", d_z=3, fit_mode="full_mcem")
         assert full.candidate_id == "latent_dz3_full"
         assert ModelCandidate(kind="ecph_c_l1", gamma=0.5).candidate_id == "l1_gamma0.5"
-        fixed = ModelCandidate(kind="ecph_c_fixed", fixed_features=((0, 1), (0, 2)))
-        assert fixed.candidate_id == "fixed_2feat"
 
 
 class TestCvReport:

@@ -17,16 +17,12 @@ from latentsurv.factor import (
     FaModel,
     LatentPosterior,
     VariationalState,
-    binomial_estep,
-    binomial_mstep,
+    _single_block_estep,
     diverse_estep,
     fa_objective,
     fit_fa,
-    gaussian_estep,
-    gaussian_log_likelihood,
     gaussian_mstep,
     lambda_of_xi,
-    multinomial_estep,
     multinomial_mstep,
     ppca_init,
     update_alpha,
@@ -35,7 +31,13 @@ from latentsurv.factor import (
     update_xi,
     variational_log_marginal,
 )
-from tests.conftest import count_calls, make_dataset, make_survival, normal_block
+from tests.conftest import (
+    count_calls,
+    gaussian_log_likelihood,
+    make_dataset,
+    make_survival,
+    normal_block,
+)
 
 
 def sigmoid_bound(x, xi):
@@ -163,7 +165,7 @@ class TestGaussianEstep:
     def test_zero_loadings_prior(self, rng):
         params = BlockParams(W=np.zeros((4, 2)), mu=rng.normal(size=4),
                              psi=np.ones(4))
-        post = gaussian_estep(params, rng.standard_normal((4, 3)))
+        post = _single_block_estep(params, None, rng.standard_normal((4, 3)))
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
         np.testing.assert_allclose(post.cov, np.broadcast_to(np.eye(2), (3, 2, 2)),
                                    atol=1e-14)
@@ -171,7 +173,7 @@ class TestGaussianEstep:
     def test_scalar_example(self):
         params = BlockParams(W=np.array([[1.0]]), mu=np.array([0.0]),
                              psi=np.array([1.0]))
-        post = gaussian_estep(params, np.array([[2.0]]))
+        post = _single_block_estep(params, None, np.array([[2.0]]))
         assert post.mean[0, 0] == pytest.approx(1.0)
         assert post.cov[0, 0, 0] == pytest.approx(0.5)
 
@@ -181,7 +183,7 @@ class TestGaussianEstep:
         mu = rng.normal(size=d_x)
         psi = rng.uniform(0.5, 2.0, size=d_x)
         X = rng.standard_normal((d_x, N))
-        post = gaussian_estep(BlockParams(W=W, mu=mu, psi=psi), X)
+        post = _single_block_estep(BlockParams(W=W, mu=mu, psi=psi), None, X)
         # joint (z, x) Gaussian: cov_zz = I, cov_zx = W', cov_xx = WW' + Psi
         cov_xx = W @ W.T + np.diag(psi)
         gain = np.linalg.solve(cov_xx, W).T  # cov_zx cov_xx^{-1}
@@ -193,7 +195,7 @@ class TestGaussianEstep:
     def test_posterior_identity_and_spd(self, rng):
         params = BlockParams(W=rng.standard_normal((6, 2)), mu=np.zeros(6),
                              psi=rng.uniform(0.5, 1.5, 6))
-        post = gaussian_estep(params, rng.standard_normal((6, 9)))
+        post = _single_block_estep(params, None, rng.standard_normal((6, 9)))
         ezz = post.second_moments()
         outer = np.einsum("jn,kn->njk", post.mean, post.mean)
         np.testing.assert_allclose(ezz - outer, post.cov, atol=1e-12)
@@ -222,7 +224,7 @@ class TestGaussianMstep:
         X = normal_block(rng, 6, 60, d_z=2).values
         params = ppca_init(X, 2)
         before = gaussian_log_likelihood(params, X)
-        post = gaussian_estep(params, X)
+        post = _single_block_estep(params, None, X)
         after = gaussian_log_likelihood(gaussian_mstep(X, post), X)
         assert after >= before - 1e-8 * abs(before)
 
@@ -233,7 +235,7 @@ class TestGaussianMstep:
         X = np.outer(u, z)
         params = ppca_init(X, 1)
         for _ in range(20):
-            post = gaussian_estep(params, X)
+            post = _single_block_estep(params, None, X)
             params = gaussian_mstep(X, post, psi_floor=1e-10)
         assert np.all(params.psi >= 1e-10)
 
@@ -242,7 +244,7 @@ class TestBinomialEstep:
     def test_zero_loadings_prior(self, rng):
         params = BlockParams(W=np.zeros((3, 2)), mu=np.zeros(3), psi=None)
         state = VariationalState(xi=np.ones((3, 4)))
-        post = binomial_estep(params, state, rng.integers(0, 2, (3, 4)).astype(float))
+        post = _single_block_estep(params, state, rng.integers(0, 2, (3, 4)).astype(float))
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
         np.testing.assert_allclose(post.cov, np.broadcast_to(np.eye(2), (4, 2, 2)),
                                    atol=1e-14)
@@ -250,7 +252,7 @@ class TestBinomialEstep:
     def test_hand_example(self):
         params = BlockParams(W=np.array([[2.0]]), mu=np.array([0.0]), psi=None)
         state = VariationalState(xi=np.zeros((1, 1)))
-        post = binomial_estep(params, state, np.array([[1.0]]), b=1)
+        post = _single_block_estep(params, state, np.array([[1.0]]), b=1)
         assert post.cov[0, 0, 0] == pytest.approx(0.5)
         assert post.mean[0, 0] == pytest.approx(0.5)
 
@@ -262,10 +264,10 @@ class TestBinomialEstep:
         params = BlockParams(W=W, mu=mu, psi=None)
         x = np.array([[1.0]])
         state = VariationalState(xi=np.ones((1, 1)))
-        post = binomial_estep(params, state, x, b=1)
+        post = _single_block_estep(params, state, x, b=1)
         for _ in range(200):  # iterate xi to convergence at fixed params
             state = VariationalState(xi=update_xi(params, post))
-            post = binomial_estep(params, state, x, b=1)
+            post = _single_block_estep(params, state, x, b=1)
 
         def unnorm(z):
             return expit(W[0, 0] * z + mu[0]) * math.exp(-0.5 * z * z)
@@ -284,7 +286,7 @@ class TestBinomialMstep:
         params = BlockParams(W=np.zeros((2, 1)), mu=np.zeros(2), psi=None)
         X = np.full((2, 6), 1.0)  # b = 2, x = b/2
         post = const_posterior(np.zeros((1, 6)), np.eye(1))
-        new, _ = binomial_mstep(params, post, X, b=2)
+        new, _ = multinomial_mstep(params, VariationalState(xi=np.ones((2, 6))), post, X, b=2)
         np.testing.assert_allclose(new.mu, 0.0, atol=1e-12)
 
     def test_xi_squared_reduces_to_mu_at_zero_loadings(self, rng):
@@ -328,7 +330,7 @@ class TestMultinomialEstep:
         params = BlockParams(W=np.zeros((3, 2)), mu=np.zeros(3), psi=None)
         state = VariationalState(xi=np.ones((3, 2)), alpha=np.zeros(2))
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        post = multinomial_estep(params, state, X, b=1)
+        post = _single_block_estep(params, state, X, b=1)
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
         np.testing.assert_allclose(post.cov, np.broadcast_to(np.eye(2), (2, 2, 2)),
                                    atol=1e-14)
@@ -340,10 +342,10 @@ class TestMultinomialEstep:
         X = np.zeros((d_x, N))
         X[0] = 1.0
         xi = rng.uniform(0.5, 2.0, size=(d_x, N))
-        multi = multinomial_estep(
+        multi = _single_block_estep(
             BlockParams(W=W, mu=np.full(d_x, m), psi=None),
             VariationalState(xi=xi, alpha=np.full(N, m)), X, b=1)
-        bino = binomial_estep(
+        bino = _single_block_estep(
             BlockParams(W=W, mu=np.zeros(d_x), psi=None),
             VariationalState(xi=xi), X, b=1)
         np.testing.assert_allclose(multi.mean, bino.mean, atol=1e-12)
@@ -358,12 +360,12 @@ class TestMultinomialEstep:
         x1 = rng.integers(0, 2, N).astype(float)
         X = np.vstack([x1, 1 - x1])
         xi1 = rng.uniform(0.5, 2.0, size=(1, N))
-        multi = multinomial_estep(
+        multi = _single_block_estep(
             BlockParams(W=W, mu=mu, psi=None),
             VariationalState(xi=np.vstack([xi1, np.full((1, N), 1e-6)]),
                              alpha=np.zeros(N)),
             X, b=1)
-        bino = binomial_estep(
+        bino = _single_block_estep(
             BlockParams(W=W[:1], mu=mu[:1], psi=None),
             VariationalState(xi=xi1), np.atleast_2d(x1), b=1)
         np.testing.assert_allclose(multi.mean, bino.mean, atol=1e-6)
@@ -425,7 +427,7 @@ class TestDiverseEstep:
         block = normal_block(rng, 5, 6, d_z=2)
         params = ppca_init(block.values, 2)
         joint = diverse_estep((params,), (None,), (block,))
-        single = gaussian_estep(params, block.values)
+        single = _single_block_estep(params, None, block.values)
         np.testing.assert_allclose(joint.mean, single.mean, atol=1e-12)
         np.testing.assert_allclose(joint.cov, single.cov, atol=1e-12)
 
@@ -438,7 +440,7 @@ class TestDiverseEstep:
         state_b = VariationalState(xi=np.ones((3, 6)))
         joint = diverse_estep((params_n, params_b), (None, state_b),
                               (block_n, block_b))
-        single = gaussian_estep(params_n, block_n.values)
+        single = _single_block_estep(params_n, None, block_n.values)
         np.testing.assert_allclose(joint.mean, single.mean, atol=1e-12)
         np.testing.assert_allclose(joint.cov, single.cov, atol=1e-12)
 

@@ -12,10 +12,9 @@ from latentsurv.hazard import (
     ecph_log_likelihood,
     ecph_predict,
     fit_ecph,
-    l1_support,
 )
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
-from tests.conftest import make_survival
+from tests.conftest import l1_support, make_survival
 
 
 def oracle_log_likelihood(w_T, w_C, X, times, events):

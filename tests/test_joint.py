@@ -16,7 +16,6 @@ from latentsurv.joint import (
     _metropolis,
     MhConfig,
     SampleTargets,
-    conditional_log_density,
     effective_sample_size,
     fit_fast,
     fit_joint,
@@ -48,9 +47,10 @@ class TestConditionalLogDensity:
     def test_zero_beta_is_fa_posterior_plus_constant(self, rng):
         ds, model, post, _ = gaussian_only_setup(rng)
         w0 = np.array([0.3, 0.0, 0.0])
-        jm = JointModel(fa=model, w_T=HazardParams(w0), w_C=HazardParams(w0),
-                        kappa_used=None, fit_mode="fast_decoupled")
         n = 3
+        row = SampleTargets(model.block_params, model.variational, ds.blocks,
+                            HazardParams(w0), HazardParams(w0),
+                            ds.times(), ds.events()).rows([n])
         C = post.cov[n]
         m = post.mean[:, n]
         prec = np.linalg.inv(C)
@@ -60,8 +60,8 @@ class TestConditionalLogDensity:
             return -0.5 * diff @ prec @ diff
 
         z1, z2 = rng.standard_normal(2 * 2).reshape(2, 2)
-        d1 = conditional_log_density(jm, z1, ds, n) - fa_logpdf(z1)
-        d2 = conditional_log_density(jm, z2, ds, n) - fa_logpdf(z2)
+        d1 = row.logp_all(z1[None, :])[0] - fa_logpdf(z1)
+        d2 = row.logp_all(z2[None, :])[0] - fa_logpdf(z2)
         assert d1 == pytest.approx(d2, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self, rng):

@@ -6,12 +6,7 @@ import pytest
 from latentsurv.factor import fit_fa
 from latentsurv.hazard import HazardParams
 from latentsurv.joint import JointModel
-from latentsurv.simulate import (
-    BlockSpec,
-    SimScenario,
-    scenario_from_model,
-    simulate_dataset,
-)
+from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
 from tests.conftest import make_dataset
 
 
@@ -219,6 +214,16 @@ class TestDeterminism:
         assert lat["test"].shape == (1, 0)
 
 
+def scenario_of(model, blocks, **sizes):
+    """A scenario carrying a fitted model's parameters verbatim; ``blocks``
+    gives the kinds and trial counts of the fitted block parameters."""
+    specs = tuple(BlockSpec(name=block.name, kind=block.kind, d_x=params.d_x, b=block.b,
+                            W=params.W, mu=params.mu, psi=params.psi)
+                  for block, params in zip(blocks, model.fa.block_params))
+    return SimScenario(d_z=model.fa.d_z, blocks=specs, w_T=model.w_T.w, w_C=model.w_C.w,
+                       **sizes)
+
+
 class TestScenarioFromModel:
     def test_parameters_carried_verbatim(self, rng):
         ds = make_dataset(rng, N=30)
@@ -226,7 +231,7 @@ class TestScenarioFromModel:
         model = JointModel(fa=fa, w_T=HazardParams(np.array([0.1, 0.5, -0.5])),
                            w_C=HazardParams(np.array([-0.2, 0.0, 0.0])),
                            kappa_used=None, fit_mode="fast_decoupled")
-        scn = scenario_from_model(model, ds.blocks, n_train=40, n_test=10, seed=3)
+        scn = scenario_of(model, ds.blocks, n_train=40, n_test=10, seed=3)
         assert scn.d_z == 2
         np.testing.assert_array_equal(scn.w_T, model.w_T.w)
         np.testing.assert_array_equal(scn.w_C, model.w_C.w)
@@ -241,7 +246,7 @@ class TestScenarioFromModel:
         model = JointModel(fa=fa, w_T=HazardParams(np.array([0.0, 0.3, 0.0])),
                            w_C=HazardParams(np.array([0.0, 0.0, 0.0])),
                            kappa_used=None, fit_mode="fast_decoupled")
-        scn = scenario_from_model(model, ds.blocks, n_train=25, n_test=5, seed=8)
+        scn = scenario_of(model, ds.blocks, n_train=25, n_test=5, seed=8)
         train, test, lat = simulate_dataset(scn)
         assert len(train.sample_ids) == 25
         assert len(test.sample_ids) == 5
