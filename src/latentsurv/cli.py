@@ -129,6 +129,8 @@ def fit(data, dz, fit_mode, gem_iters, seed, out):
     with _fit_guard():
         candidate = evaluate.ModelCandidate(kind="fa_ecph_c", d_z=dz, gem_iters=gem_iters,
                                             fit_mode=joint.FIT_MODES[fit_mode])
+        with _exit_on(OSError, "cannot write output: "):  # refused before the fit, not after
+            out.parent.mkdir(parents=True, exist_ok=True)
         model = evaluate.fit_candidate(candidate, dataset, seed)
     with _exit_on(OSError, "cannot write output: "):
         serialize.save_model(model, dataset.blocks, out)
@@ -165,6 +167,8 @@ def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
         candidates += [evaluate.ModelCandidate(kind="ecph_c_l1", gamma=g) for g in gamma]
         split = data_mod.make_split(dataset.n_samples, test_fraction=test_fraction,
                                     n_folds=folds, seed=seed)
+    with _exit_on(OSError, "cannot write output: "):  # refused before the fits, not after
+        out.mkdir(parents=True, exist_ok=True)
 
     with _fit_guard():
         reports = evaluate.run_cv(dataset, candidates, split, seed=seed)

@@ -186,10 +186,11 @@ def load_document(path, build, what: str):
 
 
 def _read_table(path):
-    """Read a comma- or tab-delimited table (whichever the header uses more).
+    """Read a comma- or tab-delimited table (whichever the header uses more),
+    one row at a time.
 
-    Returns the stripped header cells and ``(line number, cells)`` for every
-    non-blank row; each row must have as many cells as the header.
+    Yields the stripped header cells, then ``(line number, cells)`` for each
+    non-blank row as it is read; each row must have as many cells as the header.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -197,28 +198,29 @@ def _read_table(path):
             raise ParseError(f"{path}: empty file")
         delim = "\t" if first.count("\t") >= first.count(",") else ","
         header = [c.strip() for c in next(csv.reader([first], delimiter=delim))]
-        rows = []
+        yield header
         for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            rows.append((lineno, row))
-    return header, rows
+            yield lineno, row
 
 
 def _read_matrix(path):
     """Read a delimited matrix file: header row of sample ids, first column
-    feature names. Missing cells are NaN; an infinite cell is an error."""
-    header, rows = _read_table(path)
-    sample_ids = header[1:]
+    feature names. Missing cells are NaN; an infinite cell is an error. Each
+    row is converted as it is read, so the first faulty line is the one
+    reported."""
+    table = _read_table(path)
+    sample_ids = next(table)[1:]
     if len(set(sample_ids)) != len(sample_ids):
         raise ParseError(f"{path}: duplicate sample ids in header")
     feature_names, values = [], []
-    for lineno, row in rows:
+    for lineno, row in table:
         feature_names.append(row[0].strip())
-        try:  # float strips whitespace and reads nan itself
-            vals = list(map(float, row[1:]))
+        try:  # numpy reads a cell as float does: strips whitespace, reads nan
+            vals = np.array(row[1:], dtype=float)
         except ValueError:  # another missing token, or a bad cell: read cell by cell
             vals = []
             for col, cell in enumerate(row[1:], start=2):
@@ -228,24 +230,25 @@ def _read_matrix(path):
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric cell {token!r} "
                                      f"(column {col})") from None
+            vals = np.array(vals, dtype=float)
+        bad = np.flatnonzero(np.isinf(vals))
+        if bad.size:
+            cell = bad[0] + 1
+            raise ParseError(f"{path}:{lineno}: non-finite cell {row[cell].strip()!r} "
+                             f"(column {cell + 1})")
         values.append(vals)
-    matrix = np.array(values, dtype=float).reshape(len(rows), len(sample_ids))
-    bad = np.argwhere(np.isinf(matrix))
-    if bad.size:
-        r, c = bad[0]
-        lineno, row = rows[r]
-        raise ParseError(f"{path}:{lineno}: non-finite cell {row[c + 1].strip()!r} (column {c + 2})")
+    matrix = np.array(values, dtype=float).reshape(len(values), len(sample_ids))
     return sample_ids, feature_names, matrix
 
 
 def _read_survival(path):
     """Map each sample id to its (time, event) pair, or to None where its
     survival is missing."""
-    header, rows = _read_table(path)
-    if [c.lower() for c in header[:3]] != ["sample_id", "time_days", "event"]:
+    table = _read_table(path)
+    if [c.lower() for c in next(table)[:3]] != ["sample_id", "time_days", "event"]:
         raise ParseError(f"{path}: expected header sample_id,time_days,event")
     out = {}
-    for lineno, row in rows:
+    for lineno, row in table:
         sid = row[0].strip()
         if sid in out:
             raise ParseError(f"{path}:{lineno}: duplicate sample id {sid!r}")
@@ -298,12 +301,14 @@ def load_dataset(manifest_path) -> Dataset:
     ordered = [sid for sid in survival_map if sid in keep]
     blocks = []
     for name, kind, b, sample_ids, feature_names, values in raw_blocks:
-        col = {sid: j for j, sid in enumerate(sample_ids)}
+        if sample_ids != ordered:  # a file already in survival order needs no copy
+            col = {sid: j for j, sid in enumerate(sample_ids)}
+            values = values[:, [col[sid] for sid in ordered]]
         blocks.append(CovariateBlock(
             name=name,
             kind=kind,
             b=b,
-            values=values[:, [col[sid] for sid in ordered]],
+            values=values,
             feature_names=tuple(feature_names),
         ))
     time, event = np.array([survival_map[sid] for sid in ordered], dtype=float).reshape(-1, 2).T

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -21,15 +22,16 @@ from .simulate import BlockSpec, SimScenario
 MODEL_FORMAT_VERSION = 2
 
 
-def atomic_write(path, text: str):
-    """Write via a temp file + rename so partial output never lands; makes
-    the parent directory if it is missing."""
+def atomic_write(path, text):
+    """Write ``text``, a string or an iterable of string chunks, via a temp
+    file + rename so partial output never lands; makes the parent directory
+    if it is missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -39,9 +41,8 @@ def atomic_write(path, text: str):
 
 def write_table(path, header, rows):
     """Write a comma-separated table of string cells: the header, then one
-    line per row."""
-    lines = [",".join(header), *map(",".join, rows)]
-    atomic_write(path, "\n".join(lines) + "\n")
+    line per row, each written as it is drawn from ``rows``."""
+    atomic_write(path, (",".join(cells) + "\n" for cells in itertools.chain([header], rows)))
 
 
 def block_manifest_hash(blocks) -> str:
@@ -171,9 +172,9 @@ def write_dataset(dataset: Dataset, out_dir, prefix: str) -> Path:
     manifest = {"blocks": [], "survival": f"{prefix}_survival.csv"}
     for block in dataset.blocks:
         fname = f"{prefix}_{block.name}.csv"
+        rows = map(np.ndarray.tolist, block.values)  # one row of floats at a time
         write_table(out_dir / fname, ["feature", *dataset.sample_ids],
-                    ([name, *map(repr, row)]
-                     for name, row in zip(block.feature_names, block.values.tolist())))
+                    ([name, *map(repr, row)] for name, row in zip(block.feature_names, rows)))
         manifest["blocks"].append(
             {"name": block.name, "kind": block.kind, "b": block.b, "path": fname})
     write_table(out_dir / manifest["survival"], ["sample_id", "time_days", "event"],

@@ -1,6 +1,7 @@
 """Shared builders for synthetic datasets, and oracles, used across the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from latentsurv import evaluate
 from latentsurv.cli import (
     EXIT_ALL_EXCLUDED,
     EXIT_BAD_INPUT,
@@ -386,6 +387,20 @@ def test_unwritable_out_exit_2(runner, fitted, tmp_path, command):
             "predict": ["--model", model, "--data", train],
             "project": ["--model", model, "--data", train]}[command]
     result = runner.invoke(main, [command, *args, "--out", str(blocker / "out")])
+    assert_refused(result, blocker)
+
+
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_unwritable_out_refused_before_any_fit(runner, fitted, tmp_path, monkeypatch, command):
+    """fit and cv make their output directory before their first fit, so an
+    --out below a regular file is refused before any fit starts."""
+    monkeypatch.setattr(evaluate, "fit_candidate",
+                        lambda *args, **kwargs: pytest.fail("fitted before --out was checked"))
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    args = {"fit": ["--dz", "2"], "cv": ["--gamma", "0.5", "--folds", "2"]}[command]
+    result = runner.invoke(main, [command, "--data", str(fitted / "train_manifest.json"), *args,
+                                  "--out", str(blocker / "out")])
     assert_refused(result, blocker)
 
 

@@ -25,7 +25,8 @@ from latentsurv.data import (
     zscore_block,
     _read_matrix,
 )
-from tests.conftest import make_dataset, make_survival
+from latentsurv.serialize import write_dataset
+from tests.conftest import make_dataset, make_survival, traced_peak
 
 
 def write_manifest(tmp_path, blocks, survival_rows, delim=","):
@@ -97,6 +98,28 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=re.escape(
                 f"a.csv:3: non-finite cell {cell!r} (column 3)")):
             load_dataset(mpath)
+
+    def test_first_faulty_line_reported(self, tmp_path):
+        """Rows are checked in file order: an infinity on line 3 is reported
+        before a non-numeric cell on line 5 and a short row on line 6."""
+        mpath = write_manifest(
+            tmp_path,
+            [("a", "normal", 1, ["s1", "s2"], [("f1", 1.0, 2.0), ("f2", 0.5, "inf"),
+                                               ("f3", 1.0, 2.0), ("f4", "oops", 2.0),
+                                               ("f5", 1.0)])],
+            ["s1,5.0,1", "s2,3.0,0"])
+        with pytest.raises(ParseError,
+                           match=re.escape("a.csv:3: non-finite cell 'inf' (column 3)")):
+            load_dataset(mpath)
+
+    def test_read_matrix_peak_memory(self, rng, tmp_path):
+        """Each row is converted as it is read, so reading a 200 x 3000 block
+        peaks under 3x its matrix."""
+        ds = make_dataset(rng, N=3000, d_x_normal=200)
+        write_dataset(ds, tmp_path, "wide")
+        (_, _, matrix), peak = traced_peak(_read_matrix, tmp_path / "wide_norm.csv")
+        assert matrix.tobytes() == ds.blocks[0].values.tobytes()
+        assert peak < 3 * matrix.nbytes
 
     def test_duplicate_sample_ids_raise(self, tmp_path):
         mpath = write_manifest(

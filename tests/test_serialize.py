@@ -21,9 +21,10 @@ from latentsurv.serialize import (
     scenario_from_dict,
     scenario_to_dict,
     write_dataset,
+    write_table,
 )
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, traced_peak
 
 
 class TestAtomicWrite:
@@ -46,6 +47,16 @@ class TestAtomicWrite:
         p = tmp_path / "a" / "b" / "out.txt"
         atomic_write(p, "x")
         assert p.read_text() == "x"
+
+    def test_rows_failing_partway_leave_nothing(self, tmp_path):
+        """write_table writes each row as it is drawn; when the rows raise
+        partway, neither the table nor its temp file is left."""
+        def rows():
+            yield ["s1", "1.0"]
+            raise RuntimeError("row source failed")
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_table(tmp_path / "t.csv", ["sample_id", "value"], rows())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifestHash:
@@ -229,3 +240,10 @@ class TestWriteDataset:
             assert a.name == b.name and a.kind == b.kind and a.b == b.b
             assert a.feature_names == b.feature_names
             np.testing.assert_array_equal(a.values, b.values)
+
+    def test_peak_memory_under_one_matrix(self, rng, tmp_path):
+        """Rows are formatted and written one at a time: writing a 200 x 3000
+        block peaks under its matrix's size."""
+        ds = make_dataset(rng, N=3000, d_x_normal=200)
+        _, peak = traced_peak(write_dataset, ds, tmp_path, "wide")
+        assert peak < ds.blocks[0].values.nbytes
