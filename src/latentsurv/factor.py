@@ -4,11 +4,14 @@ Gaussian blocks use exact EM; binomial and multinomial blocks use a quadratic
 variational bound on the logistic/softmax likelihood, fitted by conditional
 maximization (xi -> alpha -> loadings -> means). The latent posterior stays
 Gaussian for any mix of block kinds, so one accumulation (``_accumulate``)
-serves the E-step, the bound and the joint model's Metropolis targets, and one
-conditional sweep (``_conditional_sweep``) is the M-step of ``fit_fa``, of the
-joint model's Monte-Carlo EM and of ``multinomial_mstep`` on one count block.
-The bound is the log-normaliser of the posterior Gaussian, so ``fit_fa`` gets
-both at each parameter point from one accumulation and one inverse. The
+serves the E-step, the bound and the joint model's Metropolis targets. Each
+conditional update maximises the expected bound with the latent posterior held
+fixed, so a sweep runs against one posterior (ECM; Meng & Rubin 1993,
+Biometrika 80), and one per-block M-step (``_block_mstep``), mapped over the
+blocks by ``_conditional_sweep``, is the M-step of ``fit_fa``, of the joint
+model's Monte-Carlo EM and of ``multinomial_mstep`` on one count block. The
+bound is the log-normaliser of the posterior Gaussian, so ``fit_fa`` gets both
+at each parameter point from one accumulation and one inverse. The
 small-matrix kernels are GEMMs against the outer products of the loading rows.
 """
 
@@ -220,13 +223,6 @@ def _posterior_from_inverse(C: np.ndarray, h: np.ndarray) -> LatentPosterior:
     return LatentPosterior(mean=np.einsum("njk,kn->jn", C, h), cov=C)
 
 
-def _single_block_estep(params: BlockParams, state: VariationalState | None,
-                        X: np.ndarray, b: int = 1) -> LatentPosterior:
-    """Posterior given one block: normal without a state, multinomial when the
-    state carries alpha, binomial otherwise."""
-    return diverse_estep([params], [state], [_FitBlock(np.asarray(X, dtype=float), b, None)])
-
-
 def gaussian_mstep(X: np.ndarray, posterior: LatentPosterior,
                    psi_floor: np.ndarray | float = PSI_FLOOR) -> BlockParams:
     """Closed-form update: means, then loadings, then noise diagonal."""
@@ -298,52 +294,44 @@ def update_mu(block_values: np.ndarray, b: int, W: np.ndarray,
     return c.sum(axis=1) / (2.0 * b * lam.sum(axis=1))
 
 
-def _conditional_sweep(data, params: list, states: list, post: LatentPosterior,
-                       refresh) -> None:
-    """The conditional updates xi -> alpha -> W (and psi) -> mu over all
-    blocks, in place; ``data`` holds each block's ``_FitBlock``. A block is
-    normal without a state and multinomial (last row of W and mu kept zero)
-    when its state carries alpha. The first phase with blocks to update uses
-    ``post``, each later one ``refresh(params, states)``."""
-    var = [i for i, s in enumerate(states) if s is not None]
-    multi = [i for i in var if states[i].alpha is not None]
-    if var:
-        for i in var:
-            states[i] = replace(states[i], xi=update_xi(params[i], post, alpha=states[i].alpha))
-        post = refresh(params, states)
+def _block_mstep(block: _FitBlock, params: BlockParams, state: VariationalState | None,
+                 post: LatentPosterior) -> tuple[BlockParams, VariationalState | None]:
+    """One block's conditional updates against ``post``: a normal block's
+    closed form without a state, else xi -> alpha (only when the state
+    carries alpha, which makes the block multinomial and keeps the last row
+    of W and mu zero) -> W -> mu."""
+    X, b, floor = block
+    if state is None:
+        return gaussian_mstep(X, post, psi_floor=floor), None
+    state = replace(state, xi=update_xi(params, post, alpha=state.alpha))
+    multi = state.alpha is not None
     if multi:
-        for i in multi:
-            states[i] = states[i].with_alpha(update_alpha(params[i], post, states[i]))
-        post = refresh(params, states)
-    for i, (X, b, floor) in enumerate(data):
-        if states[i] is None:
-            params[i] = gaussian_mstep(X, post, psi_floor=floor)
-        else:
-            W = update_W(X, b, params[i], post, states[i])
-            if i in multi:
-                W[-1, :] = 0.0
-            params[i] = replace(params[i], W=W)
-    if var:
-        post = refresh(params, states)
-        for i in var:
-            mu = update_mu(*data[i][:2], params[i].W, post, states[i])
-            if i in multi:
-                mu[-1] = 0.0
-            params[i] = replace(params[i], mu=mu)
+        state = state.with_alpha(update_alpha(params, post, state))
+    W = update_W(X, b, params, post, state)
+    if multi:
+        W[-1, :] = 0.0
+    mu = update_mu(X, b, W, post, state)
+    if multi:
+        mu[-1] = 0.0
+    return BlockParams(W=W, mu=mu), state
+
+
+def _conditional_sweep(data, params, states, post: LatentPosterior) -> tuple[tuple, tuple]:
+    """The new parameters and states from ``_block_mstep`` on every block
+    against the one posterior ``post``; ``data`` holds each block's ``_FitBlock``."""
+    return tuple(zip(*(_block_mstep(*args, post) for args in zip(data, params, states))))
 
 
 def multinomial_mstep(params: BlockParams, state: VariationalState,
                       posterior: LatentPosterior, X: np.ndarray,
                       b: int = 1) -> tuple[BlockParams, VariationalState]:
-    """The conditional sweep on one count block, xi^2 -> alpha -> W -> mu
+    """The conditional updates on one count block, xi^2 -> alpha -> W -> mu
     (alpha and the zeroed last row of W and mu only when the state carries
-    alpha, on which xi^2 conditions), against the posterior recomputed between
-    the updates, so that none of them can decrease the marginal bound."""
-    X = np.asarray(X, dtype=float)
-    params, states = [params], [state]
-    _conditional_sweep([_FitBlock(X, b, None)], params, states, posterior,
-                       lambda p, s: _single_block_estep(p[0], s[0], X, b))
-    return params[0], states[0]
+    alpha), each maximising the expected bound under the fixed ``posterior``;
+    so when ``posterior`` is the E-step at (params, state), none of them can
+    decrease the marginal bound."""
+    block = _FitBlock(np.asarray(X, dtype=float), b, None)
+    return _block_mstep(block, params, state, posterior)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +487,10 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
     scheme S3), until the bound's relative change between accepted points
     falls below ``rel_tol``, or a WARNING after ``max_iters`` sweeps.
 
-    The EM map F is the joint E-step plus one conditional sweep, whose phases
-    each see a refreshed posterior, so F never lowers the bound. A cycle maps
+    The EM map F is the joint E-step plus one conditional sweep against that
+    one posterior. Each update of the sweep maximises the expected bound under
+    the posterior, which meets the bound at the E-step's point and lies below
+    it elsewhere, so F never lowers the bound (ECM). A cycle maps
     x0 to x1 = F(x0) and x2 = F(x1) in (W, mu, log psi, xi, alpha), then takes
     F(x0 - 2 a r + a^2 v), with r = x1 - x0, v = x2 - 2 x1 + x0 and step
     a = min(-||r|| / ||v||, -1). It keeps that point if its bound is at least
@@ -519,12 +509,6 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
             raise ValueError(f"missing cells in block {block.name!r}; "
                              "impute them with latentsurv.data.impute_missing first")
 
-    def step(params, states, post):
-        params, states = list(params), list(states)
-        _conditional_sweep(data, params, states, post,
-                           lambda p, s: diverse_estep(p, s, data))
-        return params, states
-
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         data = [_fit_block(block) for block in blocks]
         params, states = zip(*(_init_block(block, d_z) for block in blocks))
@@ -533,18 +517,18 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
         while sweeps < max_iters:
             if max_iters - sweeps < 3:  # no room for a cycle: one plain EM step
                 sweeps += 1
-                params, states = step(params, states, post)
+                params, states = _conditional_sweep(data, params, states, post)
                 new_post, new = _posterior_and_bound(params, states, data)
             else:
                 sweeps += 3
-                p1, s1 = step(params, states, post)
-                p2, s2 = step(p1, s1, diverse_estep(p1, s1, data))
+                p1, s1 = _conditional_sweep(data, params, states, post)
+                p2, s2 = _conditional_sweep(data, p1, s1, diverse_estep(p1, s1, data))
                 x0, x1 = _coords(params, states), _coords(p1, s1)
                 r, v = x1 - x0, _coords(p2, s2) - 2.0 * x1 + x0
                 try:
                     a = _step_length(r, v)
                     pe, se = _from_coords(x0 - 2.0 * a * r + a * a * v, params, states)
-                    params, states = step(pe, se, diverse_estep(pe, se, data))
+                    params, states = _conditional_sweep(data, pe, se, diverse_estep(pe, se, data))
                     new_post, new = _posterior_and_bound(params, states, data)
                 except (FloatingPointError, np.linalg.LinAlgError):
                     new = -math.inf

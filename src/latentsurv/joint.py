@@ -275,8 +275,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     times = dataset.times()
     events = dataset.events()
     fa_model, _ = factor.fit_fa(dataset, d_z)
-    params = list(fa_model.block_params)
-    states = list(fa_model.variational)
+    params, states = fa_model.block_params, fa_model.variational
     heywood = fa_model.heywood_flag
     w_T, w_C = (HazardParams(_intercept_start(times, d, d_z + 1)) for d in (events, 1.0 - events))
 
@@ -301,7 +300,7 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
         cov = second - np.einsum("jn,kn->njk", mean, mean)
         mc_post = LatentPosterior(mean=mean, cov=cov)
 
-        factor._conditional_sweep(data, params, states, mc_post, lambda p, s: mc_post)
+        params, states = factor._conditional_sweep(data, params, states, mc_post)
         heywood = heywood or factor._heywood(params, data)
 
         w_T = newton_mstep_w(w_T, samples, times, events)

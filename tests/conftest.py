@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latentsurv.data import CovariateBlock, Dataset, Survival
+from latentsurv.factor import _FitBlock, diverse_estep
 
 
 def make_survival(times, events):
@@ -70,6 +71,12 @@ def gaussian_log_likelihood(params, X) -> float:
     sol = np.linalg.solve(cov, Xc)
     quad = np.einsum("in,in->", Xc, sol)
     return float(-0.5 * (N * (d_x * math.log(2 * math.pi) + logdet) + quad))
+
+
+def single_block_estep(params, state, X, b=1):
+    """Posterior given one block: normal without a state, multinomial when the
+    state carries alpha, binomial otherwise."""
+    return diverse_estep([params], [state], [_FitBlock(np.asarray(X, dtype=float), b, None)])
 
 
 def l1_support(params, tol=1e-10) -> set[int]:

@@ -20,7 +20,6 @@ from latentsurv import evaluate, factor, hazard, joint, simulate
 from latentsurv.factor import (
     BlockParams,
     VariationalState,
-    _single_block_estep,
     gaussian_mstep,
     lambda_of_xi,
     multinomial_mstep,
@@ -38,7 +37,13 @@ from latentsurv.joint import (
     tune_kappa,
 )
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
-from tests.conftest import gaussian_log_likelihood, make_dataset, make_survival, normal_block
+from tests.conftest import (
+    gaussian_log_likelihood,
+    make_dataset,
+    make_survival,
+    normal_block,
+    single_block_estep,
+)
 
 
 @contextmanager
@@ -158,7 +163,7 @@ def test_criterion_3_gaussian_em_monotone(capfd):
             params = factor.ppca_init(X, d_z)
             prev = gaussian_log_likelihood(params, X)
             for _ in range(100):
-                posterior = _single_block_estep(params, None, X)
+                posterior = single_block_estep(params, None, X)
                 params = gaussian_mstep(X, posterior)
                 cur = gaussian_log_likelihood(params, X)
                 assert cur >= prev - 1e-8 * abs(prev), \
@@ -211,7 +216,7 @@ def test_criterion_4_variational_bounds(capfd):
 
         prev = bin_bound(params, state)
         for _ in range(8):
-            posterior = _single_block_estep(params, state, Xb, b)
+            posterior = single_block_estep(params, state, Xb, b)
             params, state = multinomial_mstep(params, state, posterior, Xb, b)
             cur = bin_bound(params, state)
             assert cur >= prev - 1e-8 * abs(prev)
@@ -233,7 +238,7 @@ def test_criterion_4_variational_bounds(capfd):
 
         prev = variational_log_marginal([mparams], [mstate], [mblock])
         for _ in range(8):
-            posterior = _single_block_estep(mparams, mstate, Xm, 1)
+            posterior = single_block_estep(mparams, mstate, Xm, 1)
             mparams, mstate = multinomial_mstep(mparams, mstate, posterior, Xm, 1)
             cur = variational_log_marginal([mparams], [mstate], [mblock])
             assert cur >= prev - 1e-8 * abs(prev)

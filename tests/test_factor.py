@@ -17,7 +17,6 @@ from latentsurv.factor import (
     FaModel,
     LatentPosterior,
     VariationalState,
-    _single_block_estep,
     diverse_estep,
     fa_objective,
     fit_fa,
@@ -31,12 +30,14 @@ from latentsurv.factor import (
     update_xi,
     variational_log_marginal,
 )
+from latentsurv.simulate import simulate_dataset
 from tests.conftest import (
     count_calls,
     gaussian_log_likelihood,
     make_dataset,
     make_survival,
     normal_block,
+    single_block_estep,
 )
 
 
@@ -165,7 +166,7 @@ class TestGaussianEstep:
     def test_zero_loadings_prior(self, rng):
         params = BlockParams(W=np.zeros((4, 2)), mu=rng.normal(size=4),
                              psi=np.ones(4))
-        post = _single_block_estep(params, None, rng.standard_normal((4, 3)))
+        post = single_block_estep(params, None, rng.standard_normal((4, 3)))
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
         np.testing.assert_allclose(post.cov, np.broadcast_to(np.eye(2), (3, 2, 2)),
                                    atol=1e-14)
@@ -173,7 +174,7 @@ class TestGaussianEstep:
     def test_scalar_example(self):
         params = BlockParams(W=np.array([[1.0]]), mu=np.array([0.0]),
                              psi=np.array([1.0]))
-        post = _single_block_estep(params, None, np.array([[2.0]]))
+        post = single_block_estep(params, None, np.array([[2.0]]))
         assert post.mean[0, 0] == pytest.approx(1.0)
         assert post.cov[0, 0, 0] == pytest.approx(0.5)
 
@@ -183,7 +184,7 @@ class TestGaussianEstep:
         mu = rng.normal(size=d_x)
         psi = rng.uniform(0.5, 2.0, size=d_x)
         X = rng.standard_normal((d_x, N))
-        post = _single_block_estep(BlockParams(W=W, mu=mu, psi=psi), None, X)
+        post = single_block_estep(BlockParams(W=W, mu=mu, psi=psi), None, X)
         # joint (z, x) Gaussian: cov_zz = I, cov_zx = W', cov_xx = WW' + Psi
         cov_xx = W @ W.T + np.diag(psi)
         gain = np.linalg.solve(cov_xx, W).T  # cov_zx cov_xx^{-1}
@@ -195,7 +196,7 @@ class TestGaussianEstep:
     def test_posterior_identity_and_spd(self, rng):
         params = BlockParams(W=rng.standard_normal((6, 2)), mu=np.zeros(6),
                              psi=rng.uniform(0.5, 1.5, 6))
-        post = _single_block_estep(params, None, rng.standard_normal((6, 9)))
+        post = single_block_estep(params, None, rng.standard_normal((6, 9)))
         ezz = post.second_moments()
         outer = np.einsum("jn,kn->njk", post.mean, post.mean)
         np.testing.assert_allclose(ezz - outer, post.cov, atol=1e-12)
@@ -224,7 +225,7 @@ class TestGaussianMstep:
         X = normal_block(rng, 6, 60, d_z=2).values
         params = ppca_init(X, 2)
         before = gaussian_log_likelihood(params, X)
-        post = _single_block_estep(params, None, X)
+        post = single_block_estep(params, None, X)
         after = gaussian_log_likelihood(gaussian_mstep(X, post), X)
         assert after >= before - 1e-8 * abs(before)
 
@@ -235,7 +236,7 @@ class TestGaussianMstep:
         X = np.outer(u, z)
         params = ppca_init(X, 1)
         for _ in range(20):
-            post = _single_block_estep(params, None, X)
+            post = single_block_estep(params, None, X)
             params = gaussian_mstep(X, post, psi_floor=1e-10)
         assert np.all(params.psi >= 1e-10)
 
@@ -244,7 +245,7 @@ class TestBinomialEstep:
     def test_zero_loadings_prior(self, rng):
         params = BlockParams(W=np.zeros((3, 2)), mu=np.zeros(3), psi=None)
         state = VariationalState(xi=np.ones((3, 4)))
-        post = _single_block_estep(params, state, rng.integers(0, 2, (3, 4)).astype(float))
+        post = single_block_estep(params, state, rng.integers(0, 2, (3, 4)).astype(float))
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
         np.testing.assert_allclose(post.cov, np.broadcast_to(np.eye(2), (4, 2, 2)),
                                    atol=1e-14)
@@ -252,7 +253,7 @@ class TestBinomialEstep:
     def test_hand_example(self):
         params = BlockParams(W=np.array([[2.0]]), mu=np.array([0.0]), psi=None)
         state = VariationalState(xi=np.zeros((1, 1)))
-        post = _single_block_estep(params, state, np.array([[1.0]]), b=1)
+        post = single_block_estep(params, state, np.array([[1.0]]), b=1)
         assert post.cov[0, 0, 0] == pytest.approx(0.5)
         assert post.mean[0, 0] == pytest.approx(0.5)
 
@@ -264,10 +265,10 @@ class TestBinomialEstep:
         params = BlockParams(W=W, mu=mu, psi=None)
         x = np.array([[1.0]])
         state = VariationalState(xi=np.ones((1, 1)))
-        post = _single_block_estep(params, state, x, b=1)
+        post = single_block_estep(params, state, x, b=1)
         for _ in range(200):  # iterate xi to convergence at fixed params
             state = VariationalState(xi=update_xi(params, post))
-            post = _single_block_estep(params, state, x, b=1)
+            post = single_block_estep(params, state, x, b=1)
 
         def unnorm(z):
             return expit(W[0, 0] * z + mu[0]) * math.exp(-0.5 * z * z)
@@ -330,7 +331,7 @@ class TestMultinomialEstep:
         params = BlockParams(W=np.zeros((3, 2)), mu=np.zeros(3), psi=None)
         state = VariationalState(xi=np.ones((3, 2)), alpha=np.zeros(2))
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        post = _single_block_estep(params, state, X, b=1)
+        post = single_block_estep(params, state, X, b=1)
         np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
         np.testing.assert_allclose(post.cov, np.broadcast_to(np.eye(2), (2, 2, 2)),
                                    atol=1e-14)
@@ -342,10 +343,10 @@ class TestMultinomialEstep:
         X = np.zeros((d_x, N))
         X[0] = 1.0
         xi = rng.uniform(0.5, 2.0, size=(d_x, N))
-        multi = _single_block_estep(
+        multi = single_block_estep(
             BlockParams(W=W, mu=np.full(d_x, m), psi=None),
             VariationalState(xi=xi, alpha=np.full(N, m)), X, b=1)
-        bino = _single_block_estep(
+        bino = single_block_estep(
             BlockParams(W=W, mu=np.zeros(d_x), psi=None),
             VariationalState(xi=xi), X, b=1)
         np.testing.assert_allclose(multi.mean, bino.mean, atol=1e-12)
@@ -360,12 +361,12 @@ class TestMultinomialEstep:
         x1 = rng.integers(0, 2, N).astype(float)
         X = np.vstack([x1, 1 - x1])
         xi1 = rng.uniform(0.5, 2.0, size=(1, N))
-        multi = _single_block_estep(
+        multi = single_block_estep(
             BlockParams(W=W, mu=mu, psi=None),
             VariationalState(xi=np.vstack([xi1, np.full((1, N), 1e-6)]),
                              alpha=np.zeros(N)),
             X, b=1)
-        bino = _single_block_estep(
+        bino = single_block_estep(
             BlockParams(W=W[:1], mu=mu[:1], psi=None),
             VariationalState(xi=xi1), np.atleast_2d(x1), b=1)
         np.testing.assert_allclose(multi.mean, bino.mean, atol=1e-6)
@@ -427,7 +428,7 @@ class TestDiverseEstep:
         block = normal_block(rng, 5, 6, d_z=2)
         params = ppca_init(block.values, 2)
         joint = diverse_estep((params,), (None,), (block,))
-        single = _single_block_estep(params, None, block.values)
+        single = single_block_estep(params, None, block.values)
         np.testing.assert_allclose(joint.mean, single.mean, atol=1e-12)
         np.testing.assert_allclose(joint.cov, single.cov, atol=1e-12)
 
@@ -440,7 +441,7 @@ class TestDiverseEstep:
         state_b = VariationalState(xi=np.ones((3, 6)))
         joint = diverse_estep((params_n, params_b), (None, state_b),
                               (block_n, block_b))
-        single = _single_block_estep(params_n, None, block_n.values)
+        single = single_block_estep(params_n, None, block_n.values)
         np.testing.assert_allclose(joint.mean, single.mean, atol=1e-12)
         np.testing.assert_allclose(joint.cov, single.cov, atol=1e-12)
 
@@ -568,6 +569,25 @@ class TestFitFa:
         diffs = np.diff(objs)
         assert np.all(diffs >= -1e-8 * np.abs(objs[:-1]))
 
+    @pytest.mark.parametrize("draw", range(12))
+    def test_plain_em_map_never_lowers_the_bound(self, draw):
+        """The EM map under SQUAREM, one joint E-step and one sweep against
+        that posterior, on criterion-1 draws with normal, binomial and
+        multinomial blocks: 40 steps from the fit's own start, none of which
+        lowers the bound beyond rounding."""
+        from perfbench.workloads import criterion1_scenario  # the benchmark's generator
+        train, _, _ = simulate_dataset(
+            criterion1_scenario(40 + 5 * draw, 0, seed=draw, d_x=(15, 6, 4)))
+        data = [factor._fit_block(block) for block in train.blocks]
+        params, states = zip(*(factor._init_block(block, 2 + draw % 2)
+                               for block in train.blocks))
+        post, bound = factor._posterior_and_bound(params, states, data)
+        for _ in range(40):
+            params, states = factor._conditional_sweep(data, params, states, post)
+            post, new = factor._posterior_and_bound(params, states, data)
+            assert new >= bound - 1e-12 * abs(bound)
+            bound = new
+
     def test_warns_at_iteration_cap(self, rng, caplog):
         ds = make_dataset(rng, N=30, with_binomial=True)
         with caplog.at_level("WARNING", logger="latentsurv.factor"):
@@ -591,21 +611,32 @@ class TestFitFa:
 
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_one_accumulation_per_iteration(self, rng, monkeypatch, k):
-        """Normal + binomial data: each sweep costs three accumulations (the
-        posterior it starts from, then a refresh before W and before mu),
-        one more gives the first posterior and bound, and a cycle that falls
-        back spends one on the bound of its two-step point."""
+        """Normal + binomial data: each sweep costs one accumulation (the
+        posterior it runs against) and makes none itself, one more gives the
+        first posterior and bound, and a cycle that falls back spends one on
+        the bound of its two-step point."""
         ds = make_dataset(rng, N=30, with_binomial=True)
         accumulations = count_calls(monkeypatch, factor, "_accumulate")
-        sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
         bounds = count_calls(monkeypatch, factor, "_posterior_and_bound")
         cycles = count_calls(monkeypatch, factor, "_step_length")
+        inner = factor._conditional_sweep
+        in_sweeps = []  # the accumulations each sweep makes itself
+
+        def sweep(*args):
+            before = accumulations[0]
+            out = inner(*args)
+            in_sweeps.append(accumulations[0] - before)
+            return out
+
+        monkeypatch.setattr(factor, "_conditional_sweep", sweep)
         fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
+        sweeps = len(in_sweeps)
         # one bound per accepted point (a cycle or a plain step), plus the first
-        plain_steps = sweeps[0] - 3 * cycles[0]
+        plain_steps = sweeps - 3 * cycles[0]
         fallbacks = bounds[0] - 1 - cycles[0] - plain_steps
-        assert sweeps[0] == k
-        assert accumulations[0] == 3 * sweeps[0] + 1 + fallbacks
+        assert sweeps == k
+        assert in_sweeps == [0] * k
+        assert accumulations[0] == sweeps + 1 + fallbacks
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_sweeps_capped_by_max_iters(self, rng, monkeypatch, k):
