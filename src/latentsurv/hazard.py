@@ -6,7 +6,11 @@ entry per sample, the vectors every likelihood and Newton step works on.
 Each part is fitted by Newton's method with backtracking, run to
 convergence, on the negative log-likelihood plus, when gamma > 0, an L1
 penalty (proximal Newton). A step minimizes Newton's quadratic model, by least
-squares on the working response or as a lasso by coordinate descent.
+squares on the working response or as a lasso by coordinate descent, whose
+feature-sign steps solve the active Gram block by Cholesky (least squares
+where the block is singular). A fit at gamma > 0 walks a warm-started
+geometric path of strengths down to its gamma (Friedman, Hastie & Tibshirani
+2010), so that each proximal Newton run starts close to its optimum.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ MAX_NEWTON_STEPS = 100
 NEWTON_REL_TOL = 1e-10
 ARMIJO = 1e-4
 MIN_STEP = 1e-10
+# A fit at gamma > 0 first walks the path gamma_max * PATH_RATIO^k down to
+# its gamma, each fit starting from the last.
+PATH_RATIO = 0.25
 # The lasso stops at this duality gap relative to its primal objective, or
 # warns after this many coordinate sweeps.
 LASSO_GAP_TOL = 1e-10
@@ -197,14 +204,22 @@ def _active_newton(H: np.ndarray, b: np.ndarray, w: np.ndarray, penalized: np.nd
     Solves the model over the support of w with its signs held, then moves to
     the best point on the segment towards that solution: its end, or a point
     where a coordinate crosses zero (set to exactly zero there). Keeps w
-    when no such point lowers the model.
+    when no such point lowers the model. The solve factors the positive
+    semi-definite Gram block by Cholesky; where the block is singular (more
+    active coordinates than samples, or collinear active columns) it takes
+    the minimum-norm least-squares solution instead.
     """
     active = np.where((w != 0) | ~penalized)[0]
     pen = penalized[active]
     H_aa = H[np.ix_(active, active)]
     start = w[active]
-    held = np.where(pen, gamma * np.sign(start), 0.0)
-    step = np.linalg.lstsq(H_aa, b[active] - held, rcond=None)[0] - start
+    rhs = b[active] - np.where(pen, gamma * np.sign(start), 0.0)
+    try:
+        L = np.linalg.cholesky(H_aa)
+        target = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    except np.linalg.LinAlgError:  # H_aa singular: the minimum-norm solution
+        target = np.linalg.lstsq(H_aa, rhs, rcond=None)[0]
+    step = target - start
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = -start / step
     taus = np.concatenate([[0.0, 1.0], cross[pen & (cross > 0) & (cross < 1)]])
@@ -278,6 +293,15 @@ def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
 
 def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
              penalize_intercept: bool) -> np.ndarray:
+    """Weights of one part at L1 strength gamma.
+
+    At gamma = 0, Newton from the intercept-only start. At gamma > 0 the fit
+    starts at w0, the intercept-only point with a free intercept and 0 with a
+    penalized one; w0 is the solution for every strength from gamma_max, the
+    largest penalized gradient entry at w0, upwards. It then runs proximal
+    Newton at each gamma_max * PATH_RATIO^k (k = 1, 2, ...) still above gamma,
+    each from the last solution, and finally at gamma.
+    """
     p1 = Xt.shape[0]
     w = _intercept_start(t, d, p1)
     if not d.any():
@@ -289,6 +313,12 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
                        "censored sample; the weights depend on the stop rule", t.size)
     penalized = np.ones(p1, dtype=bool)
     penalized[0] = penalize_intercept
+    if gamma > 0:
+        if penalize_intercept:
+            w = np.zeros(p1)
+        level = np.abs((Xt @ (t * np.exp(w @ Xt) - d))[penalized]).max(initial=0.0)
+        while (level := level * PATH_RATIO) > gamma:
+            w = _newton_fit(Xt, t, d, w, level, penalized)
     return _newton_fit(Xt, t, d, w, gamma, penalized)
 
 
@@ -299,9 +329,11 @@ def fit_ecph(X: np.ndarray, survival: Survival,
 
     The two parts factor, so they are fitted independently, each by Newton's
     method with backtracking run to convergence; a part with a positive L1
-    strength takes proximal Newton steps. At gamma = 0 a part logs a warning
-    when its MLE cannot exist: the design has rank N and the part has a
-    censored sample. Every time must be positive; ``data.adjust_zero_times``
+    strength takes proximal Newton steps along a warm-started path of
+    strengths, from the smallest at which all its penalized weights are 0
+    down to its own by factors of PATH_RATIO. At gamma = 0 a part logs a
+    warning when its MLE cannot exist: the design has rank N and the part has
+    a censored sample. Every time must be positive; ``data.adjust_zero_times``
     replaces zero times.
     """
     Xt, t, d = _aligned(X, survival)

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from latentsurv.data import make_split
 from latentsurv.hazard import (
     HazardParams,
     PenaltyConfig,
+    _intercept_start,
     _lasso_cd,
+    _newton_fit,
     ecph_log_likelihood,
     ecph_predict,
     fit_ecph,
 )
-from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
+from latentsurv.simulate import simulate_dataset
+from perfbench.workloads import criterion1_scenario
 from tests.conftest import l1_support, make_survival
 
 
@@ -44,6 +48,42 @@ def aliased_instance(rng, N=24, p_normal=15, groups=4):
     t = rng.exponential(np.exp(-w_T @ Xt))
     c = rng.exponential(np.exp(0.3), size=N)
     return X, make_survival(np.minimum(t, c), t <= c)
+
+
+def assert_kkt(params, X, survival, event_part, gamma):
+    """Subgradient conditions of -loglik + gamma * ||w||_1 at params."""
+    w = params.w
+    g = nll_gradient(w, X, survival, event_part)
+    on = w != 0
+    assert np.all(np.abs(g[~on]) <= gamma + 1e-6)
+    np.testing.assert_allclose(g[on], -gamma * np.sign(w[on]), rtol=0, atol=1e-6)
+
+
+def lasso_relative_gap(A, y, gamma, penalized, w):
+    """Duality gap of 0.5*||y - A w||^2 + gamma * ||w[penalized]||_1 at w, at
+    the dual point that scales the residual into the feasible set, relative
+    to the primal objective."""
+    r = y - A @ w
+    primal = 0.5 * r @ r + gamma * np.abs(w[penalized]).sum()
+    corr = np.abs(A[:, penalized].T @ r).max()
+    nu = min(1.0, gamma / corr) * r
+    return (primal - (nu @ y - 0.5 * nu @ nu)) / primal
+
+
+def penalized_objective(w, Xt, t, d, gamma, penalized):
+    eta = w @ Xt
+    return -np.sum(d * eta - t * np.exp(eta)) + gamma * np.abs(w[penalized]).sum()
+
+
+def step_runs(records):
+    """The (step, size, objective) args of the Newton step records, one list
+    per Newton run."""
+    runs = []
+    for k, size, f in (r.args for r in records if r.msg.startswith("hazard fit step")):
+        if k == 1:
+            runs.append([])
+        runs[-1].append((k, size, f))
+    return runs
 
 
 def nll_gradient(w, X, survival, event_part=True):
@@ -160,17 +200,7 @@ class TestFitEcph:
         """Raw stacked features of the criterion-1 generator at N = 40, p = 54.
         The design has rank N and both parts have censored samples, so no MLE
         exists, and each part says so."""
-        beta = np.random.default_rng(202).standard_normal(3)
-        beta *= 3.0 / np.linalg.norm(beta)
-        scenario = SimScenario(
-            d_z=3,
-            blocks=(BlockSpec(name="expr", kind="normal", d_x=40, w_scale=0.8),
-                    BlockSpec(name="mut", kind="binomial", d_x=10, b=1, w_scale=1.2),
-                    BlockSpec(name="subtype", kind="multinomial", d_x=4, b=1,
-                              w_scale=1.2)),
-            w_T=np.concatenate([[0.0], beta]), w_C=np.array([-0.8, 0.0, 0.0, 0.0]),
-            n_train=40, n_test=0, seed=77)
-        train, _, _ = simulate_dataset(scenario)
+        train, _, _ = simulate_dataset(criterion1_scenario(40, 0, 77, d_x=(40, 10, 4)))
         with warnings.catch_warnings(), caplog.at_level("WARNING", logger="latentsurv.hazard"):
             warnings.simplefilter("error", RuntimeWarning)
             w_T, w_C = fit_ecph(train.stacked_values(), train.survival)
@@ -249,43 +279,81 @@ class TestPenalizedFit:
         with caplog.at_level("WARNING", logger="latentsurv.hazard"):
             w_T, w_C = fit_ecph(X, surv, penalty=PenaltyConfig(gamma, gamma))
         assert not caplog.records
-        for params, event_part in ((w_T, True), (w_C, False)):
-            w = params.w
-            g = nll_gradient(w, X, surv, event_part)
-            on = w != 0
-            # subgradient conditions of -loglik + gamma * ||w||_1
-            assert np.all(np.abs(g[~on]) <= gamma + 1e-6)
-            np.testing.assert_allclose(g[on], -gamma * np.sign(w[on]), rtol=0, atol=1e-6)
+        assert_kkt(w_T, X, surv, True, gamma)
+        assert_kkt(w_C, X, surv, False, gamma)
 
     def test_objective_never_rises(self, rng, caplog):
-        """One run of step records per part: the L1 event part backtracks,
-        and the objective of neither part rises."""
+        """The L1 event part walks a path of Newton runs and the unpenalized
+        censoring part makes one; no run raises its objective, and each part's
+        last run ends at the objective of the weights it returns."""
         X, surv = aliased_instance(rng)
         Xt = np.vstack([np.ones(X.shape[1]), X])
         t = surv.time
         events = surv.event
         with caplog.at_level("DEBUG", logger="latentsurv.hazard"):
             fitted = fit_ecph(X, surv, penalty=PenaltyConfig(0.5, 0.0))
-        runs = []
-        for k, size, f in (r.args for r in caplog.records
-                           if r.msg.startswith("hazard fit step")):
-            if k == 1:
-                runs.append([])
-            runs[-1].append((k, size, f))
-        assert len(runs) == 2, "expected one run of per-step records per part"
-        for params, d, gamma, steps in zip(fitted, (events, 1.0 - events), (0.5, 0.0), runs):
-            def objective(w):
-                eta = w @ Xt
-                return -np.sum(d * eta - t * np.exp(eta)) + gamma * np.abs(w).sum()
-
+        runs = step_runs(caplog.records)
+        assert len(runs) > 2, "expected a path of runs for the event part"
+        for steps in runs:
             assert [k for k, _, _ in steps] == list(range(1, len(steps) + 1))
-            w0 = np.zeros(Xt.shape[0])
-            w0[0] = math.log(d.sum() / t.sum())
-            objectives = [objective(w0)] + [f for _, _, f in steps]
+            objectives = [f for _, _, f in steps]
             assert all(b <= a for a, b in zip(objectives, objectives[1:]))
             assert all(0 < size <= 1 for _, size, _ in steps)
-            assert objective(params.w) == pytest.approx(objectives[-1], rel=1e-12)
-        assert min(size for _, size, _ in runs[0]) < 1  # the event part backtracked
+        everything = np.ones(Xt.shape[0], dtype=bool)
+        for params, d, gamma, last in zip(fitted, (events, 1.0 - events), (0.5, 0.0),
+                                          (runs[-2], runs[-1])):
+            assert (penalized_objective(params.w, Xt, t, d, gamma, everything)
+                    == pytest.approx(last[-1][2], rel=1e-12))
+
+    def test_cold_start_backtracks(self, rng, caplog):
+        """From the intercept-only start, the event part's first proximal
+        Newton steps overshoot; Armijo backtracking keeps the objective from
+        rising."""
+        X, surv = aliased_instance(rng)
+        Xt = np.vstack([np.ones(X.shape[1]), X])
+        t, d = surv.time, surv.event
+        penalized = np.ones(Xt.shape[0], dtype=bool)
+        w0 = _intercept_start(t, d, Xt.shape[0])
+        with caplog.at_level("DEBUG", logger="latentsurv.hazard"):
+            w = _newton_fit(Xt, t, d, w0, 0.5, penalized)
+        [steps] = step_runs(caplog.records)
+        objectives = ([penalized_objective(w0, Xt, t, d, 0.5, penalized)]
+                      + [f for _, _, f in steps])
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+        assert penalized_objective(w, Xt, t, d, 0.5, penalized) == pytest.approx(objectives[-1],
+                                                                             rel=1e-12)
+        assert min(size for _, size, _ in steps) < 1
+
+    @pytest.mark.parametrize("penalize_intercept", [True, False])
+    @pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
+    def test_path_matches_cold_fit(self, rng, gamma, penalize_intercept):
+        """The path reaches the optimum a cold proximal Newton fit from the
+        intercept-only start reaches."""
+        X, surv = aliased_instance(rng)
+        Xt = np.vstack([np.ones(X.shape[1]), X])
+        t = surv.time
+        penalized = np.ones(Xt.shape[0], dtype=bool)
+        penalized[0] = penalize_intercept
+        fitted = fit_ecph(X, surv, penalty=PenaltyConfig(gamma, gamma, penalize_intercept))
+        for params, d in zip(fitted, (surv.event, 1.0 - surv.event)):
+            cold = _newton_fit(Xt, t, d, _intercept_start(t, d, Xt.shape[0]), gamma, penalized)
+            assert (penalized_objective(params.w, Xt, t, d, gamma, penalized)
+                    == pytest.approx(penalized_objective(cold, Xt, t, d, gamma, penalized),
+                                     rel=1e-12))
+
+    def test_paper_size_fold_within_sweep_cap(self, caplog):
+        """Criterion-1 draw (N = 300, p = 254), learning set of fold 2 of its
+        5-fold split, gamma = 0.5: a cold proximal Newton fit ran its first
+        lasso to the sweep cap here; the path reaches the optimum."""
+        train, _, _ = simulate_dataset(criterion1_scenario(300, 0, 77))
+        split = make_split(train.n_samples, test_fraction=0.0, n_folds=5, seed=0)
+        fold = train.subset(split.learning_indices(2))
+        X = fold.stacked_values()
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w_T, w_C = fit_ecph(X, fold.survival, penalty=PenaltyConfig(0.5, 0.5))
+        assert not caplog.records
+        assert_kkt(w_T, X, fold.survival, True, 0.5)
+        assert_kkt(w_C, X, fold.survival, False, 0.5)
 
 
 class TestLassoCd:
@@ -334,12 +402,56 @@ class TestLassoCd:
         with caplog.at_level("WARNING", logger="latentsurv.hazard"):
             w = _lasso_cd(A, y, gamma, penalized, np.zeros(A.shape[1]))
         assert not caplog.records
-        r = y - A @ w
-        primal = 0.5 * r @ r + gamma * np.abs(w[penalized]).sum()
-        corr = np.abs(A[:, penalized].T @ r).max()
-        nu = min(1.0, gamma / corr) * r
-        dual = nu @ y - 0.5 * nu @ nu
-        assert primal - dual <= 1e-8 * primal
+        assert lasso_relative_gap(A, y, gamma, penalized, w) <= 1e-8
+
+    @pytest.mark.parametrize("design", ["wide", "one-hot", "near-duplicate"])
+    def test_feature_sign_solve_meets_relative_gap(self, design, monkeypatch, caplog):
+        """The feature-sign step solves by Cholesky and falls back to the
+        minimum-norm least-squares solution where the active Gram block is
+        singular: an active set larger than N, or a full one-hot block beside
+        the free intercept. On a nearly singular block Cholesky succeeds where
+        least squares would truncate the smallest singular value."""
+        rng = np.random.default_rng(0)
+        if design == "wide":
+            n = 12
+            A = np.column_stack([np.ones(n), rng.standard_normal((n, 29))])
+            y = 10.0 * rng.standard_normal(n)
+            gamma = 1.0
+        elif design == "one-hot":
+            n = 40
+            A = np.column_stack([np.ones(n), np.eye(4)[rng.integers(4, size=n)],
+                                 rng.standard_normal((n, 3))])
+            y = 5.0 * A[:, 1:] @ rng.normal(size=7) + rng.standard_normal(n)
+            gamma = 0.1
+        else:
+            n = 30
+            normal = rng.standard_normal((n, 4))
+            A = np.column_stack([np.ones(n), normal,
+                                 normal[:, 0] + 3e-8 * rng.standard_normal(n)])
+            y = 5.0 * normal @ rng.normal(size=4) + rng.standard_normal(n)
+            gamma = 1e-3
+            s = np.linalg.svd(A.T @ A, compute_uv=False)
+            assert s[-1] < s[0] * A.shape[1] * np.finfo(float).eps
+        penalized = np.ones(A.shape[1], dtype=bool)
+        penalized[0] = False
+        lstsq = np.linalg.lstsq
+        solved = []  # (size, singular) of each block least squares solved
+
+        def spy(a, b, rcond=None):
+            solved.append((a.shape[0], np.linalg.matrix_rank(a) < a.shape[0]))
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w = _lasso_cd(A, y, gamma, penalized, np.zeros(A.shape[1]))
+        assert not caplog.records
+        assert lasso_relative_gap(A, y, gamma, penalized, w) <= 1e-8
+        if design == "near-duplicate":
+            assert not solved
+        else:
+            assert solved and all(singular for _, singular in solved)
+        if design == "wide":
+            assert max(size for size, _ in solved) > n
 
 
 class TestPredict:
