@@ -8,9 +8,11 @@ convergence, on the negative log-likelihood plus, when gamma > 0, an L1
 penalty (proximal Newton). A step minimizes Newton's quadratic model, by least
 squares on the working response or as a lasso by coordinate descent, whose
 feature-sign steps solve the active Gram block by Cholesky (least squares
-where the block is singular). A fit at gamma > 0 walks a warm-started
-geometric path of strengths down to its gamma (Friedman, Hastie & Tibshirani
-2010), so that each proximal Newton run starts close to its optimum.
+where the block is singular). A fit at gamma > 0 follows a warm-started
+geometric path of strengths down to its gamma approximately: one proximal
+Newton step at each strength above gamma, whose only use is to start the
+next close to its optimum, and Newton to convergence at gamma alone
+(Friedman, Hastie & Tibshirani 2010; Wang, Liu & Zhang 2014).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ MAX_NEWTON_STEPS = 100
 NEWTON_REL_TOL = 1e-10
 ARMIJO = 1e-4
 MIN_STEP = 1e-10
-# A fit at gamma > 0 first walks the path gamma_max * PATH_RATIO^k down to
-# its gamma, each fit starting from the last.
+# A fit at gamma > 0 first takes one Newton step at each strength
+# gamma_max * PATH_RATIO^k above its gamma, each from the last.
 PATH_RATIO = 0.25
 # The lasso stops at this duality gap relative to its primal objective, or
 # warns after this many coordinate sweeps.
@@ -214,6 +216,8 @@ def _active_newton(H: np.ndarray, b: np.ndarray, w: np.ndarray, penalized: np.nd
     H_aa = H[np.ix_(active, active)]
     start = w[active]
     rhs = b[active] - np.where(pen, gamma * np.sign(start), 0.0)
+    # one np.linalg.solve(H_aa, rhs) misses the lasso's gap tolerance on a rank-deficient
+    # design, and scipy's cho_solve would add scipy.linalg's 5.5 MB import to every run
     try:
         L = np.linalg.cholesky(H_aa)
         target = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
@@ -245,47 +249,61 @@ def _working_response(w: np.ndarray, Xt: np.ndarray, t: np.ndarray,
     return (Xt * sw).T, u * sw
 
 
+def _penalized_objective(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.ndarray,
+                         gamma: float, penalized: np.ndarray) -> float:
+    """-loglik(w) + gamma * sum_{j in penalized} |w_j| of one part."""
+    with np.errstate(over="ignore"):  # a trial step may overflow exp
+        return -_part_log_likelihood(w, Xt, t, d) + gamma * np.abs(w[penalized]).sum()
+
+
+def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f: float,
+                 gamma: float, penalized: np.ndarray,
+                 step: int = 1) -> tuple[np.ndarray, float, bool]:
+    """One damped Newton step from w, whose penalized objective is f; proximal
+    Newton (Lee, Sun & Saunders 2014) when gamma > 0.
+
+    Minimizes Newton's quadratic model, by least squares when gamma = 0 and by
+    ``_lasso_cd`` otherwise, and halves the step until the Armijo condition
+    holds, so the objective never rises. Returns the new weights, their
+    objective and whether the fit is done: the predicted decrease fell below
+    NEWTON_REL_TOL times the objective, or no step decreases it (a warning).
+    """
+    A, y = _working_response(w, Xt, t, d)
+    if gamma > 0:
+        v = _lasso_cd(A, y, gamma, penalized, w)
+    else:
+        v = np.linalg.lstsq(A, y, rcond=None)[0]
+    grad = Xt @ (t * np.exp(w @ Xt) - d)
+    decrease = -(grad @ (v - w) + gamma * (np.abs(v[penalized]).sum()
+                                           - np.abs(w[penalized]).sum()))
+    # once the predicted decrease is negligible, the full step is taken
+    # only if rounding does not make it raise the objective
+    converged = decrease <= NEWTON_REL_TOL * abs(f)
+    size, trial = 1.0, v
+    f_trial = _penalized_objective(v, Xt, t, d, gamma, penalized)
+    while not converged and f_trial > f - ARMIJO * size * decrease:
+        if size < MIN_STEP:
+            logger.warning("hazard fit did not converge: no step decreases the objective")
+            return w, f, True
+        size *= 0.5
+        trial = w + size * (v - w)
+        f_trial = _penalized_objective(trial, Xt, t, d, gamma, penalized)
+    if f_trial <= f:
+        w, f = trial, f_trial
+        logger.debug("hazard fit step %d: step size %g, penalized objective %.17g",
+                     step, size, f)
+    return w, f, converged
+
+
 def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
                 gamma: float, penalized: np.ndarray) -> np.ndarray:
-    """Newton with backtracking for min_w -loglik(w) + gamma * sum_{j in penalized} |w_j|;
-    proximal Newton (Lee, Sun & Saunders 2014) when gamma > 0.
-
-    Each step minimizes Newton's quadratic model, by least squares when
-    gamma = 0 and by ``_lasso_cd`` otherwise, and halves the step until the
-    Armijo condition holds, so the objective never rises. Stops when the
-    predicted decrease falls below NEWTON_REL_TOL times the objective.
-    """
-    def objective(v):
-        with np.errstate(over="ignore"):  # a trial step may overflow exp
-            return -_part_log_likelihood(v, Xt, t, d) + gamma * np.abs(v[penalized]).sum()
-
-    f = objective(w)
+    """Newton with backtracking for min_w -loglik(w) + gamma * sum_{j in penalized} |w_j|:
+    ``_newton_step`` from w until it is done, or a warning after
+    MAX_NEWTON_STEPS steps."""
+    f = _penalized_objective(w, Xt, t, d, gamma, penalized)
     for step in range(1, MAX_NEWTON_STEPS + 1):
-        A, y = _working_response(w, Xt, t, d)
-        if gamma > 0:
-            v = _lasso_cd(A, y, gamma, penalized, w)
-        else:
-            v = np.linalg.lstsq(A, y, rcond=None)[0]
-        grad = Xt @ (t * np.exp(w @ Xt) - d)
-        decrease = -(grad @ (v - w) + gamma * (np.abs(v[penalized]).sum()
-                                               - np.abs(w[penalized]).sum()))
-        # once the predicted decrease is negligible, the full step is taken
-        # only if rounding does not make it raise the objective
-        converged = decrease <= NEWTON_REL_TOL * abs(f)
-        size, trial, f_trial = 1.0, v, objective(v)
-        while not converged and f_trial > f - ARMIJO * size * decrease:
-            if size < MIN_STEP:
-                logger.warning("hazard fit did not converge: no step decreases "
-                               "the objective")
-                return w
-            size *= 0.5
-            trial = w + size * (v - w)
-            f_trial = objective(trial)
-        if f_trial <= f:
-            w, f = trial, f_trial
-            logger.debug("hazard fit step %d: step size %g, penalized objective %.17g",
-                         step, size, f)
-        if converged:
+        w, f, done = _newton_step(Xt, t, d, w, f, gamma, penalized, step)
+        if done:
             return w
     logger.warning("hazard fit did not converge in %d steps", MAX_NEWTON_STEPS)
     return w
@@ -298,9 +316,11 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
     At gamma = 0, Newton from the intercept-only start. At gamma > 0 the fit
     starts at w0, the intercept-only point with a free intercept and 0 with a
     penalized one; w0 is the solution for every strength from gamma_max, the
-    largest penalized gradient entry at w0, upwards. It then runs proximal
-    Newton at each gamma_max * PATH_RATIO^k (k = 1, 2, ...) still above gamma,
-    each from the last solution, and finally at gamma.
+    largest penalized gradient entry at w0, upwards. It then takes one
+    proximal Newton step (``_newton_step``) at each gamma_max * PATH_RATIO^k
+    (k = 1, 2, ...) still above gamma, each from the last, and runs proximal
+    Newton to convergence (``_newton_fit``) at gamma only: the intermediate
+    points serve only as warm starts, so they need not be optimal.
     """
     p1 = Xt.shape[0]
     w = _intercept_start(t, d, p1)
@@ -318,7 +338,8 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
             w = np.zeros(p1)
         level = np.abs((Xt @ (t * np.exp(w @ Xt) - d))[penalized]).max(initial=0.0)
         while (level := level * PATH_RATIO) > gamma:
-            w = _newton_fit(Xt, t, d, w, level, penalized)
+            f = _penalized_objective(w, Xt, t, d, level, penalized)
+            w = _newton_step(Xt, t, d, w, f, level, penalized)[0]
     return _newton_fit(Xt, t, d, w, gamma, penalized)
 
 
@@ -329,12 +350,12 @@ def fit_ecph(X: np.ndarray, survival: Survival,
 
     The two parts factor, so they are fitted independently, each by Newton's
     method with backtracking run to convergence; a part with a positive L1
-    strength takes proximal Newton steps along a warm-started path of
-    strengths, from the smallest at which all its penalized weights are 0
-    down to its own by factors of PATH_RATIO. At gamma = 0 a part logs a
-    warning when its MLE cannot exist: the design has rank N and the part has
-    a censored sample. Every time must be positive; ``data.adjust_zero_times``
-    replaces zero times.
+    strength first takes one proximal Newton step at each strength of a
+    warm-started path, from the smallest at which all its penalized weights
+    are 0 down towards its own by factors of PATH_RATIO, and converges at its
+    own strength only. At gamma = 0 a part logs a warning when its MLE cannot
+    exist: the design has rank N and the part has a censored sample. Every
+    time must be positive; ``data.adjust_zero_times`` replaces zero times.
     """
     Xt, t, d = _aligned(X, survival)
     _require_positive_times(survival)

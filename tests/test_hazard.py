@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 from latentsurv.data import make_split
 from latentsurv.hazard import (
+    PATH_RATIO,
     HazardParams,
     PenaltyConfig,
     _intercept_start,
@@ -323,6 +324,26 @@ class TestPenalizedFit:
         assert penalized_objective(w, Xt, t, d, 0.5, penalized) == pytest.approx(objectives[-1],
                                                                              rel=1e-12)
         assert min(size for _, size, _ in steps) < 1
+
+    def test_intermediate_strengths_take_one_step(self, rng, caplog):
+        """The event part takes one proximal Newton step at each strength
+        gamma_max * PATH_RATIO^k above its gamma and runs Newton to
+        convergence only at its gamma, ending at the objective of the weights
+        it returns."""
+        X, surv = aliased_instance(rng)
+        Xt = np.vstack([np.ones(X.shape[1]), X])
+        with caplog.at_level("DEBUG", logger="latentsurv.hazard"):
+            w_T, _ = fit_ecph(X, surv, penalty=PenaltyConfig(0.5, 0.0))
+        *event_runs, _ = step_runs(caplog.records)  # the censoring part's run is last
+        level = np.abs(nll_gradient(np.zeros(Xt.shape[0]), X, surv)).max()
+        intermediate = 0
+        while (level := level * PATH_RATIO) > 0.5:
+            intermediate += 1
+        assert intermediate > 1
+        assert [len(steps) for steps in event_runs[:-1]] == [1] * intermediate
+        everything = np.ones(Xt.shape[0], dtype=bool)
+        assert (penalized_objective(w_T.w, Xt, surv.time, surv.event, 0.5, everything)
+                == pytest.approx(event_runs[-1][-1][2], rel=1e-12))
 
     @pytest.mark.parametrize("penalize_intercept", [True, False])
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
