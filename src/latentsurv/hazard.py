@@ -239,14 +239,15 @@ def _active_newton(H: np.ndarray, b: np.ndarray, w: np.ndarray, penalized: np.nd
 
 
 def _working_response(w: np.ndarray, Xt: np.ndarray, t: np.ndarray,
-                      d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares form (A, y) of Newton's quadratic model of the
-    log-likelihood at w: 0.5*||y - A v||^2 equals the model up to a constant."""
+    log-likelihood at w: 0.5*||y - A v||^2 equals the model up to a constant;
+    then the Newton weights t * exp(w'x), which also give the gradient."""
     eta = w @ Xt
     weights = t * np.exp(eta)  # Newton weights; sqrt enters the LS design
     u = eta + d / weights - 1.0
     sw = np.sqrt(weights)
-    return (Xt * sw).T, u * sw
+    return (Xt * sw).T, u * sw, weights
 
 
 def _penalized_objective(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.ndarray,
@@ -268,12 +269,12 @@ def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f:
     objective and whether the fit is done: the predicted decrease fell below
     NEWTON_REL_TOL times the objective, or no step decreases it (a warning).
     """
-    A, y = _working_response(w, Xt, t, d)
+    A, y, weights = _working_response(w, Xt, t, d)
     if gamma > 0:
         v = _lasso_cd(A, y, gamma, penalized, w)
     else:
         v = np.linalg.lstsq(A, y, rcond=None)[0]
-    grad = Xt @ (t * np.exp(w @ Xt) - d)
+    grad = Xt @ (weights - d)
     decrease = -(grad @ (v - w) + gamma * (np.abs(v[penalized]).sum()
                                            - np.abs(w[penalized]).sum()))
     # once the predicted decrease is negligible, the full step is taken
@@ -293,6 +294,13 @@ def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f:
         logger.debug("hazard fit step %d: step size %g, penalized objective %.17g",
                      step, size, f)
     return w, f, converged
+
+
+def _step_from(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
+               gamma: float, penalized: np.ndarray) -> np.ndarray:
+    """One ``_newton_step`` from w at strength gamma: an L1 path step, or an MCEM M-step."""
+    f = _penalized_objective(w, Xt, t, d, gamma, penalized)
+    return _newton_step(Xt, t, d, w, f, gamma, penalized)[0]
 
 
 def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
@@ -317,7 +325,7 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
     starts at w0, the intercept-only point with a free intercept and 0 with a
     penalized one; w0 is the solution for every strength from gamma_max, the
     largest penalized gradient entry at w0, upwards. It then takes one
-    proximal Newton step (``_newton_step``) at each gamma_max * PATH_RATIO^k
+    proximal Newton step (``_step_from``) at each gamma_max * PATH_RATIO^k
     (k = 1, 2, ...) still above gamma, each from the last, and runs proximal
     Newton to convergence (``_newton_fit``) at gamma only: the intermediate
     points serve only as warm starts, so they need not be optimal.
@@ -338,8 +346,7 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
             w = np.zeros(p1)
         level = np.abs((Xt @ (t * np.exp(w @ Xt) - d))[penalized]).max(initial=0.0)
         while (level := level * PATH_RATIO) > gamma:
-            f = _penalized_objective(w, Xt, t, d, level, penalized)
-            w = _newton_step(Xt, t, d, w, f, level, penalized)[0]
+            w = _step_from(Xt, t, d, w, level, penalized)
     return _newton_fit(Xt, t, d, w, gamma, penalized)
 
 

@@ -8,8 +8,9 @@ chain: the E-step's N chains, each kappa rung's tuning chains, and
 ``mh_sample``'s one. The proposal scale is the first rung of the kappa ladder
 whose tuning chains meet fixed acceptance, n_eff and R-hat thresholds; n_eff
 comes from FFT autocorrelations. M-steps run the factor layer's conditional
-sweep against the Monte-Carlo moments, plus one Newton-Raphson step for each
-hazard. Prediction integrates the latent vector out analytically under the
+sweep against the Monte-Carlo moments, plus one Armijo-damped Newton step of
+``hazard`` per hazard on the kept draws, so its Monte-Carlo Q never falls.
+Prediction integrates the latent vector out analytically under the
 factor-only posterior with the learning-set averages of the variational
 parameters, the state a saved model keeps, so fitted and loaded models
 predict alike.
@@ -26,7 +27,8 @@ import numpy as np
 from . import factor
 from .data import Dataset
 from .factor import FaModel, LatentPosterior, VariationalState
-from .hazard import HazardParams, _intercept_start, _require_positive_times, fit_ecph
+from .hazard import (HazardParams, _design, _intercept_start, _require_positive_times,
+                     _step_from, fit_ecph)
 
 logger = logging.getLogger(__name__)
 
@@ -236,40 +238,28 @@ def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo M-step for the hazards
-# ---------------------------------------------------------------------------
-
-def newton_mstep_w(w_s: HazardParams, samples: np.ndarray, times: np.ndarray,
-                   events: np.ndarray) -> HazardParams:
-    """One Newton-Raphson step on the expected complete-data log-likelihood, with
-    moments estimated from the kept draws (N, S, d_z) (one class: pass delta or 1-delta)."""
-    w = w_s.w
-    t = np.asarray(times, dtype=float)
-    d = np.asarray(events, dtype=float)
-    N, S, _ = samples.shape
-    zt = np.concatenate([np.ones((N, S, 1)), samples], axis=2)
-    e = np.exp(zt @ w)  # (N, S)
-    Ee = np.einsum("nsj,ns->nj", zt, e) / S
-    g = (d[:, None] * zt.mean(axis=1) - t[:, None] * Ee).sum(axis=0)
-    H = np.einsum("n,njk->jk", t, np.einsum("nsj,nsk,ns->njk", zt, zt, e) / S)
-    try:
-        delta = np.linalg.solve(H, g)
-    except np.linalg.LinAlgError:
-        ridge = 1e-8 * np.trace(H) / H.shape[0]
-        logger.warning("singular Newton Hessian; adding ridge %.3g", ridge)
-        delta = np.linalg.solve(H + ridge * np.eye(H.shape[0]), g)
-    return HazardParams(w + delta)
-
-
-# ---------------------------------------------------------------------------
 # full fits
 # ---------------------------------------------------------------------------
 
+def _hazard_mstep(w: HazardParams, samples: np.ndarray, times: np.ndarray,
+                  events: np.ndarray) -> HazardParams:
+    """One part's M-step from the kept draws (N, S, d_z) (pass delta or 1 - delta):
+    up to 1/S its Monte-Carlo Q is the log-likelihood of the N*S draws taken as
+    samples, so ``hazard``'s damped Newton step on them never lowers Q."""
+    N, S, d_z = samples.shape
+    Xt = _design(samples.reshape(N * S, d_z).T)
+    return HazardParams(_step_from(Xt, np.repeat(times, S), np.repeat(events, S), w.w,
+                                   0.0, np.zeros(d_z + 1, dtype=bool)))
+
+
 def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
               mh: MhConfig | None = None, seed: int = 0) -> JointModel:
-    """Approximate generalized EM for ``gem_iters`` iterations: Metropolis
+    """Approximate generalized EM for ``gem_iters`` >= 0 iterations: Metropolis
     E-step, the factor layer's conditional sweep against the Monte-Carlo
-    moments, one Newton step per hazard."""
+    moments, per hazard one Armijo-damped Newton step of ``hazard`` on the
+    kept draws (``_hazard_mstep``), which never lowers its Monte-Carlo Q."""
+    if gem_iters < 0:
+        raise ValueError(f"gem_iters={gem_iters} must be non-negative")
     mh = mh or MhConfig()
     _require_positive_times(dataset.survival)
     times = dataset.times()
@@ -303,8 +293,8 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
         params, states = factor._conditional_sweep(data, params, states, mc_post)
         heywood = heywood or factor._heywood(params, data)
 
-        w_T = newton_mstep_w(w_T, samples, times, events)
-        w_C = newton_mstep_w(w_C, samples, times, 1.0 - events)
+        w_T = _hazard_mstep(w_T, samples, times, events)
+        w_C = _hazard_mstep(w_C, samples, times, 1.0 - events)
 
     fa_out = FaModel(d_z=d_z, block_params=tuple(params),
                      variational=tuple(states), heywood_flag=heywood)

@@ -8,11 +8,13 @@ import pytest
 
 from latentsurv import factor
 from latentsurv.data import Dataset
+from latentsurv.estimators import LatentSurvival
 from latentsurv.factor import BlockParams, FaModel, LatentPosterior, fit_fa
 from latentsurv.hazard import HazardParams
 from latentsurv import joint
 from latentsurv.joint import (
     JointModel,
+    _hazard_mstep,
     _metropolis,
     MhConfig,
     SampleTargets,
@@ -21,7 +23,6 @@ from latentsurv.joint import (
     fit_joint,
     joint_predict,
     mh_sample,
-    newton_mstep_w,
     split_rhat,
     tune_kappa,
 )
@@ -270,7 +271,7 @@ class TestNewtonMstep:
         samples = np.zeros((20, 30, 1))  # all draws at z = 0
         w = HazardParams(np.array([0.0, 0.0]))
         for _ in range(30):
-            w = newton_mstep_w(w, samples, times, events)
+            w = _hazard_mstep(w, samples, times, events)
         assert w.w[0] == pytest.approx(math.log(events.sum() / times.sum()), abs=1e-10)
         assert w.w[1] == pytest.approx(0.0, abs=1e-10)
 
@@ -279,42 +280,69 @@ class TestNewtonMstep:
         events = np.ones(15)
         samples = np.zeros((15, 10, 1))
         w0 = math.log(events.sum() / times.sum())
-        w = newton_mstep_w(HazardParams(np.array([w0, 0.0])), samples, times, events)
+        w = _hazard_mstep(HazardParams(np.array([w0, 0.0])), samples, times, events)
         assert w.w[0] == pytest.approx(w0, abs=1e-14)
 
     def test_matches_finite_difference_newton_step(self, rng):
         """Point-mass draws make the MC moments exact; the update must equal
         a Newton step computed from finite-difference gradient and Hessian of
-        the complete-data log-likelihood."""
-        N, d_z = 12, 2
+        the complete-data log-likelihood. With spread draws it must equal the
+        Newton step on the Monte-Carlo Q, the mean over draws: the stacked
+        draws carry Q's gradient and Hessian."""
+        N, d_z, S = 12, 2, 5
         Z = rng.standard_normal((N, d_z))
-        samples = np.repeat(Z[:, None, :], 5, axis=1)
         times = rng.exponential(1.0, N)
         events = (rng.random(N) < 0.6).astype(float)
         w = rng.normal(scale=0.3, size=d_z + 1)
-        got = newton_mstep_w(HazardParams(w), samples, times, events)
+        spread = Z[:, None, :] + 0.3 * rng.standard_normal((N, S, d_z))
+        for samples in (np.repeat(Z[:, None, :], S, axis=1), spread):
+            got = _hazard_mstep(HazardParams(w), samples, times, events)
+            Zt = np.concatenate([np.ones((N, S, 1)), samples], axis=2)
 
-        Zt = np.hstack([np.ones((N, 1)), Z])
+            def ll(v):
+                eta = Zt @ v  # (N, S)
+                return np.sum(events[:, None] * eta - times[:, None] * np.exp(eta)) / S
 
-        def ll(v):
-            eta = Zt @ v
-            return np.sum(events * eta - times * np.exp(eta))
+            h = 1e-5
+            dim = d_z + 1
+            g = np.zeros(dim)
+            H = np.zeros((dim, dim))
+            for i in range(dim):
+                ei = np.zeros(dim)
+                ei[i] = h
+                g[i] = (ll(w + ei) - ll(w - ei)) / (2 * h)
+                for j in range(dim):
+                    ej = np.zeros(dim)
+                    ej[j] = h
+                    H[i, j] = (ll(w + ei + ej) - ll(w + ei - ej)
+                               - ll(w - ei + ej) + ll(w - ei - ej)) / (4 * h * h)
+            want = w + np.linalg.solve(-H, g)
+            np.testing.assert_allclose(got.w, want, atol=1e-6)
 
-        h = 1e-5
-        dim = d_z + 1
-        g = np.zeros(dim)
-        H = np.zeros((dim, dim))
-        for i in range(dim):
-            ei = np.zeros(dim)
-            ei[i] = h
-            g[i] = (ll(w + ei) - ll(w - ei)) / (2 * h)
-            for j in range(dim):
-                ej = np.zeros(dim)
-                ej[j] = h
-                H[i, j] = (ll(w + ei + ej) - ll(w + ei - ej)
-                           - ll(w - ei + ej) + ll(w - ei - ej)) / (4 * h * h)
-        want = w + np.linalg.solve(-H, g)
-        np.testing.assert_allclose(got.w, want, atol=1e-6)
+    def test_no_mstep_lowers_monte_carlo_q(self, monkeypatch):
+        """GEM: no hazard M-step of a full fit on the select_fast seed-77 draw
+        (d_z = 3) lowers its part's Monte-Carlo Q. An undamped Newton step
+        lowers the event part's Q there at the first GEM iteration."""
+        from perfbench.workloads import SelectFast  # the draw is the benchmark's own
+        workload = SelectFast()
+        train = workload.setup(77, None)["train"]
+
+        def q(w, samples, times, events):
+            eta = w.w[0] + samples @ w.beta  # (N, S)
+            return np.sum(events[:, None] * eta - times[:, None] * np.exp(eta)) / eta.shape[1]
+
+        steps = []
+
+        def recorded(w, samples, times, events):
+            new = _hazard_mstep(w, samples, times, events)
+            steps.append((q(w, samples, times, events), q(new, samples, times, events)))
+            return new
+
+        monkeypatch.setattr(joint, "_hazard_mstep", recorded)
+        fit_joint(train, workload.pair_d_z, gem_iters=workload.gem_iters, seed=0)
+        assert len(steps) == 2 * workload.gem_iters
+        for before, after in steps:
+            assert after >= before - 1e-12 * abs(before), (before, after)
 
 
 class TestFitJoint:
@@ -326,6 +354,17 @@ class TestFitJoint:
         assert model.w_T.w[0] == pytest.approx(math.log(n_ev / t_sum))
         np.testing.assert_array_equal(model.w_T.beta, 0.0)
         assert model.fit_mode == "full_mcem"
+
+    def test_negative_gem_iters_refused(self, rng, monkeypatch):
+        """A negative iteration count is refused before the factor fit, also
+        through the estimator, instead of returning the initialization."""
+        ds = make_dataset(rng, N=20)
+        calls = count_calls(monkeypatch, factor, "fit_fa")
+        with pytest.raises(ValueError, match="gem_iters=-3 must be non-negative"):
+            fit_joint(ds, 2, gem_iters=-3, mh=FAST_MH, seed=0)
+        with pytest.raises(ValueError, match="gem_iters=-3 must be non-negative"):
+            LatentSurvival(d_z=2, fit_mode="full", gem_iters=-3).fit(ds)
+        assert calls[0] == 0
 
     def test_reproducible(self, rng):
         ds = make_dataset(rng, N=20)
