@@ -120,7 +120,7 @@ def simulate_cmd(scenario, out):
               show_default=True)
 @click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True,
               help="Monte Carlo EM iterations (full mode).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Output model JSON path.")
 def fit(data, dz, fit_mode, gem_iters, seed, out):
@@ -152,7 +152,7 @@ def fit(data, dz, fit_mode, gem_iters, seed, out):
 @click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--test-fraction", type=float, default=0.25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Output directory.")
 def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):

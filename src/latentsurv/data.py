@@ -156,7 +156,6 @@ class SplitPlan:
 
     test_indices: tuple[int, ...]
     folds: tuple[tuple[int, ...], ...]
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "test_indices", tuple(int(i) for i in self.test_indices))
@@ -410,4 +409,4 @@ def make_split(N: int, test_fraction: float = 0.25, n_folds: int = 5, *, seed: i
     test = np.sort(perm[:n_test])
     rest = perm[n_test:]
     folds = tuple(tuple(np.sort(part)) for part in np.array_split(rest, n_folds))
-    return SplitPlan(test_indices=tuple(test), folds=folds, seed=seed)
+    return SplitPlan(test_indices=tuple(test), folds=folds)

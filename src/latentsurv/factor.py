@@ -8,11 +8,11 @@ serves the E-step, the bound and the joint model's Metropolis targets. Each
 conditional update maximises the expected bound with the latent posterior held
 fixed, so a sweep runs against one posterior (ECM; Meng & Rubin 1993,
 Biometrika 80), and one per-block M-step (``_block_mstep``), mapped over the
-blocks by ``_conditional_sweep``, is the M-step of ``fit_fa``, of the joint
-model's Monte-Carlo EM and of ``multinomial_mstep`` on one count block. The
-bound is the log-normaliser of the posterior Gaussian, so ``fit_fa`` gets both
-at each parameter point from one accumulation and one inverse. The
-small-matrix kernels are GEMMs against the outer products of the loading rows.
+blocks by ``_conditional_sweep``, is the M-step of ``fit_fa`` and of the joint
+model's Monte-Carlo EM. The bound is the log-normaliser of the posterior
+Gaussian, so ``fit_fa`` gets both at each parameter point from one
+accumulation and one inverse. The small-matrix kernels are GEMMs against
+the outer products of the loading rows.
 """
 
 from __future__ import annotations
@@ -320,18 +320,6 @@ def _conditional_sweep(data, params, states, post: LatentPosterior) -> tuple[tup
     """The new parameters and states from ``_block_mstep`` on every block
     against the one posterior ``post``; ``data`` holds each block's ``_FitBlock``."""
     return tuple(zip(*(_block_mstep(*args, post) for args in zip(data, params, states))))
-
-
-def multinomial_mstep(params: BlockParams, state: VariationalState,
-                      posterior: LatentPosterior, X: np.ndarray,
-                      b: int = 1) -> tuple[BlockParams, VariationalState]:
-    """The conditional updates on one count block, xi^2 -> alpha -> W -> mu
-    (alpha and the zeroed last row of W and mu only when the state carries
-    alpha), each maximising the expected bound under the fixed ``posterior``;
-    so when ``posterior`` is the E-step at (params, state), none of them can
-    decrease the marginal bound."""
-    block = _FitBlock(np.asarray(X, dtype=float), b, None)
-    return _block_mstep(block, params, state, posterior)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ The marginal likelihood is intractable once the survival terms enter, so the
 E-step draws from each individual's conditional latent distribution with a
 random-walk Metropolis sampler (proposal covariance kappa * C_n from the
 factor-only posterior). One lockstep runner (``_metropolis``) runs every
-chain: the E-step's N chains, each kappa rung's tuning chains, and
-``mh_sample``'s one. The proposal scale is the first rung of the kappa ladder
-whose tuning chains meet fixed acceptance, n_eff and R-hat thresholds; n_eff
-comes from FFT autocorrelations. M-steps run the factor layer's conditional
-sweep against the Monte-Carlo moments, plus one Armijo-damped Newton step of
-``hazard`` per hazard on the kept draws, so its Monte-Carlo Q never falls.
+chain: the E-step's N chains and each kappa rung's tuning chains. The
+proposal scale is the first rung of the kappa ladder whose tuning chains
+meet fixed acceptance, n_eff and R-hat thresholds; n_eff comes from FFT
+autocorrelations. M-steps run the factor layer's conditional sweep against
+the Monte-Carlo moments, plus one Armijo-damped Newton step of ``hazard``
+per hazard on the kept draws, so its Monte-Carlo Q never falls.
 Prediction integrates the latent vector out analytically under the
 factor-only posterior with the learning-set averages of the variational
 parameters, the state a saved model keeps, so fitted and loaded models
@@ -55,13 +55,6 @@ class MhConfig:
         if any(k <= 0 for k in ladder) or not all(a > b for a, b in zip(ladder, ladder[1:])):
             raise ValueError("kappa ladder must be positive and strictly decreasing")
         object.__setattr__(self, "kappa_ladder", ladder)
-
-
-@dataclass(frozen=True)
-class ChainDiagnostics:
-    acceptance_rate: float
-    n_eff: float
-    rhat: float
 
 
 @dataclass(frozen=True)
@@ -122,17 +115,23 @@ class SampleTargets:
 # Metropolis-Hastings sampling and diagnostics
 # ---------------------------------------------------------------------------
 
+def _chain_variances(chains: np.ndarray):
+    """Within-chain variance W, the chain means and the pooled variance
+    var+ = (n - 1) / n W + B / n of (m, n) draws (B = 0 for one chain)."""
+    m, n = chains.shape
+    W = chains.var(axis=1, ddof=1).mean()
+    means = chains.mean(axis=1)
+    B = n * means.var(ddof=1) if m > 1 else 0.0
+    return W, means, (n - 1) / n * W + B / n
+
+
 def split_rhat(chains: np.ndarray) -> float:
     """Split-chain potential scale reduction of a scalar statistic, (m, n) draws."""
     m, n = chains.shape
     half = n // 2
-    split = chains[:, : 2 * half].reshape(2 * m, half)
-    means = split.mean(axis=1)
-    B = half * means.var(ddof=1)
-    W = split.var(axis=1, ddof=1).mean()
+    W, _, var_plus = _chain_variances(chains[:, : 2 * half].reshape(2 * m, half))
     if W <= 0:
         return 1.0
-    var_plus = (half - 1) / half * W + B / half
     return float(np.sqrt(var_plus / W))
 
 
@@ -143,10 +142,7 @@ def effective_sample_size(chains: np.ndarray) -> float:
     in pairs (rho_1 + rho_2, rho_3 + rho_4, ...) up to the first negative pair,
     each pair capped by the one before (Geyer's initial monotone sequence)."""
     m, n = chains.shape
-    W = chains.var(axis=1, ddof=1).mean()
-    means = chains.mean(axis=1)
-    B = n * means.var(ddof=1) if m > 1 else 0.0
-    var_plus = (n - 1) / n * W + B / n
+    W, means, var_plus = _chain_variances(chains)
     if var_plus <= 0:
         return float(m * n)
     spectrum = np.fft.rfft(chains - means[:, None], 2 * n)  # zero-padded: no wrap-around
@@ -190,47 +186,29 @@ def _metropolis(targets: SampleTargets, Z0: np.ndarray, chol: np.ndarray, rngs,
     return kept, accepted / steps
 
 
-def _chains(targets: SampleTargets, n: int, kappa: float, config: MhConfig, rngs,
-            z0: np.ndarray, C_n: np.ndarray):
-    """Chains of sample n from z0 with proposal N(z, kappa C_n), one per
-    generator: kept draws (M, n_keep, d_z) and diagnostics on |z|^2."""
-    M = len(rngs)
-    chol = np.linalg.cholesky(kappa * C_n)
-    kept, rates = _metropolis(targets.rows([n] * M), np.tile(z0, (M, 1)),
-                              np.broadcast_to(chol, (M,) + chol.shape), rngs,
-                              config.burn_in, config.n_keep)
-    stat = np.einsum("msj,msj->ms", kept, kept)
-    return kept, ChainDiagnostics(acceptance_rate=float(np.mean(rates)),
-                                  n_eff=effective_sample_size(stat),
-                                  rhat=max(split_rhat(stat), 1.0))
-
-
-def mh_sample(targets: SampleTargets, n: int, kappa: float, config: MhConfig,
-              seed: int, z0: np.ndarray, C_n: np.ndarray):
-    """Random-walk Metropolis chain for sample n with proposal N(z, kappa C_n).
-
-    Returns (d_z x n_keep) kept draws and diagnostics; bit-reproducible from
-    the seed. R-hat uses the split-half of the single chain on |z|^2.
-    """
-    kept, diag = _chains(targets, n, kappa, config, [np.random.default_rng(seed)], z0, C_n)
-    return kept[0].T, diag
-
-
 def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
                z0: np.ndarray, C_n: np.ndarray) -> float:
-    """Walk the kappa ladder (descending) on sample 0 with TUNING_CHAINS
-    chains from z0; return the first scale passing the acceptance / n_eff /
-    R-hat thresholds, else the best composite candidate with a warning."""
+    """Walk the kappa ladder (descending) on sample 0: each rung runs its own
+    TUNING_CHAINS chains from z0 with proposal N(z, kappa C_n) through
+    ``_metropolis``. Return the first scale whose acceptance rate, and the
+    n_eff and R-hat of |z|^2, meet the thresholds, else the best composite
+    candidate with a warning."""
+    rows = targets.rows([0] * TUNING_CHAINS)
+    Z0 = np.tile(z0, (TUNING_CHAINS, 1))
     results = []
     for i, kappa in enumerate(config.kappa_ladder):
         rngs = [np.random.default_rng(ss)
                 for ss in np.random.SeedSequence(seed + i).spawn(TUNING_CHAINS)]
-        _, diag = _chains(targets, 0, kappa, config, rngs, z0, C_n)
-        if (ACCEPT_LO <= diag.acceptance_rate <= ACCEPT_HI
-                and diag.n_eff >= MIN_N_EFF and diag.rhat <= MAX_RHAT):
+        chol = np.linalg.cholesky(kappa * C_n)
+        kept, rates = _metropolis(rows, Z0, np.broadcast_to(chol, (TUNING_CHAINS,) + chol.shape),
+                                  rngs, config.burn_in, config.n_keep)
+        stat = np.einsum("msj,msj->ms", kept, kept)
+        acceptance, n_eff = float(np.mean(rates)), effective_sample_size(stat)
+        if (ACCEPT_LO <= acceptance <= ACCEPT_HI
+                and n_eff >= MIN_N_EFF and max(split_rhat(stat), 1.0) <= MAX_RHAT):
             return kappa
-        dist = max(ACCEPT_LO - diag.acceptance_rate, diag.acceptance_rate - ACCEPT_HI, 0.0)
-        results.append((dist, -diag.n_eff, kappa))
+        dist = max(ACCEPT_LO - acceptance, acceptance - ACCEPT_HI, 0.0)
+        results.append((dist, -n_eff, kappa))
     results.sort()
     logger.warning("no kappa in the ladder met all thresholds; using best composite %.3g",
                    results[0][2])

@@ -8,6 +8,7 @@ import pytest
 
 from latentsurv.data import CovariateBlock, Dataset, Survival
 from latentsurv.factor import _FitBlock, diverse_estep
+from latentsurv.joint import _metropolis, effective_sample_size, split_rhat
 
 
 def make_survival(times, events):
@@ -77,6 +78,20 @@ def single_block_estep(params, state, X, b=1):
     """Posterior given one block: normal without a state, multinomial when the
     state carries alpha, binomial otherwise."""
     return diverse_estep([params], [state], [_FitBlock(np.asarray(X, dtype=float), b, None)])
+
+
+def metropolis_chains(targets, n, kappa, config, rngs, z0, C_n):
+    """Chains of sample n from z0 with proposal N(z, kappa C_n), one per
+    generator, run by ``joint._metropolis`` as ``tune_kappa`` runs a rung: the
+    kept draws (M, n_keep, d_z), the mean acceptance rate, and the n_eff and
+    R-hat of |z|^2."""
+    M = len(rngs)
+    chol = np.linalg.cholesky(kappa * C_n)
+    kept, rates = _metropolis(targets.rows([n] * M), np.tile(z0, (M, 1)),
+                              np.broadcast_to(chol, (M,) + chol.shape), rngs,
+                              config.burn_in, config.n_keep)
+    stat = np.einsum("msj,msj->ms", kept, kept)
+    return kept, float(np.mean(rates)), effective_sample_size(stat), max(split_rhat(stat), 1.0)
 
 
 def l1_support(params, tol=1e-10) -> set[int]:

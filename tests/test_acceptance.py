@@ -22,7 +22,6 @@ from latentsurv.factor import (
     VariationalState,
     gaussian_mstep,
     lambda_of_xi,
-    multinomial_mstep,
     variational_log_marginal,
 )
 from latentsurv.hazard import HazardParams, PenaltyConfig, ecph_predict, fit_ecph
@@ -33,7 +32,6 @@ from latentsurv.joint import (
     fit_fast,
     fit_joint,
     joint_predict,
-    mh_sample,
     tune_kappa,
 )
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
@@ -41,6 +39,7 @@ from tests.conftest import (
     gaussian_log_likelihood,
     make_dataset,
     make_survival,
+    metropolis_chains,
     normal_block,
     single_block_estep,
 )
@@ -217,7 +216,8 @@ def test_criterion_4_variational_bounds(capfd):
         prev = bin_bound(params, state)
         for _ in range(8):
             posterior = single_block_estep(params, state, Xb, b)
-            params, state = multinomial_mstep(params, state, posterior, Xb, b)
+            params, state = factor._block_mstep(factor._FitBlock(Xb, b, None),
+                                                params, state, posterior)
             cur = bin_bound(params, state)
             assert cur >= prev - 1e-8 * abs(prev)
             prev = cur
@@ -239,7 +239,8 @@ def test_criterion_4_variational_bounds(capfd):
         prev = variational_log_marginal([mparams], [mstate], [mblock])
         for _ in range(8):
             posterior = single_block_estep(mparams, mstate, Xm, 1)
-            mparams, mstate = multinomial_mstep(mparams, mstate, posterior, Xm, 1)
+            mparams, mstate = factor._block_mstep(factor._FitBlock(Xm, 1, None),
+                                                  mparams, mstate, posterior)
             cur = variational_log_marginal([mparams], [mstate], [mblock])
             assert cur >= prev - 1e-8 * abs(prev)
             prev = cur
@@ -344,9 +345,11 @@ def test_criterion_7_mh_calibration(capfd):
                                 w_null, w_null, ds.times(), ds.events())
         cfg = MhConfig(burn_in=500, n_keep=4000)
         n = 0
-        samples, diag = mh_sample(targets, n, 2.5, cfg, seed=9,
-                                  z0=post.mean[:, n].copy(), C_n=post.cov[n])
-        n_eff = max(diag.n_eff, 10.0)
+        kept, _, chain_n_eff, _ = metropolis_chains(targets, n, 2.5, cfg,
+                                                    [np.random.default_rng(9)],
+                                                    post.mean[:, n].copy(), post.cov[n])
+        samples = kept[0].T
+        n_eff = max(chain_n_eff, 10.0)
         for j in range(2):
             se = math.sqrt(post.cov[n][j, j] / n_eff)
             assert abs(samples[j].mean() - post.mean[j, n]) <= 3 * se
@@ -359,14 +362,15 @@ def test_criterion_7_mh_calibration(capfd):
         tune_cfg = MhConfig(burn_in=300, n_keep=600)
         kappa = tune_kappa(targets, tune_cfg, seed=4, z0=post.mean[:, n].copy(),
                            C_n=post.cov[n])
-        from latentsurv.joint import TUNING_CHAINS, _chains
+        from latentsurv.joint import TUNING_CHAINS
         idx = tune_cfg.kappa_ladder.index(kappa)
         rngs = [np.random.default_rng(ss)
                 for ss in np.random.SeedSequence(4 + idx).spawn(TUNING_CHAINS)]
-        _, d = _chains(targets, n, kappa, tune_cfg, rngs, post.mean[:, n].copy(), post.cov[n])
-        assert 0.134 <= d.acceptance_rate <= 0.334
-        assert d.n_eff >= 10.0
-        assert d.rhat <= 1.2
+        _, acceptance, n_eff, rhat = metropolis_chains(targets, n, kappa, tune_cfg, rngs,
+                                                       post.mean[:, n].copy(), post.cov[n])
+        assert 0.134 <= acceptance <= 0.334
+        assert n_eff >= 10.0
+        assert rhat <= 1.2
 
 
 # ---------------------------------------------------------------------------

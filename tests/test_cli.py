@@ -535,6 +535,8 @@ class TestCvCommand:
     ["cv", "--gamma", "-1"],
     ["cv", "--dz", "1", "--fit-mode", "full", "--gem-iters", "-2"],
     ["fit", "--dz", "1", "--fit-mode", "full", "--gem-iters", "-2"],
+    ["cv", "--dz", "1", "--seed", "-1"],
+    ["fit", "--dz", "1", "--seed", "-1"],
 ])
 def test_out_of_range_options_exit_2(runner, tmp_path, args):
     scn = scenario_file(tmp_path, n_train=30, n_test=0)

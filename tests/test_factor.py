@@ -22,7 +22,6 @@ from latentsurv.factor import (
     fit_fa,
     gaussian_mstep,
     lambda_of_xi,
-    multinomial_mstep,
     ppca_init,
     update_alpha,
     update_mu,
@@ -287,7 +286,8 @@ class TestBinomialMstep:
         params = BlockParams(W=np.zeros((2, 1)), mu=np.zeros(2), psi=None)
         X = np.full((2, 6), 1.0)  # b = 2, x = b/2
         post = const_posterior(np.zeros((1, 6)), np.eye(1))
-        new, _ = multinomial_mstep(params, VariationalState(xi=np.ones((2, 6))), post, X, b=2)
+        new, _ = factor._block_mstep(factor._FitBlock(X, 2, None), params,
+                                     VariationalState(xi=np.ones((2, 6))), post)
         np.testing.assert_allclose(new.mu, 0.0, atol=1e-12)
 
     def test_xi_squared_reduces_to_mu_at_zero_loadings(self, rng):
@@ -382,7 +382,8 @@ class TestMultinomialMstep:
         state = VariationalState(xi=np.ones((4, 8)), alpha=np.ones(8))
         post = diverse_estep((params,), (state,), (block,))
         for _ in range(3):
-            params, state = multinomial_mstep(params, state, post, block.values, b=1)
+            params, state = factor._block_mstep(factor._FitBlock(block.values, 1, None),
+                                                params, state, post)
             post = diverse_estep((params,), (state,), (block,))
             np.testing.assert_array_equal(params.W[-1], 0.0)
             assert params.mu[-1] == 0.0
