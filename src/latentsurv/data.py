@@ -8,6 +8,7 @@ records it.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -57,6 +58,11 @@ class CovariateBlock:
     A NaN cell is a missing cell. Ingestion keeps them, ``impute_missing``
     fills them, and the fitters need a block without NaN. Infinite cells are
     rejected.
+
+    ``values`` is stored read-only and C-contiguous. A float64 array that is
+    already so and owns its data (as the loader hands over, and as every block
+    stores) is kept as it is; any other input is copied, so that no writable
+    view of a block's values is left with the caller.
     """
 
     name: str
@@ -77,8 +83,9 @@ class CovariateBlock:
             raise ValueError("feature_names length does not match values rows")
         if self.kind != "normal" and self.b < 1:
             raise ValueError("trial count b must be a positive integer")
-        values = values.copy()
-        values.setflags(write=False)
+        if values.flags.writeable or not (values.flags.owndata and values.flags.c_contiguous):
+            values = values.copy()
+            values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         self._check_support()
@@ -184,21 +191,29 @@ def load_document(path, build, what: str):
         raise ParseError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from exc
 
 
+def _read_header(fh, path):
+    """The delimiter (tab or comma, whichever the first line uses more), the
+    stripped header cells, and a csv reader over the rest of ``fh``. The header
+    is read by that reader, so a quoted id may hold a delimiter or a line break."""
+    first = fh.readline()
+    if not first.strip():
+        raise ParseError(f"{path}: empty file")
+    delim = "\t" if first.count("\t") >= first.count(",") else ","
+    reader = csv.reader(itertools.chain([first], fh), delimiter=delim)
+    return delim, [c.strip() for c in next(reader)], reader
+
+
 def _read_table(path):
-    """Read a comma- or tab-delimited table (whichever the header uses more),
-    one row at a time.
+    """Read a comma- or tab-delimited table row by row with the csv module.
 
     Yields the stripped header cells, then ``(line number, cells)`` for each
     non-blank row as it is read; each row must have as many cells as the header.
+    Line numbers count rows, as if no quoted cell held a line break.
     """
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ParseError(f"{path}: empty file")
-        delim = "\t" if first.count("\t") >= first.count(",") else ","
-        header = [c.strip() for c in next(csv.reader([first], delimiter=delim))]
+        _, header, reader = _read_header(fh, path)
         yield header
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
@@ -208,9 +223,56 @@ def _read_table(path):
 
 def _read_matrix(path):
     """Read a delimited matrix file: header row of sample ids, first column
-    feature names. Missing cells are NaN; an infinite cell is an error. Each
-    row is converted as it is read, so the first faulty line is the one
-    reported."""
+    feature names. Missing cells are NaN; an infinite cell is an error.
+
+    A well-formed file is converted in one ``np.loadtxt`` pass; any other file
+    (a missing token, a quoted name, a bad cell, ...) is read again by the row
+    reader, which alone raises the errors. Both parse each cell to the nearest
+    double, so the two give the same bytes. The matrix is a fresh array the
+    caller owns."""
+    try:
+        return _read_matrix_fast(path)
+    except ValueError:  # not well formed: the row reader reads it or says what is wrong
+        pass
+    return _read_matrix_rows(path)
+
+
+def _read_matrix_fast(path):
+    """``(sample_ids, feature_names, matrix)`` of a well-formed matrix file,
+    its data lines parsed by one ``np.loadtxt``. Any other file raises
+    ValueError: duplicate ids, a line with no delimiter, a quote in its name
+    or no cells, no data line, a cell numpy cannot parse, a shape that is not
+    (rows, ids), or an infinite cell."""
+    with open(path, encoding="utf-8") as fh:
+        delim, header, _ = _read_header(fh, path)
+        sample_ids, feature_names = header[1:], []
+        if len(set(sample_ids)) != len(sample_ids):
+            raise ValueError("duplicate sample ids")
+
+        def cells():  # each data line after its name, whose stripped name is kept
+            for line in fh:
+                if line == "\n":  # the csv module reads no row here
+                    continue
+                name, sep, rest = line.partition(delim)
+                if not sep or '"' in name or not rest.strip():
+                    raise ValueError("not a plain data line")
+                feature_names.append(name.strip())
+                yield rest
+
+        lines = cells()
+        first = next(lines, None)
+        if first is None:  # checked here, as loadtxt would warn of no data
+            raise ValueError("no data line")
+        matrix = np.loadtxt(itertools.chain([first], lines), delimiter=delim,
+                            comments=None, dtype=float, ndmin=2)
+    if matrix.shape != (len(feature_names), len(sample_ids)) or np.isinf(matrix).any():
+        raise ValueError("not one finite cell per sample on each line")
+    return sample_ids, feature_names, matrix
+
+
+def _read_matrix_rows(path):
+    """Read a matrix file row by row, each row converted as it is read, so the
+    first faulty line in file order is the one reported."""
     table = _read_table(path)
     sample_ids = next(table)[1:]
     if len(set(sample_ids)) != len(sample_ids):
@@ -236,7 +298,7 @@ def _read_matrix(path):
             raise ParseError(f"{path}:{lineno}: non-finite cell {row[cell].strip()!r} "
                              f"(column {cell + 1})")
         values.append(vals)
-    matrix = np.array(values, dtype=float).reshape(len(values), len(sample_ids))
+    matrix = np.array(values) if values else np.empty((0, len(sample_ids)))
     return sample_ids, feature_names, matrix
 
 
@@ -302,7 +364,8 @@ def load_dataset(manifest_path) -> Dataset:
     for name, kind, b, sample_ids, feature_names, values in raw_blocks:
         if sample_ids != ordered:  # a file already in survival order needs no copy
             col = {sid: j for j, sid in enumerate(sample_ids)}
-            values = values[:, [col[sid] for sid in ordered]]
+            values = values.take([col[sid] for sid in ordered], axis=1)
+        values.setflags(write=False)  # a fresh array: the block takes it without a copy
         blocks.append(CovariateBlock(
             name=name,
             kind=kind,

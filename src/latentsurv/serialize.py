@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -41,8 +43,24 @@ def atomic_write(path, text):
 
 def write_table(path, header, rows):
     """Write a comma-separated table of string cells: the header, then one
-    line per row, each written as it is drawn from ``rows``."""
-    atomic_write(path, (",".join(cells) + "\n" for cells in itertools.chain([header], rows)))
+    line per row, each written as it is drawn from ``rows``. Lines come out as
+    ``csv.writer`` writes them (QUOTE_MINIMAL, ``\\n`` line ends): a cell holding
+    a comma, a quote or a line break is quoted, so a row with no such cell is
+    its cells joined by commas."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def line(cells):
+        joined = ",".join(cells)
+        if (joined and joined.count(",") == len(cells) - 1
+                and '"' not in joined and "\n" not in joined and "\r" not in joined):
+            return joined + "\n"
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(cells)
+        return buffer.getvalue()
+
+    atomic_write(path, map(line, itertools.chain([header], rows)))
 
 
 def block_manifest_hash(blocks) -> str:

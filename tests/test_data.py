@@ -2,6 +2,8 @@ import json
 import math
 import re
 import tempfile
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentsurv import data
 from latentsurv.cli import main
 from latentsurv.data import (
     MISSING_TOKENS,
@@ -24,9 +27,11 @@ from latentsurv.data import (
     variance_filter,
     zscore_block,
     _read_matrix,
+    _read_matrix_fast,
+    _read_matrix_rows,
 )
 from latentsurv.serialize import write_dataset
-from tests.conftest import make_dataset, make_survival, traced_peak
+from tests.conftest import count_calls, make_dataset, make_survival, traced_peak
 
 
 def write_manifest(tmp_path, blocks, survival_rows, delim=","):
@@ -113,13 +118,17 @@ class TestLoadDataset:
             load_dataset(mpath)
 
     def test_read_matrix_peak_memory(self, rng, tmp_path):
-        """Each row is converted as it is read, so reading a 200 x 3000 block
-        peaks under 3x its matrix."""
+        """One loadtxt pass fills the matrix without a list of row arrays
+        beside it, so reading a 200 x 3000 block peaks under 2x its matrix,
+        and loading it, which hands the parsed matrix to the block, does too."""
         ds = make_dataset(rng, N=3000, d_x_normal=200)
-        write_dataset(ds, tmp_path, "wide")
+        manifest = write_dataset(ds, tmp_path, "wide")
         (_, _, matrix), peak = traced_peak(_read_matrix, tmp_path / "wide_norm.csv")
         assert matrix.tobytes() == ds.blocks[0].values.tobytes()
-        assert peak < 3 * matrix.nbytes
+        assert peak < 2 * matrix.nbytes
+        loaded, peak = traced_peak(load_dataset, manifest)
+        assert loaded.blocks[0].values.tobytes() == matrix.tobytes()
+        assert peak < 2 * matrix.nbytes
 
     def test_duplicate_sample_ids_raise(self, tmp_path):
         mpath = write_manifest(
@@ -220,6 +229,110 @@ class TestReadMatrixCells:
                 assert matrix.tobytes() == want.tobytes(), cells
 
 
+def reading(read, path):
+    """What one matrix reader makes of ``path``: ids, names, shape and matrix
+    bytes, or the ParseError text."""
+    try:
+        ids, names, matrix = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return ids, names, matrix.shape, matrix.tobytes()
+
+
+def assert_readers_agree(path):
+    """``_read_matrix`` reads ``path`` as the row reader does, and so does the
+    one-pass reader unless it refuses the file with a ValueError; returns
+    whether it read the file. A warning, such as loadtxt's on a file with no
+    data, is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = reading(_read_matrix_rows, path)
+        assert reading(_read_matrix, path) == rows
+        try:
+            fast = _read_matrix_fast(path)
+        except ValueError:
+            fast = None
+    if fast is not None:
+        ids, names, matrix = fast
+        assert (ids, names, matrix.shape, matrix.tobytes()) == rows
+    return fast is not None
+
+
+# (case, file text with {d} for the delimiter, read in one pass?)
+MATRIX_FILES = [
+    ("plain", "feature{d}s1{d}s2\nf1{d}1.5{d}-2\nf2{d}nan{d}3e-5\n", True),
+    ("crlf", "feature{d}s1{d}s2\r\nf1{d}1.5{d}-2\r\nf2{d}-nan{d}3\r\n", True),
+    ("blank and trailing lines", "feature{d}s1{d}s2\n\nf1{d}1{d}2\n\n\nf2{d}3{d}4\n\n\n", True),
+    ("no final line break", "feature{d}s1{d}s2\nf1{d}1{d}2\nf2{d}3{d}4", True),
+    ("spaces around names and cells", "feature{d}s1{d}s2\n  f1 {d} 1 {d}2  \n", True),
+    ("quoted sample id", 'feature{d}"s{d}1"{d}"s""2"\nf1{d}1{d}2\n', True),
+    ("sample id with a line break", 'feature{d}"s\n1"{d}s2\nf1{d}1{d}2\n', True),
+    ("row with only a name", "feature{d}s1{d}s2\nf1{d}1{d}2\nf2\n", False),
+    ("name and one delimiter", "feature{d}s1\nf1{d}\n", False),
+    ("whitespace line", "feature{d}s1{d}s2\nf1{d}1{d}2\n  \n", False),
+    ("header only", "feature{d}s1{d}s2\n", False),
+    ("header and blank lines", "feature{d}s1{d}s2\n\n\n", False),
+    ("empty file", "", False),
+    ("blank first line", "\nfeature{d}s1\n", False),
+    ("trailing delimiter", "feature{d}s1{d}s2\nf1{d}1{d}2{d}\n", False),
+    ("trailing delimiter in every line", "feature{d}s1{d}s2{d}\nf1{d}1{d}2{d}\n", False),
+    ("short row", "feature{d}s1{d}s2\nf1{d}1\n", False),
+    ("duplicate ids", "feature{d}s1{d}s1\nf1{d}1{d}2\n", False),
+    ("quoted name", 'feature{d}s1{d}s2\n"f{d}1"{d}1{d}2\n', False),
+    ("quote in a name", 'feature{d}s1\nf"1{d}1\n', False),
+    ("name with a line break", 'feature{d}s1\n"f\n1"{d}1\nf2{d}2\n', False),
+    ("quoted cell", 'feature{d}s1{d}s2\nf1{d}"1.5"{d}2\n', False),
+    ("infinite cell after a bad one", "feature{d}s1\nf1{d}x\nf2{d}inf\n", False),
+    ("bad cell after an infinite one", "feature{d}s1\nf1{d}-inf\nf2{d}x\n", False),
+    ("no sample ids", "feature\nf1\nf2\n", False),
+]
+
+
+class TestOnePassReader:
+    """The one-pass reader and the row reader give the same ids, names and
+    matrix bytes, or the same ParseError text, on files in both delimiters."""
+
+    @pytest.mark.parametrize("delim", [",", "\t"], ids=["comma", "tab"])
+    @pytest.mark.parametrize("case, text, one_pass", MATRIX_FILES,
+                             ids=[case for case, _, _ in MATRIX_FILES])
+    def test_listed_files(self, tmp_path, delim, case, text, one_pass):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.format(d=delim).encode())
+        assert assert_readers_agree(path) == one_pass
+
+    @pytest.mark.parametrize("delim", [",", "\t"], ids=["comma", "tab"])
+    def test_every_pair_of_matrix_cells(self, tmp_path, delim):
+        path = tmp_path / "m.csv"
+        for first in MATRIX_CELLS:
+            for second in MATRIX_CELLS:
+                path.write_text(delim.join(["feature", "s1", "s2", "s3"]) + "\n"
+                                + delim.join(["f1", first, second, "3"]) + "\n")
+                assert_readers_agree(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delim=st.sampled_from([",", "\t"]), newline=st.sampled_from(["\n", "\r\n"]),
+           names=st.lists(st.text(max_size=4), min_size=1, max_size=3),
+           cells=st.lists(st.one_of(st.sampled_from(MATRIX_CELLS), st.floats().map(repr),
+                                    st.text(max_size=4)), min_size=6, max_size=6))
+    def test_arbitrary_names_and_cells(self, delim, newline, names, cells):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            lines = [delim.join(["feature", "s1", "s2"])]
+            lines += [delim.join([name, *cells[2 * i:2 * i + 2]]) for i, name in enumerate(names)]
+            path.write_bytes(newline.join(lines).encode())
+            assert_readers_agree(path)
+
+    def test_written_blocks_read_in_one_pass(self, rng, tmp_path, monkeypatch):
+        """Every block file write_dataset makes is read without the row
+        reader, which would otherwise hide a slower path behind right values."""
+        ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
+        calls = count_calls(monkeypatch, data, "_read_matrix_rows")
+        back = load_dataset(write_dataset(ds, tmp_path, "clean"))
+        assert calls[0] == 0
+        for a, b in zip(back.blocks, ds.blocks):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
 class TestLoaderFuzz:
     @settings(max_examples=200, deadline=None)
     @given(times=TIME_CELLS, events=EVENT_CELLS, cells=BLOCK_CELLS)
@@ -279,6 +392,25 @@ class TestBlockInvariants:
     def test_survival_shape_and_events_checked(self, time, event):
         with pytest.raises(ValueError):
             Survival(time=time, event=event)
+
+    def test_values_copied_unless_read_only_and_owned(self, rng):
+        """A block keeps a read-only, C-contiguous float array that owns its
+        data, as the loader hands over; any other array is copied, so the
+        caller holds no writable view of what the block holds."""
+        owned = rng.standard_normal((3, 4))
+        owned.setflags(write=False)
+        block = CovariateBlock(name="x", kind="normal", b=1, values=owned,
+                               feature_names=("a", "b", "c"))
+        assert block.values is owned
+        assert replace(block, name="y").values is owned
+        fortran = np.asfortranarray(rng.standard_normal((3, 4)))
+        fortran.setflags(write=False)
+        for values in (rng.standard_normal((3, 4)), owned[:, :2], fortran):
+            block = CovariateBlock(name="x", kind="normal", b=1, values=values,
+                                   feature_names=("a", "b", "c"))
+            assert not np.shares_memory(block.values, values)
+            assert not block.values.flags.writeable and block.values.flags.c_contiguous
+            np.testing.assert_array_equal(block.values, values)
 
     def test_survival_columns_stored_read_only(self, rng):
         ds = make_dataset(rng, N=5)
