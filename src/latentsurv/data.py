@@ -200,7 +200,11 @@ def _read_header(fh, path):
         raise ParseError(f"{path}: empty file")
     delim = "\t" if first.count("\t") >= first.count(",") else ","
     reader = csv.reader(itertools.chain([first], fh), delimiter=delim)
-    return delim, [c.strip() for c in next(reader)], reader
+    try:
+        header = next(reader)
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise ParseError(f"{path}:1: {exc}") from None
+    return delim, [c.strip() for c in header], reader
 
 
 def _read_table(path):
@@ -213,12 +217,17 @@ def _read_table(path):
     with open(path, encoding="utf-8") as fh:
         _, header, reader = _read_header(fh, path)
         yield header
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            yield lineno, row
+        lineno = 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, "
+                                     f"got {len(row)}")
+                yield lineno, row
+        except csv.Error as exc:  # raised while reading the row after ``lineno``
+            raise ParseError(f"{path}:{lineno + 1}: {exc}") from None
 
 
 def _read_matrix(path):
@@ -241,8 +250,10 @@ def _read_matrix_fast(path):
     """``(sample_ids, feature_names, matrix)`` of a well-formed matrix file,
     its data lines parsed by one ``np.loadtxt``. Any other file raises
     ValueError: duplicate ids, a line with no delimiter, a quote in its name
-    or no cells, no data line, a cell numpy cannot parse, a shape that is not
-    (rows, ids), or an infinite cell."""
+    or no cells, a field longer than the csv module reads, no data line, a
+    cell numpy cannot parse, a shape that is not (rows, ids), or an infinite
+    cell."""
+    limit = csv.field_size_limit()
     with open(path, encoding="utf-8") as fh:
         delim, header, _ = _read_header(fh, path)
         sample_ids, feature_names = header[1:], []
@@ -253,6 +264,8 @@ def _read_matrix_fast(path):
             for line in fh:
                 if line == "\n":  # the csv module reads no row here
                     continue
+                if len(line) > limit and max(map(len, line.split(delim))) > limit:
+                    raise ValueError("a field longer than csv.field_size_limit()")
                 name, sep, rest = line.partition(delim)
                 if not sep or '"' in name or not rest.strip():
                     raise ValueError("not a plain data line")

@@ -9,6 +9,8 @@ generic hyperparameter tooling.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import evaluate, hazard, joint
@@ -17,23 +19,20 @@ from .hazard import PenaltyConfig
 
 
 class _BaseEstimator:
-    _param_names: tuple[str, ...] = ()
+    """Hyperparameters are the dataclass fields of the estimator."""
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def set_params(self, **params):
         for name, value in params.items():
-            if name not in self._param_names:
+            if name not in self.get_params():
                 raise ValueError(f"unknown parameter {name!r}")
             setattr(self, name, value)
         return self
 
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
-
+@dataclasses.dataclass(eq=False)
 class LatentSurvival(_BaseEstimator):
     """Latent-factor exponential-hazard survival model.
 
@@ -42,13 +41,10 @@ class LatentSurvival(_BaseEstimator):
     ``fit`` goes through ``evaluate.fit_candidate``, as the CLI does.
     """
 
-    _param_names = ("d_z", "fit_mode", "gem_iters", "seed")
-
-    def __init__(self, d_z: int = 2, fit_mode: str = "fast", gem_iters: int = 10, seed: int = 0):
-        self.d_z = d_z
-        self.fit_mode = fit_mode
-        self.gem_iters = gem_iters
-        self.seed = seed
+    d_z: int = 2
+    fit_mode: str = "fast"
+    gem_iters: int = 10
+    seed: int = 0
 
     def fit(self, dataset: Dataset):
         candidate = evaluate.ModelCandidate(
@@ -63,14 +59,12 @@ class LatentSurvival(_BaseEstimator):
         return joint.joint_predict(self.model_, dataset.blocks)
 
 
+@dataclasses.dataclass(eq=False)
 class L1ExponentialHazard(_BaseEstimator):
     """L1-penalized exponential hazard regression on stacked covariates."""
 
-    _param_names = ("gamma", "penalize_intercept")
-
-    def __init__(self, gamma: float = 1.0, penalize_intercept: bool = True):
-        self.gamma = gamma
-        self.penalize_intercept = penalize_intercept
+    gamma: float = 1.0
+    penalize_intercept: bool = True
 
     def fit(self, dataset: Dataset):
         penalty = PenaltyConfig(gamma_T=self.gamma, gamma_C=self.gamma,

@@ -193,36 +193,25 @@ def run_cv(dataset: Dataset, candidates, split: SplitPlan, seed: int = 0) -> lis
     return reports
 
 
-def _interval(report: CvReport) -> tuple[float, float]:
-    return report.mean - report.std, report.mean + report.std
-
-
 def select_model(reports, candidates=None) -> str:
-    """Largest-mean report, then recursively move to the largest-mean report
-    whose [mean - std, mean + std] interval nests (closed containment) inside
-    the current leader's interval."""
-    order_key = {}
-    if candidates is not None:
-        for cand in candidates:
-            # parsimony tie-break: smaller d_z, then larger gamma
-            order_key[cand.candidate_id] = (
-                cand.d_z if cand.d_z is not None else -1,
-                -(cand.gamma or 0.0),
-            )
-    usable = [r for r in reports if not r.heywood_excluded and r.fold_cindices]
+    """Nested-interval selection. The usable reports (not Heywood-excluded, at
+    least one scored fold) are ranked by larger mean, then by parsimony among
+    ``candidates`` (an L1 candidate, larger gamma first, before an id not
+    listed, before a latent one, smaller d_z first), then by list order, and
+    scanned once: the first is the leader, and a report whose closed
+    [mean - std, mean + std] interval sits inside the leader's becomes the
+    leader. Nesting is transitive, so each leader is the best-ranked report
+    nested in the one before it."""
+    order_key = {cand.candidate_id: (-1 if cand.d_z is None else cand.d_z,
+                                     -(cand.gamma or 0.0))
+                 for cand in candidates or ()}
+    usable = sorted((r for r in reports if not r.heywood_excluded and r.fold_cindices),
+                    key=lambda r: (-r.mean, order_key.get(r.candidate_id, (0, 0.0))))
     if not usable:
         raise ValueError("every candidate was excluded or failed")
-
-    def sort_key(r):
-        return (-r.mean, order_key.get(r.candidate_id, (0, 0.0)))
-
-    leader = min(usable, key=sort_key)
-    visited = {id(leader)}
-    while True:
-        lo, hi = _interval(leader)
-        nested = [r for r in usable
-                  if id(r) not in visited and lo <= _interval(r)[0] and _interval(r)[1] <= hi]
-        if not nested:
-            return leader.candidate_id
-        leader = min(nested, key=sort_key)
-        visited.add(id(leader))
+    leader = usable[0]
+    for r in usable[1:]:
+        lo, hi = leader.mean - leader.std, leader.mean + leader.std
+        if lo <= r.mean - r.std and r.mean + r.std <= hi:
+            leader = r
+    return leader.candidate_id

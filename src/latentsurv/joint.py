@@ -282,7 +282,9 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
 
 def fit_fast(dataset: Dataset, d_z: int, seed: int = 0) -> JointModel:
     """Decoupled approximation: fit the factor model to convergence, then fit
-    the hazards on the posterior means as covariates."""
+    the hazards on the posterior means as covariates. The fit is
+    deterministic; ``seed`` is accepted, and unused, so that every fitter
+    takes the same arguments."""
     _require_positive_times(dataset.survival)
     fa_model, post = factor.fit_fa(dataset, d_z)
     w_T, w_C = fit_ecph(post.mean, dataset.survival)

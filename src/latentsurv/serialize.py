@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -159,17 +158,6 @@ def load_model(path) -> tuple[JointModel, str]:
 # ---------------------------------------------------------------------------
 # scenarios: the documents hold the dataclasses' fields by name
 # ---------------------------------------------------------------------------
-
-def _fields_dict(obj) -> dict:
-    """A dataclass's fields by name, with arrays and tuples as lists."""
-    return {field.name: _arr(value) if isinstance(value, np.ndarray)
-            else list(value) if isinstance(value, tuple) else value
-            for field in dataclasses.fields(obj) for value in [getattr(obj, field.name)]}
-
-
-def scenario_to_dict(scenario: SimScenario) -> dict:
-    return {**_fields_dict(scenario), "blocks": [_fields_dict(s) for s in scenario.blocks]}
-
 
 def scenario_from_dict(doc: dict) -> SimScenario:
     return SimScenario(**{**doc, "blocks": tuple(BlockSpec(**b) for b in doc["blocks"])})

@@ -1,5 +1,6 @@
 """Shared builders for synthetic datasets, and oracles, used across the test suite."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from latentsurv.data import CovariateBlock, Dataset, Survival
 from latentsurv.factor import _FitBlock, diverse_estep
 from latentsurv.joint import _metropolis, effective_sample_size, split_rhat
+from latentsurv.simulate import SimScenario
 
 
 def make_survival(times, events):
@@ -58,6 +60,18 @@ def make_dataset(rng, N=40, d_z=2, with_binomial=False, with_multinomial=False,
     events = rng.random(N) < 0.6
     return Dataset(blocks=tuple(blocks), survival=make_survival(times, events),
                    sample_ids=tuple(f"s{j}" for j in range(N)))
+
+
+def _fields_dict(obj) -> dict:
+    """A dataclass's fields by name, with arrays and tuples as lists."""
+    return {field.name: value.tolist() if isinstance(value, np.ndarray)
+            else list(value) if isinstance(value, tuple) else value
+            for field in dataclasses.fields(obj) for value in [getattr(obj, field.name)]}
+
+
+def scenario_to_dict(scenario: SimScenario) -> dict:
+    """The scenario document ``serialize.load_scenario`` reads back."""
+    return {**_fields_dict(scenario), "blocks": [_fields_dict(s) for s in scenario.blocks]}
 
 
 def gaussian_log_likelihood(params, X) -> float:

@@ -18,9 +18,9 @@ from latentsurv.cli import (
     main,
 )
 from latentsurv.data import Dataset, load_dataset
-from latentsurv.serialize import scenario_to_dict, write_dataset
+from latentsurv.serialize import write_dataset
 from latentsurv.simulate import BlockSpec, SimScenario
-from tests.conftest import make_survival, normal_block
+from tests.conftest import make_survival, normal_block, scenario_to_dict
 
 
 @pytest.fixture
@@ -66,6 +66,24 @@ def zero_time(cells):
 
 def huge_cell(cells):
     return [cells[0], "1e300"] + cells[2:]
+
+
+def long_cell(cells):  # longer than csv.field_size_limit(); numpy alone reads it as 1.0
+    return [cells[0], "0" * 199_999 + "1"] + cells[2:]
+
+
+def long_name(cells):
+    return ["f" * 200_000] + cells[1:]
+
+
+def run_in_process(*args):
+    """``python -m latentsurv.cli *args`` in a real process, whose log reaches
+    its stderr; returns the completed process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "latentsurv.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 class TestSimulateCommand:
@@ -195,13 +213,8 @@ class TestFitPredictProject:
         """The log reaches stderr only in a real process: each failed fold is
         one warning line, and the failed refit one error line."""
         manifest = corrupted_copy(sim_dir, tmp_path / "bad", "train", name, edit)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "latentsurv.cli", "cv", "--data", str(manifest),
-             "--dz", "2,3", "--folds", "3", "--out", str(tmp_path / "cv")],
-            capture_output=True, text=True, env=env, timeout=300)
+        result = run_in_process("cv", "--data", str(manifest), "--dz", "2,3", "--folds", "3",
+                                "--out", str(tmp_path / "cv"))
         assert result.returncode == EXIT_BAD_INPUT, result.stderr
         for text in ("Traceback", "RuntimeWarning", "DLASCL"):
             assert text not in result.stderr
@@ -211,6 +224,19 @@ class TestFitPredictProject:
         # sample 0 is in the learning set of two of the three folds
         failed = [line for line in lines if line.startswith("WARNING latentsurv.evaluate:")]
         assert len(failed) == 4 and all(" failed on fold " in line for line in failed)
+
+    @pytest.mark.parametrize("edit", [long_cell, long_name], ids=["cell", "name"])
+    def test_fit_on_a_field_over_the_csv_limit_in_a_real_process(self, sim_dir, tmp_path, edit):
+        """A block cell or feature name longer than the csv module reads ends
+        in one error line naming the file and line, with exit 2."""
+        manifest = corrupted_copy(sim_dir, tmp_path / "long", "train", "expr", edit)
+        result = run_in_process("fit", "--data", str(manifest), "--dz", "2",
+                                "--out", str(tmp_path / "refused.json"))
+        assert result.returncode == EXIT_BAD_INPUT, result.stderr
+        assert "Traceback" not in result.stderr
+        [error] = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert "train_expr.csv:2: field larger than field limit" in error
+        assert not (tmp_path / "refused.json").exists()
 
     def test_manifest_mismatch_exit_4(self, runner, sim_dir, tmp_path):
         model = tmp_path / "model.json"

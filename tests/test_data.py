@@ -258,6 +258,8 @@ def assert_readers_agree(path):
     return fast is not None
 
 
+LONG_CELL = "0" * 199_999 + "1"
+
 # (case, file text with {d} for the delimiter, read in one pass?)
 MATRIX_FILES = [
     ("plain", "feature{d}s1{d}s2\nf1{d}1.5{d}-2\nf2{d}nan{d}3e-5\n", True),
@@ -285,6 +287,10 @@ MATRIX_FILES = [
     ("infinite cell after a bad one", "feature{d}s1\nf1{d}x\nf2{d}inf\n", False),
     ("bad cell after an infinite one", "feature{d}s1\nf1{d}-inf\nf2{d}x\n", False),
     ("no sample ids", "feature\nf1\nf2\n", False),
+    # fields longer than csv.field_size_limit(); loadtxt alone would read the cell as 1.0
+    ("200 000-character cell", "feature{d}s1{d}s2\nf1{d}1{d}2\nf2{d}" + LONG_CELL + "{d}3\n", False),
+    ("200 000-character name", "feature{d}s1\nf1{d}1\n" + "f" * 200_000 + "{d}2\n", False),
+    ("200 000-character sample id", "feature{d}s1{d}" + "s" * 200_000 + "\nf1{d}1{d}2\n", False),
 ]
 
 
@@ -299,6 +305,18 @@ class TestOnePassReader:
         path = tmp_path / "m.csv"
         path.write_bytes(text.format(d=delim).encode())
         assert assert_readers_agree(path) == one_pass
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("feature,s1\nf1,1\nf2," + LONG_CELL + "\n", 3),
+        ("feature,s1\n" + "f" * 200_000 + ",1\n", 2),
+    ], ids=["cell", "name"])
+    def test_field_over_the_csv_limit(self, tmp_path, text, lineno):
+        """A field the csv module refuses is a ParseError naming its line, not
+        a csv.Error; the listed files check that both readers agree on it."""
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:{lineno}: field larger"):
+            _read_matrix(path)
 
     @pytest.mark.parametrize("delim", [",", "\t"], ids=["comma", "tab"])
     def test_every_pair_of_matrix_cells(self, tmp_path, delim):

@@ -381,12 +381,26 @@ def report(cid, mean, std):
     return CvReport(candidate_id=cid, fold_cindices=(mean,), mean=mean, std=std)
 
 
-def direct_selection(reports):
+def direct_selection(reports, candidates=()):
     """Prose restatement of the rule: start at the largest mean; while some
     not-yet-visited report's closed interval sits inside the leader's, jump to
-    the largest-mean such report; answer is the final leader."""
+    the largest-mean such report; answer is the final leader. Equal means go
+    to the simpler candidate: an L1 one before any other (the larger gamma
+    first), an id not among ``candidates`` next, then the smaller d_z; after
+    that, the report listed first."""
+    by_id = {c.candidate_id: c for c in candidates}
+
+    def simplicity(r):  # larger is simpler
+        c = by_id.get(r.candidate_id)
+        if c is None:
+            return (1, 0.0)
+        return (2, c.gamma) if c.kind == "ecph_c_l1" else (0, -c.d_z)
+
+    def best(rs):  # max returns the first of equal keys
+        return max(rs, key=lambda r: (r.mean, *simplicity(r)))
+
     usable = [r for r in reports if not r.heywood_excluded and r.fold_cindices]
-    leader = max(usable, key=lambda r: r.mean)
+    leader = best(usable)
     visited = {leader.candidate_id}
     while True:
         lo, hi = leader.mean - leader.std, leader.mean + leader.std
@@ -394,7 +408,7 @@ def direct_selection(reports):
                   and lo <= r.mean - r.std and r.mean + r.std <= hi]
         if not nested:
             return leader.candidate_id
-        leader = max(nested, key=lambda r: r.mean)
+        leader = best(nested)
         visited.add(leader.candidate_id)
 
 
@@ -430,14 +444,28 @@ class TestSelectModel:
         assert select_model([bad, report("ok", 0.7, 0.05)]) == "ok"
 
     def test_randomized_against_direct_implementation(self, rng):
-        for trial in range(50):
-            k = int(rng.integers(1, 7))
+        """Means and standard deviations drawn from short lists, so that tied
+        means and equal intervals are common; some reports Heywood-excluded or
+        with no scored fold; the candidates passed, some of them, or none."""
+        grid = ([ModelCandidate(kind="fa_ecph_c", d_z=d) for d in (1, 2, 3)]
+                + [ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="full_mcem")]
+                + [ModelCandidate(kind="ecph_c_l1", gamma=g) for g in (0.0, 0.5, 8.0)])
+        for trial in range(2000):
+            k = int(rng.integers(1, 8))
+            cands = [grid[i] for i in rng.permutation(len(grid))[:k]]
             reports = []
-            for i in range(k):
-                mean = float(np.round(rng.uniform(0.5, 0.95), 3))
-                std = float(np.round(rng.uniform(0.0, 0.15), 3))
-                reports.append(report(f"c{i}", mean, std))
-            # distinct means keep the comparison free of tie-break ambiguity
-            if len({r.mean for r in reports}) < k:
+            for i, cand in enumerate(cands):
+                cid = cand.candidate_id if rng.random() < 0.8 else f"other{i}"
+                if rng.random() < 0.1:
+                    reports.append(CvReport.from_folds(cid, [], error_folds=(0,)))
+                    continue
+                mean = float(rng.choice([0.6, 0.7, 0.75, 0.8]))
+                std = float(rng.choice([0.0, 0.05, 0.1, 0.15]))
+                reports.append(CvReport(candidate_id=cid, fold_cindices=(mean,), mean=mean,
+                                        std=std, heywood_excluded=bool(rng.random() < 0.15)))
+            passed = [cands, cands[:int(rng.integers(0, k + 1))], None][trial % 3]
+            if not any(not r.heywood_excluded and r.fold_cindices for r in reports):
+                with pytest.raises(ValueError):
+                    select_model(reports, passed)
                 continue
-            assert select_model(reports) == direct_selection(reports)
+            assert select_model(reports, passed) == direct_selection(reports, passed or ())

@@ -24,12 +24,11 @@ from latentsurv.serialize import (
     model_to_dict,
     save_model,
     scenario_from_dict,
-    scenario_to_dict,
     write_dataset,
     write_table,
 )
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
-from tests.conftest import make_dataset, traced_peak
+from tests.conftest import make_dataset, scenario_to_dict, traced_peak
 
 
 class TestAtomicWrite:
