@@ -146,8 +146,11 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
+        taken = [blk.values.take(idx, axis=1) for blk in self.blocks]
+        for values in taken:
+            values.setflags(write=False)  # fresh arrays: the blocks take them without a copy
         return Dataset(
-            blocks=tuple(replace(blk, values=blk.values[:, idx]) for blk in self.blocks),
+            blocks=tuple(replace(blk, values=v) for blk, v in zip(self.blocks, taken)),
             survival=Survival(time=self.survival.time[idx], event=self.survival.event[idx]),
             sample_ids=tuple(self.sample_ids[i] for i in idx),
         )

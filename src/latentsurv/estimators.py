@@ -64,11 +64,9 @@ class L1ExponentialHazard(_BaseEstimator):
     """L1-penalized exponential hazard regression on stacked covariates."""
 
     gamma: float = 1.0
-    penalize_intercept: bool = True
 
     def fit(self, dataset: Dataset):
-        penalty = PenaltyConfig(gamma_T=self.gamma, gamma_C=self.gamma,
-                                penalize_intercept=self.penalize_intercept)
+        penalty = PenaltyConfig(gamma_T=self.gamma, gamma_C=self.gamma)
         self.params_T_, self.params_C_ = hazard.fit_ecph(
             dataset.stacked_values(), dataset.survival, penalty=penalty)
         return self

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import joint as joint_mod
 from .data import Dataset, SplitPlan
-from .hazard import PenaltyConfig, ecph_predict, fit_ecph
+from .hazard import HazardParams, _aligned, _fit_one, _require_positive_times, ecph_predict
+from .hazard import fit_ecph  # noqa: F401  perfbench's span tests look for it here
 
 logger = logging.getLogger(__name__)
 
@@ -145,23 +146,23 @@ class CvReport:
 
 def fit_candidate(candidate: ModelCandidate, train: Dataset, seed: int):
     """Fit one candidate on a learning set; returns a ``JointModel`` for latent
-    candidates and otherwise the ``(w_T, w_C)`` hazard pair on the stacked
-    features. Every fit goes through here: CLI ``fit``, CV folds, the ``cv``
-    refit, ``LatentSurvival``."""
+    candidates and otherwise the event hazard's ``HazardParams`` on the stacked
+    features, the only part an L1 candidate is scored on. Every fit goes
+    through here: CLI ``fit``, CV folds, the ``cv`` refit, ``LatentSurvival``."""
     if candidate.kind == "fa_ecph_c":
         if candidate.fit_mode == joint_mod.FIT_MODES["fast"]:
             return joint_mod.fit_fast(train, candidate.d_z, seed=seed)
         return joint_mod.fit_joint(train, candidate.d_z,
                                    gem_iters=candidate.gem_iters, seed=seed)
-    return fit_ecph(train.stacked_values(), train.survival,
-                    penalty=PenaltyConfig(gamma_T=candidate.gamma, gamma_C=candidate.gamma))
+    Xt, t, d = _aligned(train.stacked_values(), train.survival)
+    _require_positive_times(train.survival)
+    return HazardParams(_fit_one(Xt, t, d, candidate.gamma))
 
 
 def predict_candidate(candidate: ModelCandidate, fitted, data: Dataset) -> np.ndarray:
     if candidate.kind == "fa_ecph_c":
         return joint_mod.joint_predict(fitted, data.blocks)
-    w_T, _ = fitted
-    return ecph_predict(w_T, data.stacked_values())
+    return ecph_predict(fitted, data.stacked_values())
 
 
 def run_cv(dataset: Dataset, candidates, split: SplitPlan, seed: int = 0) -> list[CvReport]:

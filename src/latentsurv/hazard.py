@@ -5,14 +5,15 @@ entry per sample, the vectors every likelihood and Newton step works on.
 
 Each part is fitted by Newton's method with backtracking, run to
 convergence, on the negative log-likelihood plus, when gamma > 0, an L1
-penalty (proximal Newton). A step minimizes Newton's quadratic model, by least
-squares on the working response or as a lasso by coordinate descent, whose
-feature-sign steps solve the active Gram block by Cholesky (least squares
-where the block is singular). A fit at gamma > 0 follows a warm-started
-geometric path of strengths down to its gamma approximately: one proximal
-Newton step at each strength above gamma, whose only use is to start the
-next close to its optimum, and Newton to convergence at gamma alone
-(Friedman, Hastie & Tibshirani 2010; Wang, Liu & Zhang 2014).
+penalty on every weight, the intercept included (proximal Newton). A step
+minimizes Newton's quadratic model, by least squares on the working response
+or as a lasso by coordinate descent, whose feature-sign steps solve the
+active Gram block by Cholesky (least squares where the block is singular).
+A fit at gamma > 0 follows a warm-started geometric path of strengths from
+0 down to its gamma approximately: one proximal Newton step at each strength
+above gamma, whose only use is to start the next close to its optimum, and
+Newton to convergence at gamma alone (Friedman, Hastie & Tibshirani 2010;
+Wang, Liu & Zhang 2014).
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ LASSO_MAX_SWEEPS = 10_000
 # The lasso's support counts as settled once a sweep over it moves no
 # coordinate by more than this fraction of the model (step^2 * H_jj).
 SETTLE_TOL = 1e-3
+# A feature-sign step on a singular block follows its null space when the part of
+# the right-hand side outside its range exceeds this fraction (rounding: ~1e-15).
+NULL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,6 @@ class HazardParams:
 class PenaltyConfig:
     gamma_T: float = 0.0
     gamma_C: float = 0.0
-    penalize_intercept: bool = True
 
     def __post_init__(self):
         if self.gamma_T < 0 or self.gamma_C < 0:
@@ -125,32 +128,26 @@ def ecph_log_likelihood(params_T: HazardParams, params_C: HazardParams,
             + _part_log_likelihood(params_C.w, Xt, t, 1.0 - d))
 
 
-def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
-              w0: np.ndarray) -> np.ndarray:
-    """Coordinate descent for min_w 0.5*||y - A w||^2 + gamma * sum_{j in penalized} |w_j|.
+def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, w0: np.ndarray) -> np.ndarray:
+    """Coordinate descent for min_w 0.5*||y - A w||^2 + gamma * ||w||_1.
 
     Works on the Gram form H = A'A, b = A'y, so a coordinate update costs O(p).
-    After each full sweep the nonzero and unpenalized coordinates are swept
-    alone until they settle, and a feature-sign step (``_active_newton``)
-    solves the model on them; the next full sweep lets coordinates enter.
-    Stops when the duality gap is at most LASSO_GAP_TOL times the primal
-    objective.
+    After each full sweep the nonzero coordinates are swept alone until they
+    settle, and a feature-sign step (``_active_newton``) solves the model on
+    them; the next full sweep lets coordinates enter. Stops when the duality
+    gap is at most LASSO_GAP_TOL times the primal objective.
     """
     H = A.T @ A
     b = A.T @ y
     yy = float(y @ y)
     diag = H.diagonal()
     w = np.array(w0, dtype=float)
-    w[penalized & (diag == 0)] = 0.0
-    # free coordinates last in every sweep, so that the gradient vanishes on
-    # them at the gap check, which the dual feasibility relies on
-    order = np.concatenate([np.where(penalized & (diag > 0))[0],
-                            np.where(~penalized & (diag > 0))[0]])
-    pen_idx = np.where(penalized)[0]
+    w[diag == 0] = 0.0
+    order = np.flatnonzero(diag > 0)
     # per-coordinate constants as Python floats: the sweep is a scalar loop
     rows = list(H)
     hjj = diag.tolist()
-    threshold = np.where(penalized, gamma, 0.0).tolist()
+    gamma = float(gamma)
 
     def sweep(idx, g):
         """One pass over ``idx``; returns the largest (step^2 * H_jj)."""
@@ -158,10 +155,10 @@ def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
         for j in idx.tolist():
             old = float(w[j])
             z = float(g[j]) + hjj[j] * old
-            if z > threshold[j]:
-                new = (z - threshold[j]) / hjj[j]
-            elif z < -threshold[j]:
-                new = (z + threshold[j]) / hjj[j]
+            if z > gamma:
+                new = (z - gamma) / hjj[j]
+            elif z < -gamma:
+                new = (z + gamma) / hjj[j]
             else:
                 new = 0.0
             if new != old:
@@ -178,10 +175,10 @@ def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
         g = b - H @ w
         # duality gap at the dual point nu = s*r, with s scaling r into the
         # feasible set; written with g'w so that it does not cancel near 0
-        l1 = float(np.abs(w[pen_idx]).sum())
+        l1 = float(np.abs(w).sum())
         gw = float(g @ w)
         rr = max(yy - float(b @ w) - gw, 0.0)
-        corr = float(np.abs(g[pen_idx]).max()) if pen_idx.size else 0.0
+        corr = float(np.abs(g).max())
         s = 1.0 if corr <= gamma else gamma / corr
         primal = 0.5 * rr + gamma * l1
         gap = 0.5 * (1.0 - s) ** 2 * rr + gamma * l1 - s * gw
@@ -189,18 +186,17 @@ def _lasso_cd(A: np.ndarray, y: np.ndarray, gamma: float, penalized: np.ndarray,
             logger.debug("lasso coordinate descent: %d sweeps, relative gap %.3g",
                          sweeps, gap / primal if primal else 0.0)
             return w
-        active = order[(w[order] != 0) | ~penalized[order]]
+        active = order[w[order] != 0]
         while sweeps < LASSO_MAX_SWEEPS:
             sweeps += 1
             if sweep(active, g) <= SETTLE_TOL * primal:
                 break
-        w = _active_newton(H, b, w, penalized, gamma)
+        w = _active_newton(H, b, w, gamma)
     logger.warning("lasso coordinate descent did not reach the gap tolerance")
     return w
 
 
-def _active_newton(H: np.ndarray, b: np.ndarray, w: np.ndarray, penalized: np.ndarray,
-                   gamma: float) -> np.ndarray:
+def _active_newton(H: np.ndarray, b: np.ndarray, w: np.ndarray, gamma: float) -> np.ndarray:
     """Feature-sign step (Lee, Battle, Raina & Ng 2007) on the lasso model.
 
     Solves the model over the support of w with its signs held, then moves to
@@ -209,13 +205,13 @@ def _active_newton(H: np.ndarray, b: np.ndarray, w: np.ndarray, penalized: np.nd
     when no such point lowers the model. The solve factors the positive
     semi-definite Gram block by Cholesky; where the block is singular (more
     active coordinates than samples, or collinear active columns) it takes
-    the minimum-norm least-squares solution instead.
+    the minimum-norm least-squares solution instead (or, where the sign-held
+    model is unbounded along the block's null space, that ray's first zero).
     """
-    active = np.where((w != 0) | ~penalized)[0]
-    pen = penalized[active]
+    active = np.flatnonzero(w)
     H_aa = H[np.ix_(active, active)]
     start = w[active]
-    rhs = b[active] - np.where(pen, gamma * np.sign(start), 0.0)
+    rhs = b[active] - gamma * np.sign(start)
     # one np.linalg.solve(H_aa, rhs) misses the lasso's gap tolerance on a rank-deficient
     # design, and scipy's cho_solve would add scipy.linalg's 5.5 MB import to every run
     try:
@@ -223,18 +219,25 @@ def _active_newton(H: np.ndarray, b: np.ndarray, w: np.ndarray, penalized: np.nd
         target = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     except np.linalg.LinAlgError:  # H_aa singular: the minimum-norm solution
         target = np.linalg.lstsq(H_aa, rhs, rcond=None)[0]
+        ray = rhs - H_aa @ target  # the part of rhs outside H_aa's range
+        with np.errstate(divide="ignore"):
+            reach = np.where(start * ray < 0, -start / ray, np.inf)
+        hit = int(np.argmin(reach))
+        if np.linalg.norm(ray) > NULL_TOL * np.linalg.norm(rhs) and reach[hit] < np.inf:
+            target = start + reach[hit] * ray
+            target[hit] = 0.0
     step = target - start
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = -start / step
-    taus = np.concatenate([[0.0, 1.0], cross[pen & (cross > 0) & (cross < 1)]])
+    taus = np.concatenate([[0.0, 1.0], cross[(cross > 0) & (cross < 1)]])
     points = start + taus[:, None] * step
-    # the model along the segment, up to a constant
+    # the model along the segment relative to start; summing L1 changes keeps small decreases
     values = (taus * (step @ (H_aa @ start - b[active])) + 0.5 * taus ** 2 * (step @ H_aa @ step)
-              + gamma * np.abs(points[:, pen]).sum(axis=1))
+              + gamma * (np.abs(points) - np.abs(start)).sum(axis=1))
     best = int(np.argmin(values))
     out = w.copy()
     out[active] = points[best]
-    out[active[pen & (cross == taus[best])]] = 0.0
+    out[active[cross == taus[best]]] = 0.0
     return out
 
 
@@ -251,15 +254,14 @@ def _working_response(w: np.ndarray, Xt: np.ndarray, t: np.ndarray,
 
 
 def _penalized_objective(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.ndarray,
-                         gamma: float, penalized: np.ndarray) -> float:
-    """-loglik(w) + gamma * sum_{j in penalized} |w_j| of one part."""
+                         gamma: float) -> float:
+    """-loglik(w) + gamma * ||w||_1 of one part."""
     with np.errstate(over="ignore"):  # a trial step may overflow exp
-        return -_part_log_likelihood(w, Xt, t, d) + gamma * np.abs(w[penalized]).sum()
+        return -_part_log_likelihood(w, Xt, t, d) + gamma * np.abs(w).sum()
 
 
 def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f: float,
-                 gamma: float, penalized: np.ndarray,
-                 step: int = 1) -> tuple[np.ndarray, float, bool]:
+                 gamma: float, step: int = 1) -> tuple[np.ndarray, float, bool]:
     """One damped Newton step from w, whose penalized objective is f; proximal
     Newton (Lee, Sun & Saunders 2014) when gamma > 0.
 
@@ -271,24 +273,23 @@ def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f:
     """
     A, y, weights = _working_response(w, Xt, t, d)
     if gamma > 0:
-        v = _lasso_cd(A, y, gamma, penalized, w)
+        v = _lasso_cd(A, y, gamma, w)
     else:
         v = np.linalg.lstsq(A, y, rcond=None)[0]
     grad = Xt @ (weights - d)
-    decrease = -(grad @ (v - w) + gamma * (np.abs(v[penalized]).sum()
-                                           - np.abs(w[penalized]).sum()))
+    decrease = -(grad @ (v - w) + gamma * (np.abs(v).sum() - np.abs(w).sum()))
     # once the predicted decrease is negligible, the full step is taken
     # only if rounding does not make it raise the objective
     converged = decrease <= NEWTON_REL_TOL * abs(f)
     size, trial = 1.0, v
-    f_trial = _penalized_objective(v, Xt, t, d, gamma, penalized)
+    f_trial = _penalized_objective(v, Xt, t, d, gamma)
     while not converged and f_trial > f - ARMIJO * size * decrease:
         if size < MIN_STEP:
             logger.warning("hazard fit did not converge: no step decreases the objective")
             return w, f, True
         size *= 0.5
         trial = w + size * (v - w)
-        f_trial = _penalized_objective(trial, Xt, t, d, gamma, penalized)
+        f_trial = _penalized_objective(trial, Xt, t, d, gamma)
     if f_trial <= f:
         w, f = trial, f_trial
         logger.debug("hazard fit step %d: step size %g, penalized objective %.17g",
@@ -297,38 +298,36 @@ def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f:
 
 
 def _step_from(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
-               gamma: float, penalized: np.ndarray) -> np.ndarray:
+               gamma: float) -> np.ndarray:
     """One ``_newton_step`` from w at strength gamma: an L1 path step, or an MCEM M-step."""
-    f = _penalized_objective(w, Xt, t, d, gamma, penalized)
-    return _newton_step(Xt, t, d, w, f, gamma, penalized)[0]
+    f = _penalized_objective(w, Xt, t, d, gamma)
+    return _newton_step(Xt, t, d, w, f, gamma)[0]
 
 
 def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
-                gamma: float, penalized: np.ndarray) -> np.ndarray:
-    """Newton with backtracking for min_w -loglik(w) + gamma * sum_{j in penalized} |w_j|:
+                gamma: float) -> np.ndarray:
+    """Newton with backtracking for min_w -loglik(w) + gamma * ||w||_1:
     ``_newton_step`` from w until it is done, or a warning after
     MAX_NEWTON_STEPS steps."""
-    f = _penalized_objective(w, Xt, t, d, gamma, penalized)
+    f = _penalized_objective(w, Xt, t, d, gamma)
     for step in range(1, MAX_NEWTON_STEPS + 1):
-        w, f, done = _newton_step(Xt, t, d, w, f, gamma, penalized, step)
+        w, f, done = _newton_step(Xt, t, d, w, f, gamma, step)
         if done:
             return w
     logger.warning("hazard fit did not converge in %d steps", MAX_NEWTON_STEPS)
     return w
 
 
-def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
-             penalize_intercept: bool) -> np.ndarray:
-    """Weights of one part at L1 strength gamma.
+def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float) -> np.ndarray:
+    """Weights of one part at L1 strength gamma on every weight, intercept included.
 
     At gamma = 0, Newton from the intercept-only start. At gamma > 0 the fit
-    starts at w0, the intercept-only point with a free intercept and 0 with a
-    penalized one; w0 is the solution for every strength from gamma_max, the
-    largest penalized gradient entry at w0, upwards. It then takes one
-    proximal Newton step (``_step_from``) at each gamma_max * PATH_RATIO^k
-    (k = 1, 2, ...) still above gamma, each from the last, and runs proximal
-    Newton to convergence (``_newton_fit``) at gamma only: the intermediate
-    points serve only as warm starts, so they need not be optimal.
+    starts at 0, the solution for every strength from gamma_max, the largest
+    gradient entry at 0, upwards. It then takes one proximal Newton step
+    (``_step_from``) at each gamma_max * PATH_RATIO^k (k = 1, 2, ...) still
+    above gamma, each from the last, and runs proximal Newton to convergence
+    (``_newton_fit``) at gamma only: the intermediate points serve only as
+    warm starts, so they need not be optimal.
     """
     p1 = Xt.shape[0]
     w = _intercept_start(t, d, p1)
@@ -339,15 +338,12 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float,
         # -t exp(eta) has no maximiser; the fit stops where its rule cuts
         logger.warning("no maximum-likelihood estimate: the design has rank N = %d and a "
                        "censored sample; the weights depend on the stop rule", t.size)
-    penalized = np.ones(p1, dtype=bool)
-    penalized[0] = penalize_intercept
     if gamma > 0:
-        if penalize_intercept:
-            w = np.zeros(p1)
-        level = np.abs((Xt @ (t * np.exp(w @ Xt) - d))[penalized]).max(initial=0.0)
+        w = np.zeros(p1)
+        level = np.abs(Xt @ (t - d)).max()  # the largest gradient entry at 0
         while (level := level * PATH_RATIO) > gamma:
-            w = _step_from(Xt, t, d, w, level, penalized)
-    return _newton_fit(Xt, t, d, w, gamma, penalized)
+            w = _step_from(Xt, t, d, w, level)
+    return _newton_fit(Xt, t, d, w, gamma)
 
 
 def fit_ecph(X: np.ndarray, survival: Survival,
@@ -355,20 +351,21 @@ def fit_ecph(X: np.ndarray, survival: Survival,
     """Fit event (T) and censoring (C) hazards on the (p x N) covariates X and
     the samples' ``Survival`` (times and 0/1 events).
 
-    The two parts factor, so they are fitted independently, each by Newton's
-    method with backtracking run to convergence; a part with a positive L1
-    strength first takes one proximal Newton step at each strength of a
-    warm-started path, from the smallest at which all its penalized weights
-    are 0 down towards its own by factors of PATH_RATIO, and converges at its
-    own strength only. At gamma = 0 a part logs a warning when its MLE cannot
+    The two parts factor, so they are fitted independently (``_fit_one``),
+    each by Newton's method with backtracking run to convergence; a part with
+    a positive L1 strength penalizes every weight, the intercept included,
+    and first takes one proximal Newton step at each strength of a
+    warm-started path, from the smallest at which all its weights are 0 down
+    towards its own by factors of PATH_RATIO, and converges at its own
+    strength only. At gamma = 0 a part logs a warning when its MLE cannot
     exist: the design has rank N and the part has a censored sample. Every
     time must be positive; ``data.adjust_zero_times`` replaces zero times.
     """
     Xt, t, d = _aligned(X, survival)
     _require_positive_times(survival)
     penalty = penalty or PenaltyConfig()
-    w_T = _fit_one(Xt, t, d, penalty.gamma_T, penalty.penalize_intercept)
-    w_C = _fit_one(Xt, t, 1.0 - d, penalty.gamma_C, penalty.penalize_intercept)
+    w_T = _fit_one(Xt, t, d, penalty.gamma_T)
+    w_C = _fit_one(Xt, t, 1.0 - d, penalty.gamma_C)
     return HazardParams(w_T), HazardParams(w_C)
 
 

@@ -226,8 +226,7 @@ def _hazard_mstep(w: HazardParams, samples: np.ndarray, times: np.ndarray,
     samples, so ``hazard``'s damped Newton step on them never lowers Q."""
     N, S, d_z = samples.shape
     Xt = _design(samples.reshape(N * S, d_z).T)
-    return HazardParams(_step_from(Xt, np.repeat(times, S), np.repeat(events, S), w.w,
-                                   0.0, np.zeros(d_z + 1, dtype=bool)))
+    return HazardParams(_step_from(Xt, np.repeat(times, S), np.repeat(events, S), w.w, 0.0))
 
 
 def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,

@@ -130,6 +130,18 @@ class TestLoadDataset:
         assert loaded.blocks[0].values.tobytes() == matrix.tobytes()
         assert peak < 2 * matrix.nbytes
 
+    def test_subset_peak_memory(self, rng):
+        """A subset takes each block's columns into one fresh array, which the
+        block keeps without a copy, so taking 2400 of a 200 x 3000 block's
+        columns peaks under 1.5x the subset's matrix."""
+        ds = make_dataset(rng, N=3000, d_x_normal=200)
+        idx = rng.permutation(3000)[:2400]
+        sub, peak = traced_peak(ds.subset, idx)
+        values = sub.blocks[0].values
+        assert values.tobytes() == ds.blocks[0].values[:, idx].tobytes()
+        assert not values.flags.writeable
+        assert peak < 1.5 * values.nbytes
+
     def test_duplicate_sample_ids_raise(self, tmp_path):
         mpath = write_manifest(
             tmp_path,

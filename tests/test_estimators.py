@@ -73,6 +73,6 @@ class TestL1ExponentialHazard:
 
     def test_large_penalty_constant_predictions(self, rng):
         ds = make_dataset(rng, N=25)
-        est = L1ExponentialHazard(gamma=1e6, penalize_intercept=False).fit(ds)
+        est = L1ExponentialHazard(gamma=1e6).fit(ds)
         preds = est.predict(ds)
         assert np.allclose(preds, preds[0])

@@ -15,7 +15,8 @@ from latentsurv.evaluate import (
     run_cv,
     select_model,
 )
-from tests.conftest import make_dataset, normal_block, make_survival
+from latentsurv.hazard import PenaltyConfig, ecph_predict, fit_ecph
+from tests.conftest import count_calls, make_dataset, normal_block, make_survival
 from latentsurv.data import Dataset
 
 
@@ -313,6 +314,26 @@ class TestRunCv:
             preds = predict_candidate(cand, fitted, valid)
             want = c_index(valid.times(), valid.events(), preds)
             assert reports[0].fold_cindices[v] == pytest.approx(want)
+
+    def test_l1_folds_fit_and_score_the_event_part(self, rng, monkeypatch):
+        """An L1 candidate's fold c-index is that of ``fit_ecph``'s event part
+        on the fold, and each fold fits that part alone: one ``_fit_one`` per
+        fold, where ``fit_ecph`` makes two."""
+        import latentsurv.evaluate as evaluate_mod
+        ds = signal_dataset(rng, N=40)
+        split = make_split(40, test_fraction=0.25, n_folds=3, seed=2)
+        want = []
+        for v in range(3):
+            learn = ds.subset(split.learning_indices(v))
+            valid = ds.subset(split.folds[v])
+            w_T, _ = fit_ecph(learn.stacked_values(), learn.survival,
+                              penalty=PenaltyConfig(0.5, 0.5))
+            want.append(c_index(valid.times(), valid.events(),
+                                ecph_predict(w_T, valid.stacked_values())))
+        fits = count_calls(monkeypatch, evaluate_mod, "_fit_one")
+        [r] = run_cv(ds, [ModelCandidate(kind="ecph_c_l1", gamma=0.5)], split)
+        assert r.fold_cindices == tuple(want)
+        assert fits[0] == 3
 
     def test_heywood_exclusion_flagged(self, rng):
         # a noiseless rank-1 block collapses a noise variance to its floor

@@ -60,20 +60,20 @@ def assert_kkt(params, X, survival, event_part, gamma):
     np.testing.assert_allclose(g[on], -gamma * np.sign(w[on]), rtol=0, atol=1e-6)
 
 
-def lasso_relative_gap(A, y, gamma, penalized, w):
-    """Duality gap of 0.5*||y - A w||^2 + gamma * ||w[penalized]||_1 at w, at
-    the dual point that scales the residual into the feasible set, relative
-    to the primal objective."""
+def lasso_relative_gap(A, y, gamma, w):
+    """Duality gap of 0.5*||y - A w||^2 + gamma * ||w||_1 at w, at the dual
+    point that scales the residual into the feasible set, relative to the
+    primal objective."""
     r = y - A @ w
-    primal = 0.5 * r @ r + gamma * np.abs(w[penalized]).sum()
-    corr = np.abs(A[:, penalized].T @ r).max()
+    primal = 0.5 * r @ r + gamma * np.abs(w).sum()
+    corr = np.abs(A.T @ r).max()
     nu = min(1.0, gamma / corr) * r
     return (primal - (nu @ y - 0.5 * nu @ nu)) / primal
 
 
-def penalized_objective(w, Xt, t, d, gamma, penalized):
+def penalized_objective(w, Xt, t, d, gamma):
     eta = w @ Xt
-    return -np.sum(d * eta - t * np.exp(eta)) + gamma * np.abs(w[penalized]).sum()
+    return -np.sum(d * eta - t * np.exp(eta)) + gamma * np.abs(w).sum()
 
 
 def step_runs(records):
@@ -242,22 +242,14 @@ class TestFitEcph:
         np.testing.assert_allclose(pen_C.w, plain_C.w, atol=1e-6)
 
     def test_large_gamma_zeroes_effects(self, rng):
-        X, surv, times, events = simulate_instance(rng)
-        # gamma* from the working response at the initialization
-        Xt = np.vstack([np.ones(len(times)), X])
-        w0 = math.log(events.sum() / times.sum())
-        eta = np.full(len(times), w0)
-        weights = times * np.exp(eta)
-        u = eta + events / weights - 1.0
-        A = (Xt * np.sqrt(weights)).T
-        y = u * np.sqrt(weights)
-        resid = y - A[:, 0] * (A[:, 0] @ y / (A[:, 0] @ A[:, 0]))
-        gamma_star = np.abs(A[:, 1:].T @ resid).max()
-        penalty = PenaltyConfig(gamma_T=gamma_star * 1.01, gamma_C=gamma_star * 1.01,
-                                penalize_intercept=False)
-        w_T, _ = fit_ecph(X, surv, penalty=penalty)
-        np.testing.assert_allclose(w_T.beta, 0.0, atol=1e-12)
-        assert l1_support(w_T) == set()
+        """Every weight, the intercept included, is 0 just above gamma_max, the
+        largest gradient entry at 0, and not just below it."""
+        X, surv, *_ = simulate_instance(rng)
+        gamma_max = np.abs(nll_gradient(np.zeros(X.shape[0] + 1), X, surv)).max()
+        above, _ = fit_ecph(X, surv, penalty=PenaltyConfig(gamma_max * 1.01, gamma_max * 1.01))
+        assert np.all(above.w == 0.0)
+        below, _ = fit_ecph(X, surv, penalty=PenaltyConfig(gamma_max * 0.99, gamma_max * 0.99))
+        assert np.any(below.w != 0.0)
 
     def test_penalized_intercept_default_shrinks_all(self, rng):
         X, surv, *_ = simulate_instance(rng)
@@ -268,8 +260,7 @@ class TestFitEcph:
     def test_penalty_reduces_support(self, rng):
         X, surv, *_ = simulate_instance(rng, p=6, N=60)
         w_plain, _ = fit_ecph(X, surv)
-        w_pen, _ = fit_ecph(X, surv, penalty=PenaltyConfig(5.0, 5.0,
-                                                           penalize_intercept=False))
+        w_pen, _ = fit_ecph(X, surv, penalty=PenaltyConfig(5.0, 5.0))
         assert len(l1_support(w_pen)) <= len(l1_support(w_plain))
 
 
@@ -300,10 +291,9 @@ class TestPenalizedFit:
             objectives = [f for _, _, f in steps]
             assert all(b <= a for a, b in zip(objectives, objectives[1:]))
             assert all(0 < size <= 1 for _, size, _ in steps)
-        everything = np.ones(Xt.shape[0], dtype=bool)
         for params, d, gamma, last in zip(fitted, (events, 1.0 - events), (0.5, 0.0),
                                           (runs[-2], runs[-1])):
-            assert (penalized_objective(params.w, Xt, t, d, gamma, everything)
+            assert (penalized_objective(params.w, Xt, t, d, gamma)
                     == pytest.approx(last[-1][2], rel=1e-12))
 
     def test_cold_start_backtracks(self, rng, caplog):
@@ -313,16 +303,13 @@ class TestPenalizedFit:
         X, surv = aliased_instance(rng)
         Xt = np.vstack([np.ones(X.shape[1]), X])
         t, d = surv.time, surv.event
-        penalized = np.ones(Xt.shape[0], dtype=bool)
         w0 = _intercept_start(t, d, Xt.shape[0])
         with caplog.at_level("DEBUG", logger="latentsurv.hazard"):
-            w = _newton_fit(Xt, t, d, w0, 0.5, penalized)
+            w = _newton_fit(Xt, t, d, w0, 0.5)
         [steps] = step_runs(caplog.records)
-        objectives = ([penalized_objective(w0, Xt, t, d, 0.5, penalized)]
-                      + [f for _, _, f in steps])
+        objectives = [penalized_objective(w0, Xt, t, d, 0.5)] + [f for _, _, f in steps]
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
-        assert penalized_objective(w, Xt, t, d, 0.5, penalized) == pytest.approx(objectives[-1],
-                                                                             rel=1e-12)
+        assert penalized_objective(w, Xt, t, d, 0.5) == pytest.approx(objectives[-1], rel=1e-12)
         assert min(size for _, size, _ in steps) < 1
 
     def test_intermediate_strengths_take_one_step(self, rng, caplog):
@@ -341,26 +328,21 @@ class TestPenalizedFit:
             intermediate += 1
         assert intermediate > 1
         assert [len(steps) for steps in event_runs[:-1]] == [1] * intermediate
-        everything = np.ones(Xt.shape[0], dtype=bool)
-        assert (penalized_objective(w_T.w, Xt, surv.time, surv.event, 0.5, everything)
+        assert (penalized_objective(w_T.w, Xt, surv.time, surv.event, 0.5)
                 == pytest.approx(event_runs[-1][-1][2], rel=1e-12))
 
-    @pytest.mark.parametrize("penalize_intercept", [True, False])
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
-    def test_path_matches_cold_fit(self, rng, gamma, penalize_intercept):
+    def test_path_matches_cold_fit(self, rng, gamma):
         """The path reaches the optimum a cold proximal Newton fit from the
         intercept-only start reaches."""
         X, surv = aliased_instance(rng)
         Xt = np.vstack([np.ones(X.shape[1]), X])
         t = surv.time
-        penalized = np.ones(Xt.shape[0], dtype=bool)
-        penalized[0] = penalize_intercept
-        fitted = fit_ecph(X, surv, penalty=PenaltyConfig(gamma, gamma, penalize_intercept))
+        fitted = fit_ecph(X, surv, penalty=PenaltyConfig(gamma, gamma))
         for params, d in zip(fitted, (surv.event, 1.0 - surv.event)):
-            cold = _newton_fit(Xt, t, d, _intercept_start(t, d, Xt.shape[0]), gamma, penalized)
-            assert (penalized_objective(params.w, Xt, t, d, gamma, penalized)
-                    == pytest.approx(penalized_objective(cold, Xt, t, d, gamma, penalized),
-                                     rel=1e-12))
+            cold = _newton_fit(Xt, t, d, _intercept_start(t, d, Xt.shape[0]), gamma)
+            assert (penalized_objective(params.w, Xt, t, d, gamma)
+                    == pytest.approx(penalized_objective(cold, Xt, t, d, gamma), rel=1e-12))
 
     def test_paper_size_fold_within_sweep_cap(self, caplog):
         """Criterion-1 draw (N = 300, p = 254), learning set of fold 2 of its
@@ -383,12 +365,10 @@ class TestLassoCd:
         A = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
         gamma = 0.7
-        penalized = np.ones(p, dtype=bool)
-        penalized[0] = False
-        w = _lasso_cd(A, y, gamma, penalized, np.zeros(p))
+        w = _lasso_cd(A, y, gamma, np.zeros(p))
 
         def objective(v):
-            return 0.5 * np.sum((y - A @ v) ** 2) + gamma * np.abs(v[penalized]).sum()
+            return 0.5 * np.sum((y - A @ v) ** 2) + gamma * np.abs(v).sum()
 
         opt = minimize(objective, np.zeros(p), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 50_000})
@@ -398,7 +378,7 @@ class TestLassoCd:
         n, p = 15, 4
         A = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        w = _lasso_cd(A, y, 0.5, np.ones(p, dtype=bool), np.zeros(p))
+        w = _lasso_cd(A, y, 0.5, np.zeros(p))
         r = y - A @ w
         # subgradient optimality: |A_j' r| <= gamma, equality on the support
         corr = A.T @ r
@@ -418,20 +398,21 @@ class TestLassoCd:
         assert np.linalg.matrix_rank(A) < A.shape[1]
         y = 1e3 * (A[:, 1:6] @ rng.normal(size=5) + rng.standard_normal(n))
         gamma = 50.0
-        penalized = np.ones(A.shape[1], dtype=bool)
-        penalized[0] = False
         with caplog.at_level("WARNING", logger="latentsurv.hazard"):
-            w = _lasso_cd(A, y, gamma, penalized, np.zeros(A.shape[1]))
+            w = _lasso_cd(A, y, gamma, np.zeros(A.shape[1]))
         assert not caplog.records
-        assert lasso_relative_gap(A, y, gamma, penalized, w) <= 1e-8
+        assert lasso_relative_gap(A, y, gamma, w) <= 1e-8
 
     @pytest.mark.parametrize("design", ["wide", "one-hot", "near-duplicate"])
     def test_feature_sign_solve_meets_relative_gap(self, design, monkeypatch, caplog):
-        """The feature-sign step solves by Cholesky and falls back to the
-        minimum-norm least-squares solution where the active Gram block is
-        singular: an active set larger than N, or a full one-hot block beside
-        the free intercept. On a nearly singular block Cholesky succeeds where
-        least squares would truncate the smallest singular value."""
+        """The feature-sign step solves by Cholesky and falls back to least
+        squares where the active Gram block is singular: an active set larger
+        than N, or a full one-hot block beside the intercept. Where the
+        sign-held right-hand side leaves the block's range, as on the wide
+        design once the support outgrows N, the step follows the block's null
+        space; the minimum-norm solution alone ran that design to the sweep
+        cap. On a nearly singular block Cholesky succeeds where least squares
+        would truncate the smallest singular value."""
         rng = np.random.default_rng(0)
         if design == "wide":
             n = 12
@@ -453,8 +434,6 @@ class TestLassoCd:
             gamma = 1e-3
             s = np.linalg.svd(A.T @ A, compute_uv=False)
             assert s[-1] < s[0] * A.shape[1] * np.finfo(float).eps
-        penalized = np.ones(A.shape[1], dtype=bool)
-        penalized[0] = False
         lstsq = np.linalg.lstsq
         solved = []  # (size, singular) of each block least squares solved
 
@@ -464,9 +443,9 @@ class TestLassoCd:
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         with caplog.at_level("WARNING", logger="latentsurv.hazard"):
-            w = _lasso_cd(A, y, gamma, penalized, np.zeros(A.shape[1]))
+            w = _lasso_cd(A, y, gamma, np.zeros(A.shape[1]))
         assert not caplog.records
-        assert lasso_relative_gap(A, y, gamma, penalized, w) <= 1e-8
+        assert lasso_relative_gap(A, y, gamma, w) <= 1e-8
         if design == "near-duplicate":
             assert not solved
         else:
