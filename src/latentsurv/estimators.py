@@ -1,11 +1,7 @@
-"""Thin scikit-learn-style estimator wrappers over the functional core.
-
-Each estimator's ``fit`` takes a :class:`~latentsurv.data.Dataset` (covariate
-blocks carry structure a flat ``X`` matrix cannot), returns ``self``, and
-exposes fitted attributes with trailing underscores. ``get_params`` /
-``set_params`` follow the scikit-learn contract so the wrappers compose with
-generic hyperparameter tooling.
-"""
+"""Thin scikit-learn-style estimators. Each fits a ``ModelCandidate`` on a ``Dataset``
+(blocks carry structure a flat ``X`` cannot) by ``evaluate.fit_candidate`` into
+``model_`` and predicts by ``evaluate.predict_candidate``; ``get_params`` and
+``set_params`` follow the scikit-learn contract for hyperparameter tooling."""
 
 from __future__ import annotations
 
@@ -13,13 +9,12 @@ import dataclasses
 
 import numpy as np
 
-from . import evaluate, hazard, joint
+from . import evaluate, joint
 from .data import Dataset
-from .hazard import PenaltyConfig
 
 
 class _BaseEstimator:
-    """Hyperparameters are the dataclass fields of the estimator."""
+    """Hyperparameters are the dataclass fields; ``_candidate`` makes them a candidate."""
 
     def get_params(self, deep: bool = True) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -31,46 +26,41 @@ class _BaseEstimator:
             setattr(self, name, value)
         return self
 
+    def fit(self, dataset: Dataset):
+        self.model_ = evaluate.fit_candidate(self._candidate(), dataset, getattr(self, "seed", 0))
+        return self
+
+    def predict(self, dataset: Dataset) -> np.ndarray:
+        """Expected event times for new samples (larger = lower risk)."""
+        return evaluate.predict_candidate(self._candidate(), self.model_, dataset)
+
 
 @dataclasses.dataclass(eq=False)
 class LatentSurvival(_BaseEstimator):
-    """Latent-factor exponential-hazard survival model.
-
+    """Latent-factor exponential-hazard survival model; ``model_`` is its ``JointModel``.
     ``fit_mode='fast'`` fits the factor model first and regresses hazards on
-    posterior means; ``'full'`` runs Monte Carlo EM on the joint likelihood.
-    ``fit`` goes through ``evaluate.fit_candidate``, as the CLI does.
-    """
+    posterior means; ``'full'`` runs Monte Carlo EM on the joint likelihood."""
 
     d_z: int = 2
     fit_mode: str = "fast"
     gem_iters: int = 10
     seed: int = 0
 
-    def fit(self, dataset: Dataset):
-        candidate = evaluate.ModelCandidate(
-            kind="fa_ecph_c", d_z=self.d_z, gem_iters=self.gem_iters,
-            fit_mode=joint.FIT_MODES.get(self.fit_mode, self.fit_mode))
-        self.model_ = evaluate.fit_candidate(candidate, dataset, self.seed)
-        self.heywood_flag_ = self.model_.fa.heywood_flag
-        return self
+    def _candidate(self):
+        return evaluate.ModelCandidate(kind="fa_ecph_c", d_z=self.d_z, gem_iters=self.gem_iters,
+                                       fit_mode=joint.FIT_MODES.get(self.fit_mode, self.fit_mode))
 
-    def predict(self, dataset: Dataset) -> np.ndarray:
-        """Expected event times for new samples (larger = lower risk)."""
-        return joint.joint_predict(self.model_, dataset.blocks)
+    @property
+    def heywood_flag_(self) -> bool:
+        return self.model_.fa.heywood_flag
 
 
 @dataclasses.dataclass(eq=False)
 class L1ExponentialHazard(_BaseEstimator):
-    """L1-penalized exponential hazard regression on stacked covariates."""
+    """L1-penalized exponential hazard regression on stacked covariates; it
+    fits the event part only, and ``model_`` is that part's ``HazardParams``."""
 
     gamma: float = 1.0
 
-    def fit(self, dataset: Dataset):
-        penalty = PenaltyConfig(gamma_T=self.gamma, gamma_C=self.gamma)
-        self.params_T_, self.params_C_ = hazard.fit_ecph(
-            dataset.stacked_values(), dataset.survival, penalty=penalty)
-        return self
-
-    def predict(self, dataset: Dataset) -> np.ndarray:
-        """Expected event times 1/rate under the fitted event-hazard model."""
-        return hazard.ecph_predict(self.params_T_, dataset.stacked_values())
+    def _candidate(self):
+        return evaluate.ModelCandidate(kind="ecph_c_l1", gamma=self.gamma)

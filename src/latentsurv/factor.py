@@ -483,8 +483,8 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
     F(x0 - 2 a r + a^2 v), with r = x1 - x0, v = x2 - 2 x1 + x0 and step
     a = min(-||r|| / ||v||, -1). It keeps that point if its bound is at least
     x0's, and x2 otherwise or when the extrapolation raises, so the bound
-    never falls. ``max_iters`` caps the sweeps (map steps, three a cycle);
-    when fewer than three remain, the fit takes plain EM steps. Overflow,
+    never falls. ``max_iters`` caps the sweeps (map steps), run in whole
+    cycles of three, so a capped fit stops at 498 of 500. Overflow,
     invalid and divide-by-zero arithmetic raise ``FloatingPointError``.
 
     Every cell must be observed: a block with a missing (NaN) cell is refused
@@ -502,27 +502,22 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
         params, states = zip(*(_init_block(block, d_z) for block in blocks))
         post, obj = _posterior_and_bound(params, states, data)
         sweeps, heywood, change = 0, False, math.nan
-        while sweeps < max_iters:
-            if max_iters - sweeps < 3:  # no room for a cycle: one plain EM step
-                sweeps += 1
-                params, states = _conditional_sweep(data, params, states, post)
+        while sweeps + 3 <= max_iters:  # whole cycles only
+            sweeps += 3
+            p1, s1 = _conditional_sweep(data, params, states, post)
+            p2, s2 = _conditional_sweep(data, p1, s1, diverse_estep(p1, s1, data))
+            x0, x1 = _coords(params, states), _coords(p1, s1)
+            r, v = x1 - x0, _coords(p2, s2) - 2.0 * x1 + x0
+            try:
+                a = _step_length(r, v)
+                pe, se = _from_coords(x0 - 2.0 * a * r + a * a * v, params, states)
+                params, states = _conditional_sweep(data, pe, se, diverse_estep(pe, se, data))
                 new_post, new = _posterior_and_bound(params, states, data)
-            else:
-                sweeps += 3
-                p1, s1 = _conditional_sweep(data, params, states, post)
-                p2, s2 = _conditional_sweep(data, p1, s1, diverse_estep(p1, s1, data))
-                x0, x1 = _coords(params, states), _coords(p1, s1)
-                r, v = x1 - x0, _coords(p2, s2) - 2.0 * x1 + x0
-                try:
-                    a = _step_length(r, v)
-                    pe, se = _from_coords(x0 - 2.0 * a * r + a * a * v, params, states)
-                    params, states = _conditional_sweep(data, pe, se, diverse_estep(pe, se, data))
-                    new_post, new = _posterior_and_bound(params, states, data)
-                except (FloatingPointError, np.linalg.LinAlgError):
-                    new = -math.inf
-                if not new >= obj:  # fall back to the two plain steps
-                    params, states = p2, s2
-                    new_post, new = _posterior_and_bound(params, states, data)
+            except (FloatingPointError, np.linalg.LinAlgError):
+                new = -math.inf
+            if not new >= obj:  # fall back to the two plain steps
+                params, states = p2, s2
+                new_post, new = _posterior_and_bound(params, states, data)
             heywood = heywood or _heywood(params, data)
             change = abs(new - obj) / max(abs(obj), 1.0)
             post, obj = new_post, new

@@ -75,8 +75,8 @@ class PenaltyConfig:
     gamma_C: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_T < 0 or self.gamma_C < 0:
-            raise ValueError("penalty strengths must be non-negative")
+        if not (0 <= self.gamma_T < np.inf and 0 <= self.gamma_C < np.inf):
+            raise ValueError("penalty strengths must be finite and non-negative")
 
 
 def _design(X: np.ndarray) -> np.ndarray:

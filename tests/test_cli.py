@@ -525,6 +525,24 @@ class TestCvCommand:
                                       "--out", str(tmp_path / "cv")])
         assert result.exit_code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("gamma", ["inf", "1e400"])
+    def test_infinite_gamma_exit_2_in_a_real_process(self, runner, tmp_path, gamma):
+        """An infinite L1 strength is bad input: one error line and exit 2
+        before the first fit, with or without latent candidates beside it."""
+        scn = scenario_file(tmp_path, n_train=30, n_test=0)
+        sim = tmp_path / "sim"
+        run_ok(runner, ["simulate", "--scenario", str(scn), "--out", str(sim)])
+        for extra in ([], ["--dz", "2"]):
+            result = run_in_process("cv", "--data", str(sim / "train_manifest.json"),
+                                    "--gamma", gamma, *extra, "--folds", "3",
+                                    "--out", str(tmp_path / "cv"))
+            assert result.returncode == EXIT_BAD_INPUT, result.stderr
+            assert "Traceback" not in result.stderr
+            [error] = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+            assert "gamma=inf must be finite and non-negative" in error
+            assert "WARNING" not in result.stderr
+            assert not (tmp_path / "cv").exists()
+
     def test_all_excluded_exit_3(self, runner, tmp_path):
         # noiseless rank-1 data trips the degenerate-variance flag on every fold
         rng = np.random.default_rng(1)

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from latentsurv import evaluate
 from latentsurv.estimators import L1ExponentialHazard, LatentSurvival
-from latentsurv.hazard import ecph_predict, fit_ecph
+from latentsurv.evaluate import ModelCandidate, fit_candidate, predict_candidate
+from latentsurv.hazard import HazardParams, PenaltyConfig, ecph_predict, fit_ecph
 from latentsurv.joint import fit_fast, joint_predict
-from tests.conftest import make_dataset
+from tests.conftest import count_calls, make_dataset
 
 
 class TestParamsProtocol:
@@ -40,7 +44,16 @@ class TestLatentSurvival:
         est = LatentSurvival(d_z=2, seed=0).fit(ds)
         want = joint_predict(fit_fast(ds, 2, seed=0), ds.blocks)
         np.testing.assert_array_equal(est.predict(ds), want)
+        candidate = ModelCandidate(kind="fa_ecph_c", d_z=2)
+        np.testing.assert_array_equal(est.predict(ds),
+                                      predict_candidate(candidate, est.model_, ds))
         assert isinstance(est.heywood_flag_, bool)
+        assert est.heywood_flag_ == est.model_.fa.heywood_flag
+
+    def test_params_protocol_unchanged(self):
+        est = LatentSurvival(d_z=3, fit_mode="full", gem_iters=4, seed=5)
+        assert est.get_params() == {"d_z": 3, "fit_mode": "full", "gem_iters": 4, "seed": 5}
+        assert repr(est) == "LatentSurvival(d_z=3, fit_mode='full', gem_iters=4, seed=5)"
 
     def test_predict_before_fit_raises(self, rng):
         ds = make_dataset(rng, N=10)
@@ -60,16 +73,33 @@ class TestLatentSurvival:
 
 
 class TestL1ExponentialHazard:
-    def test_fit_predict_matches_functional_core(self, rng):
+    def test_fit_predict_matches_functional_core(self, rng, monkeypatch):
+        """The estimator is the ``ecph_c_l1`` candidate: one ``_fit_one`` per
+        fit, the event part of ``fit_ecph`` bit for bit, and its predictions."""
         ds = make_dataset(rng, N=30)
+        candidate = ModelCandidate(kind="ecph_c_l1", gamma=0.5)
+        want = fit_candidate(candidate, ds, seed=0)
+        w_T, _ = fit_ecph(ds.stacked_values(), ds.survival, penalty=PenaltyConfig(0.5, 0.5))
+        fits = count_calls(monkeypatch, evaluate, "_fit_one")
         est = L1ExponentialHazard(gamma=0.5).fit(ds)
-        from latentsurv.hazard import PenaltyConfig
-        w_T, w_C = fit_ecph(ds.stacked_values(), ds.survival,
-                            penalty=PenaltyConfig(gamma_T=0.5, gamma_C=0.5))
-        np.testing.assert_array_equal(est.params_T_.w, w_T.w)
-        np.testing.assert_array_equal(est.params_C_.w, w_C.w)
-        np.testing.assert_array_equal(
-            est.predict(ds), ecph_predict(w_T, ds.stacked_values()))
+        assert fits[0] == 1
+        assert isinstance(est.model_, HazardParams)
+        np.testing.assert_array_equal(est.model_.w, want.w)
+        np.testing.assert_array_equal(est.model_.w, w_T.w)
+        assert not hasattr(est, "params_T_") and not hasattr(est, "params_C_")
+        np.testing.assert_array_equal(est.predict(ds), predict_candidate(candidate, want, ds))
+        np.testing.assert_array_equal(est.predict(ds), ecph_predict(w_T, ds.stacked_values()))
+
+    def test_params_protocol_unchanged(self):
+        est = L1ExponentialHazard(gamma=0.25)
+        assert est.get_params() == {"gamma": 0.25}
+        assert est.set_params(gamma=2.0) is est and est.gamma == 2.0
+        assert repr(est) == "L1ExponentialHazard(gamma=2.0)"
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_gamma_refused(self, rng, gamma):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            L1ExponentialHazard(gamma=gamma).fit(make_dataset(rng, N=10))
 
     def test_large_penalty_constant_predictions(self, rng):
         ds = make_dataset(rng, N=25)

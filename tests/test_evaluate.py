@@ -248,6 +248,11 @@ class TestModelCandidate:
         with pytest.raises(ValueError, match="unknown"):
             ModelCandidate(**fields)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_gamma_refused(self, gamma):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ModelCandidate(kind="ecph_c_l1", gamma=gamma)
+
     def test_candidate_ids(self):
         assert ModelCandidate(kind="fa_ecph_c", d_z=3).candidate_id == "latent_dz3_fast"
         full = ModelCandidate(kind="fa_ecph_c", d_z=3, fit_mode="full_mcem")

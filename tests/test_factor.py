@@ -564,8 +564,8 @@ class TestFitFa:
         ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
         # re-run the fit loop manually by tracking the objective each iteration
         objs = []
-        for iters in range(1, 6):
-            model, _ = fit_fa(ds, 2, max_iters=iters, rel_tol=0.0)
+        for cycles in range(1, 6):
+            model, _ = fit_fa(ds, 2, max_iters=3 * cycles, rel_tol=0.0)
             objs.append(fa_objective(model, ds))
         diffs = np.diff(objs)
         assert np.all(diffs >= -1e-8 * np.abs(objs[:-1]))
@@ -610,12 +610,12 @@ class TestFitFa:
         [record] = caplog.records
         assert record.levelname == "INFO" and "converged after" in record.message
 
-    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("k", [0, 1, 3, 5, 15])
     def test_one_accumulation_per_iteration(self, rng, monkeypatch, k):
-        """Normal + binomial data: each sweep costs one accumulation (the
-        posterior it runs against) and makes none itself, one more gives the
-        first posterior and bound, and a cycle that falls back spends one on
-        the bound of its two-step point."""
+        """Normal + binomial data: the fit runs whole cycles of three sweeps;
+        each sweep costs one accumulation (the posterior it runs against) and
+        makes none itself, one more gives the first posterior and bound, and a
+        cycle that falls back spends one on the bound of its two-step point."""
         ds = make_dataset(rng, N=30, with_binomial=True)
         accumulations = count_calls(monkeypatch, factor, "_accumulate")
         bounds = count_calls(monkeypatch, factor, "_posterior_and_bound")
@@ -632,11 +632,11 @@ class TestFitFa:
         monkeypatch.setattr(factor, "_conditional_sweep", sweep)
         fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
         sweeps = len(in_sweeps)
-        # one bound per accepted point (a cycle or a plain step), plus the first
-        plain_steps = sweeps - 3 * cycles[0]
-        fallbacks = bounds[0] - 1 - cycles[0] - plain_steps
-        assert sweeps == k
-        assert in_sweeps == [0] * k
+        # one bound per cycle, plus the first
+        fallbacks = bounds[0] - 1 - cycles[0]
+        assert sweeps % 3 == 0 and sweeps <= k
+        assert sweeps == 3 * cycles[0] == k - k % 3
+        assert in_sweeps == [0] * sweeps
         assert accumulations[0] == sweeps + 1 + fallbacks
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
@@ -644,16 +644,28 @@ class TestFitFa:
         ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
         sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
         fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
-        assert sweeps[0] <= k
+        assert sweeps[0] % 3 == 0 and sweeps[0] <= k
+        assert sweeps[0] == k - k % 3  # the last whole cycle that fits
 
     def test_one_lambda_per_xi(self, rng, monkeypatch):
         """One sweep on normal + binomial + multinomial data computes lambda(xi)
         once per count block for the starting states and once after the xi
-        update; the alpha update keeps xi, and so keeps lambda."""
+        update; the alpha update keeps xi, and so keeps lambda. A fit's cycle
+        computes it once per count block for each of its three sweeps and for
+        its extrapolated point."""
         ds = make_dataset(rng, N=40, with_binomial=True, with_multinomial=True)
         calls = count_calls(monkeypatch, factor, "lambda_of_xi")
-        fit_fa(ds, 2, max_iters=1)
+        data = [factor._fit_block(block) for block in ds.blocks]
+        params, states = zip(*(factor._init_block(block, 2) for block in ds.blocks))
+        post, _ = factor._posterior_and_bound(params, states, data)
+        params, states = factor._conditional_sweep(data, params, states, post)
+        factor._posterior_and_bound(params, states, data)
         assert calls[0] == 4
+        calls[0] = 0
+        sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
+        fit_fa(ds, 2, max_iters=5)
+        assert sweeps[0] == 3
+        assert calls[0] == 2 * (1 + 3 + 1)
 
     def test_bound_never_falls_when_every_extrapolation_is_refused(self, rng, monkeypatch):
         """A step length of -1e6 throws each cycle far off, so every cycle
@@ -663,10 +675,19 @@ class TestFitFa:
         objs = [fa_objective(fit_fa(ds, 2, max_iters=3 * c, rel_tol=0.0)[0], ds)
                 for c in range(6)]
         assert np.all(np.diff(objs) >= -1e-10 * np.abs(objs[:-1]))
-        # one refused cycle is two plain steps
-        cycle, post = fit_fa(ds, 2, max_iters=3, rel_tol=0.0)
-        plain, plain_post = fit_fa(ds, 2, max_iters=2, rel_tol=0.0)
-        for a, b in zip(cycle.block_params, plain.block_params):
+        # one refused cycle (three sweeps of the cap of five; its extrapolated
+        # point raises before its sweep) is two plain EM steps, here taken by hand
+        cycles = count_calls(monkeypatch, factor, "_step_length")
+        cycle, post = fit_fa(ds, 2, max_iters=5, rel_tol=0.0)
+        assert cycles[0] == 1
+        data = [factor._fit_block(block) for block in ds.blocks]
+        params, states = zip(*(factor._init_block(block, 2) for block in ds.blocks))
+        start, _ = factor._posterior_and_bound(params, states, data)
+        params, states = factor._conditional_sweep(data, params, states, start)
+        params, states = factor._conditional_sweep(data, params, states,
+                                                   diverse_estep(params, states, data))
+        plain_post, _ = factor._posterior_and_bound(params, states, data)
+        for a, b in zip(cycle.block_params, params):
             np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(post.mean, plain_post.mean)
 

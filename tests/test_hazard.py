@@ -263,6 +263,12 @@ class TestFitEcph:
         w_pen, _ = fit_ecph(X, surv, penalty=PenaltyConfig(5.0, 5.0))
         assert len(l1_support(w_pen)) <= len(l1_support(w_plain))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_strength_refused(self, gamma):
+        for penalty in ((gamma, 0.0), (0.0, gamma), (gamma, gamma)):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                PenaltyConfig(*penalty)
+
 
 class TestPenalizedFit:
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
