@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit
 
 from .data import CovariateBlock, Dataset
 
@@ -136,28 +135,44 @@ class FaModel:
 
 
 def lambda_of_xi(xi):
-    """(sigma(xi) - 1/2) / (2 xi), with the analytic limit 1/8 at xi = 0."""
+    """(sigma(xi) - 1/2) / (2 xi), computed as tanh(xi / 2) / (4 xi), which has no
+    cancellation at small xi, with the analytic limit 1/8 at xi = 0."""
     xi = np.asarray(xi, dtype=float)
     big = np.abs(xi) > XI_LIMIT
     safe = np.where(big, xi, 1.0)  # no division by a zero xi
-    out = np.where(big, (expit(safe) - 0.5) / (2.0 * safe), 0.125)
+    out = np.where(big, np.tanh(0.5 * safe) / (4.0 * safe), 0.125)
     return float(out) if out.ndim == 0 else out
 
 
-# A block's values, b and data-only term, made once per fit by _fit_block: a
-# normal block's psi floor, a count block's log binomial/multinomial coefficient.
-_FitBlock = namedtuple("_FitBlock", "values b term")
+# A block's values, b, data-only term and centered counts, made once per fit by
+# _fit_block: a normal block's psi floor and no centered counts, a count block's
+# log binomial/multinomial coefficient and x - b/2.
+_FitBlock = namedtuple("_FitBlock", "values b term centered")
+
+
+def _estep_block(block) -> _FitBlock:
+    """What the E-step reads of a block: a ``_FitBlock`` as it is, a
+    ``CovariateBlock`` with its centered counts but without the data-only term."""
+    if isinstance(block, _FitBlock):
+        return block
+    centered = None if block.kind == "normal" else block.values - block.b / 2.0
+    return _FitBlock(block.values, block.b, None, centered)
 
 
 def _fit_block(block: CovariateBlock) -> _FitBlock:
     X, b = block.values, block.b
     if block.kind == "normal":  # a tiny fraction of each feature's variance
         term = np.maximum(HEYWOOD_REL_THRESHOLD * X.var(axis=1), PSI_FLOOR)
-    elif block.kind == "binomial":
-        term = gammaln(b + 1) - gammaln(X + 1) - gammaln(b - X + 1)
-    else:
-        term = gammaln(b + 1) / block.d_x - gammaln(X + 1)
-    return _FitBlock(X, b, term)
+    else:  # log k! from one table up to the largest count, indexed by the counts
+        missing = np.isnan(X)
+        counts = np.where(missing, 0.0, X).astype(np.intp)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(counts.max(initial=b) + 1)])
+        if block.kind == "binomial":
+            term = log_fact[b] - log_fact[counts] - log_fact[b - counts]
+        else:
+            term = log_fact[b] / block.d_x - log_fact[counts]
+        term[missing] = np.nan
+    return _estep_block(block)._replace(term=term)
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +190,35 @@ def _weighted_sum(weights: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return (weights @ flat).reshape(-1, d, d)
 
 
-def _centered_counts(X: np.ndarray, b: int, state: VariationalState,
+def _centered_counts(centered: np.ndarray, b: int, state: VariationalState,
                      shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lam (d_x x N) and the centering term x - b/2 - 2 b lam * (shift [- alpha])."""
+    """lam (d_x x N) and the centering term (x - b/2) - 2 b lam * (shift [- alpha]),
+    from the counts' x - b/2 (``_FitBlock.centered``)."""
     if state.alpha is not None:
         shift = shift - state.alpha[None, :]
-    return state.lam, X - b / 2.0 - 2.0 * b * state.lam * shift
+    return state.lam, centered - 2.0 * b * state.lam * shift
 
 
-def _block_quadratic(X: np.ndarray, b: int, params: BlockParams,
-                     state: VariationalState | None):
+def _block_quadratic(block: _FitBlock, params: BlockParams, state: VariationalState | None):
     """Precision contribution (N x d_z x d_z; a normal block's is one matrix
     broadcast over samples) and linear contribution h (d_z x N) of one block's
     (bounded) likelihood. A block without a variational state is normal; one
     whose state carries alpha is multinomial."""
     W = params.W
     if state is None:
+        X = block.values
         Wp = W / params.psi[:, None]
         prec = np.broadcast_to(W.T @ Wp, (X.shape[1], W.shape[1], W.shape[1]))
         return prec, Wp.T @ (X - params.mu[:, None])
-    lam, c = _centered_counts(X, b, state, params.mu[:, None])
-    return 2.0 * b * _weighted_sum(lam.T, _outer_rows(W)), W.T @ c
+    lam, c = _centered_counts(block.centered, block.b, state, params.mu[:, None])
+    return 2.0 * block.b * _weighted_sum(lam.T, _outer_rows(W)), W.T @ c
 
 
 def _accumulate(blocks, block_params, variational) -> tuple[np.ndarray, np.ndarray]:
     """Posterior precision (N x d_z x d_z, prior included) and linear term
     h (d_z x N) given all blocks (``CovariateBlock``s or ``_FitBlock``s), which
     must have the parameters' per-block feature counts."""
+    blocks = [_estep_block(block) for block in blocks]
     data_sizes = [block.values.shape[0] for block in blocks]
     model_sizes = [params.d_x for params in block_params]
     if data_sizes != model_sizes:
@@ -211,7 +228,7 @@ def _accumulate(blocks, block_params, variational) -> tuple[np.ndarray, np.ndarr
     prec = np.broadcast_to(np.eye(d_z), (N, d_z, d_z)).copy()
     h = np.zeros((d_z, N))
     for block, params, state in zip(blocks, block_params, variational):
-        p, hb = _block_quadratic(block.values, block.b, params, state)
+        p, hb = _block_quadratic(block, params, state)
         prec += p
         h += hb
     return prec, h
@@ -272,11 +289,11 @@ def update_alpha(params: BlockParams, posterior: LatentPosterior,
     return ((lam * lin).sum(axis=0) - (1.0 - d_x / 2.0) / 2.0) / denom
 
 
-def update_W(block_values: np.ndarray, b: int, params: BlockParams,
+def update_W(centered: np.ndarray, b: int, params: BlockParams,
              posterior: LatentPosterior, state: VariationalState) -> np.ndarray:
     """Per-feature d_z-dimensional solves via the Cholesky factor of the
-    weighted second-moment accumulation."""
-    lam, c = _centered_counts(block_values, b, state, params.mu[:, None])
+    weighted second-moment accumulation; ``centered`` holds the counts minus b/2."""
+    lam, c = _centered_counts(centered, b, state, params.mu[:, None])
     ezz = posterior.second_moments()
     M = 2.0 * b * _weighted_sum(lam, ezz.reshape(ezz.shape[0], -1))
     r = c @ posterior.mean.T
@@ -288,9 +305,10 @@ def update_W(block_values: np.ndarray, b: int, params: BlockParams,
     return np.linalg.solve(M, r[:, :, None])[:, :, 0]
 
 
-def update_mu(block_values: np.ndarray, b: int, W: np.ndarray,
+def update_mu(centered: np.ndarray, b: int, W: np.ndarray,
               posterior: LatentPosterior, state: VariationalState) -> np.ndarray:
-    lam, c = _centered_counts(block_values, b, state, W @ posterior.mean)
+    """The means given W; ``centered`` holds the counts minus b/2."""
+    lam, c = _centered_counts(centered, b, state, W @ posterior.mean)
     return c.sum(axis=1) / (2.0 * b * lam.sum(axis=1))
 
 
@@ -300,17 +318,17 @@ def _block_mstep(block: _FitBlock, params: BlockParams, state: VariationalState 
     closed form without a state, else xi -> alpha (only when the state
     carries alpha, which makes the block multinomial and keeps the last row
     of W and mu zero) -> W -> mu."""
-    X, b, floor = block
+    X, b, floor, centered = block
     if state is None:
         return gaussian_mstep(X, post, psi_floor=floor), None
     state = replace(state, xi=update_xi(params, post, alpha=state.alpha))
     multi = state.alpha is not None
     if multi:
         state = state.with_alpha(update_alpha(params, post, state))
-    W = update_W(X, b, params, post, state)
+    W = update_W(centered, b, params, post, state)
     if multi:
         W[-1, :] = 0.0
-    mu = update_mu(X, b, W, post, state)
+    mu = update_mu(centered, b, W, post, state)
     if multi:
         mu[-1] = 0.0
     return BlockParams(W=W, mu=mu), state
@@ -329,7 +347,7 @@ def _conditional_sweep(data, params, states, post: LatentPosterior) -> tuple[tup
 def _block_constant(block: _FitBlock, params: BlockParams,
                     state: VariationalState | None) -> np.ndarray:
     """z-independent part of each sample's (bounded) log-likelihood, length N."""
-    X, b, comb = block
+    X, b, comb, _ = block
     if state is None:
         Xc = X - params.mu[:, None]
         quad = np.einsum("in,in->n", Xc, Xc / params.psi[:, None])
@@ -338,7 +356,8 @@ def _block_constant(block: _FitBlock, params: BlockParams,
     offset = params.mu[:, None]
     if state.alpha is not None:
         offset = offset - state.alpha[None, :]
-    per_feature = (comb + b * log_expit(xi)
+    # log sigma(xi) = -log1p(exp(-xi)), which cannot overflow at xi >= 0
+    per_feature = (comb - b * np.log1p(np.exp(-xi))
                    - 0.5 * b * (offset + xi)
                    - b * state.lam * (offset**2 - xi**2)
                    + X * params.mu[:, None])

@@ -249,10 +249,9 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     seed_root = np.random.SeedSequence(seed)
     tune_seed = int(seed_root.generate_state(1)[0] % (2**31))
     kappa = None
-    blocks = dataset.blocks
-    data = [factor._fit_block(block) for block in blocks]
+    data = [factor._fit_block(block) for block in dataset.blocks]
     for it in range(gem_iters):
-        targets = SampleTargets(params, states, blocks, w_T, w_C, times, events)
+        targets = SampleTargets(params, states, data, w_T, w_C, times, events)
         post = factor._posterior_from_inverse(np.linalg.inv(targets.prec), targets.h)
         if kappa is None:
             kappa = tune_kappa(targets, mh, tune_seed, post.mean[:, 0].copy(), post.cov[0])

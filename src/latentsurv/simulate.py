@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, softmax
 
 from .data import BLOCK_KINDS, CovariateBlock, Dataset, Survival
 
@@ -87,14 +86,26 @@ def _realize_params(spec: BlockSpec, d_z: int, rng: np.random.Generator):
     return W, mu, psi
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)), from exp(-|x|) so that no x overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """The softmax over axis 0, shifted by each column's maximum."""
+    e = np.exp(x - x.max(axis=0))
+    return e / e.sum(axis=0)
+
+
 def _sample_block(spec: BlockSpec, W, mu, psi, Z: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     lin = W @ Z + mu[:, None]
     if spec.kind == "normal":
         return lin + rng.standard_normal(lin.shape) * np.sqrt(psi)[:, None]
     if spec.kind == "binomial":
-        return rng.binomial(spec.b, expit(lin)).astype(float)
-    return rng.multinomial(spec.b, softmax(lin, axis=0).T).T.astype(float)
+        return rng.binomial(spec.b, _expit(lin)).astype(float)
+    return rng.multinomial(spec.b, _softmax(lin).T).T.astype(float)
 
 
 def simulate_dataset(scenario: SimScenario):

@@ -88,10 +88,17 @@ def gaussian_log_likelihood(params, X) -> float:
     return float(-0.5 * (N * (d_x * math.log(2 * math.pi) + logdet) + quad))
 
 
+def count_fit_block(X, b=1) -> _FitBlock:
+    """A count block's values as the M-step and E-step read them, without the
+    data-only term."""
+    X = np.asarray(X, dtype=float)
+    return _FitBlock(X, b, None, X - b / 2.0)
+
+
 def single_block_estep(params, state, X, b=1):
     """Posterior given one block: normal without a state, multinomial when the
     state carries alpha, binomial otherwise."""
-    return diverse_estep([params], [state], [_FitBlock(np.asarray(X, dtype=float), b, None)])
+    return diverse_estep([params], [state], [count_fit_block(X, b)])
 
 
 def metropolis_chains(targets, n, kappa, config, rngs, z0, C_n):

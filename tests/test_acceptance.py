@@ -36,6 +36,7 @@ from latentsurv.joint import (
 )
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
 from tests.conftest import (
+    count_fit_block,
     gaussian_log_likelihood,
     make_dataset,
     make_survival,
@@ -216,7 +217,7 @@ def test_criterion_4_variational_bounds(capfd):
         prev = bin_bound(params, state)
         for _ in range(8):
             posterior = single_block_estep(params, state, Xb, b)
-            params, state = factor._block_mstep(factor._FitBlock(Xb, b, None),
+            params, state = factor._block_mstep(count_fit_block(Xb, b),
                                                 params, state, posterior)
             cur = bin_bound(params, state)
             assert cur >= prev - 1e-8 * abs(prev)
@@ -239,7 +240,7 @@ def test_criterion_4_variational_bounds(capfd):
         prev = variational_log_marginal([mparams], [mstate], [mblock])
         for _ in range(8):
             posterior = single_block_estep(mparams, mstate, Xm, 1)
-            mparams, mstate = factor._block_mstep(factor._FitBlock(Xm, 1, None),
+            mparams, mstate = factor._block_mstep(count_fit_block(Xm, 1),
                                                   mparams, mstate, posterior)
             cur = variational_log_marginal([mparams], [mstate], [mblock])
             assert cur >= prev - 1e-8 * abs(prev)

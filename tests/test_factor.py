@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import expit, gammaln, log_expit
 
 from latentsurv import factor
 from latentsurv.data import CovariateBlock, Dataset, make_split
@@ -32,6 +32,7 @@ from latentsurv.factor import (
 from latentsurv.simulate import simulate_dataset
 from tests.conftest import (
     count_calls,
+    count_fit_block,
     gaussian_log_likelihood,
     make_dataset,
     make_survival,
@@ -57,7 +58,7 @@ def masked_lambda_of_xi(xi):
     xi = np.asarray(xi, dtype=float)
     out = np.full(xi.shape, 0.125)
     big = np.abs(xi) > XI_LIMIT
-    out[big] = (expit(xi[big]) - 0.5) / (2.0 * xi[big])
+    out[big] = np.tanh(0.5 * xi[big]) / (4.0 * xi[big])
     return out
 
 
@@ -101,6 +102,63 @@ class TestLambdaOfXi:
     def test_continuous_at_cutoff(self):
         assert lambda_of_xi(2e-8) == pytest.approx(0.125, abs=1e-8)
 
+    def test_matches_the_logistic_form_from_1e_3(self):
+        """Within 1e-12 of (sigma(xi) - 1/2) / (2 xi) by scipy's expit for
+        1e-3 <= |xi| <= 700: the reference itself loses digits to the
+        cancellation sigma(xi) - 1/2, about 3.6e-13 relative at xi = 1e-3."""
+        xi = np.geomspace(1e-3, 700.0, 20001)
+        xi = np.concatenate([xi, -xi])
+        np.testing.assert_allclose(lambda_of_xi(xi), (expit(xi) - 0.5) / (2.0 * xi),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_matches_the_series_below_1e_3(self):
+        """Within 1e-14 of 1/8 - xi^2/96 between the cut-off and 1e-3: the
+        series' next term, xi^4/960, is at most 8.4e-15 of 1/8 there."""
+        xi = np.geomspace(np.nextafter(XI_LIMIT, 1.0), 1e-3, 20001)
+        xi = np.concatenate([xi, -xi])
+        np.testing.assert_allclose(lambda_of_xi(xi), 0.125 - xi**2 / 96.0,
+                                   rtol=1e-14, atol=0.0)
+
+
+class TestDataOnlyTerms:
+    def test_log_sigmoid_matches_scipy(self):
+        """A one-feature Bernoulli block at x = 0 and mu = 0 leaves
+        log sigma(xi) - xi/2 + lambda(xi) xi^2 per sample; its log sigma(xi)
+        (-log1p(exp(-xi)), finite for every xi >= 0) is within 1e-15 of
+        scipy's log_expit over xi in {0} and [1e-12, 800]."""
+        xi = np.concatenate([[0.0], np.geomspace(1e-12, 800.0, 5001)])[None, :]
+        X = np.zeros_like(xi)
+        block = factor._FitBlock(X, 1, np.zeros_like(xi), X - 0.5)
+        params = BlockParams(W=np.zeros((1, 2)), mu=np.zeros(1))
+        state = VariationalState(xi=xi)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = factor._block_constant(block, params, state)
+        want = log_expit(xi[0]) - 0.5 * xi[0] + lambda_of_xi(xi[0]) * xi[0] ** 2
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind, b", [("binomial", 1), ("binomial", 30),
+                                         ("binomial", 500), ("multinomial", 1),
+                                         ("multinomial", 40)])
+    def test_log_coefficients_match_gammaln(self, rng, kind, b):
+        """The log binomial/multinomial coefficient from the math.lgamma table
+        is within 1e-15 * log b! of the gammaln form (the table's entries
+        cancel from terms of that size), and a missing cell gives NaN."""
+        d_x, N = 4, 50
+        if kind == "binomial":
+            X = rng.integers(0, b + 1, (d_x, N)).astype(float)
+        else:
+            X = rng.multinomial(b, np.full(d_x, 1.0 / d_x), N).T.astype(float)
+        X[1, 3] = X[3, 0] = np.nan
+        block = CovariateBlock(name="c", kind=kind, b=b, values=X,
+                               feature_names=tuple(f"c{i}" for i in range(d_x)))
+        term = factor._fit_block(block).term
+        if kind == "binomial":
+            want = gammaln(b + 1) - gammaln(X + 1) - gammaln(b - X + 1)
+        else:
+            want = gammaln(b + 1) / d_x - gammaln(X + 1)
+        np.testing.assert_array_equal(np.isnan(term), np.isnan(X))
+        np.testing.assert_allclose(term, want, rtol=0.0, atol=1e-15 * gammaln(b + 1))
+
 
 class TestSigmoidBound:
     def test_grid_inequality_and_tightness(self):
@@ -141,7 +199,7 @@ class TestGemmKernels:
         X = rng.integers(0, b + 1, (d_x, N)).astype(float)
         lam, ezz = state.lam, post.second_moments()
 
-        prec, _ = factor._block_quadratic(X, b, params, state)
+        prec, _ = factor._block_quadratic(count_fit_block(X, b), params, state)
         np.testing.assert_allclose(prec, 2.0 * b * np.einsum("in,ij,ik->njk", lam, W, W),
                                    rtol=1e-12)
 
@@ -286,7 +344,7 @@ class TestBinomialMstep:
         params = BlockParams(W=np.zeros((2, 1)), mu=np.zeros(2), psi=None)
         X = np.full((2, 6), 1.0)  # b = 2, x = b/2
         post = const_posterior(np.zeros((1, 6)), np.eye(1))
-        new, _ = factor._block_mstep(factor._FitBlock(X, 2, None), params,
+        new, _ = factor._block_mstep(count_fit_block(X, 2), params,
                                      VariationalState(xi=np.ones((2, 6))), post)
         np.testing.assert_allclose(new.mu, 0.0, atol=1e-12)
 
@@ -314,13 +372,13 @@ class TestBinomialMstep:
             assert mid1 >= before - 1e-8 * abs(before)
             # W sub-step
             post = diverse_estep((params,), (state,), blocks)
-            W = update_W(block.values, block.b, params, post, state)
+            W = update_W(block.values - block.b / 2, block.b, params, post, state)
             params = BlockParams(W=W, mu=params.mu, psi=None)
             mid2 = variational_log_marginal((params,), (state,), blocks)
             assert mid2 >= mid1 - 1e-8 * abs(mid1)
             # mu sub-step
             post = diverse_estep((params,), (state,), blocks)
-            mu = update_mu(block.values, block.b, W, post, state)
+            mu = update_mu(block.values - block.b / 2, block.b, W, post, state)
             params = BlockParams(W=W, mu=mu, psi=None)
             after = variational_log_marginal((params,), (state,), blocks)
             assert after >= mid2 - 1e-8 * abs(mid2)
@@ -382,7 +440,7 @@ class TestMultinomialMstep:
         state = VariationalState(xi=np.ones((4, 8)), alpha=np.ones(8))
         post = diverse_estep((params,), (state,), (block,))
         for _ in range(3):
-            params, state = factor._block_mstep(factor._FitBlock(block.values, 1, None),
+            params, state = factor._block_mstep(count_fit_block(block.values, 1),
                                                 params, state, post)
             post = diverse_estep((params,), (state,), (block,))
             np.testing.assert_array_equal(params.W[-1], 0.0)

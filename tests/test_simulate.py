@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit, softmax
 
+from latentsurv import simulate
 from latentsurv.factor import fit_fa
 from latentsurv.hazard import HazardParams
 from latentsurv.joint import JointModel
@@ -31,6 +33,22 @@ class TestScenarioValidation:
                         blocks=(BlockSpec(name="x", kind="normal", d_x=3,
                                           W=np.zeros((3, 1))),),
                         w_T=np.zeros(3), w_C=np.zeros(3), n_train=5, n_test=0, seed=0)
+
+
+class TestLogisticKernels:
+    def test_expit_matches_scipy_without_overflow(self):
+        """Within 1e-15 of scipy's expit on |x| <= 700; beyond +-709, where
+        exp(-x) would overflow, it still returns a probability."""
+        x = np.linspace(-700.0, 700.0, 200001)
+        np.testing.assert_allclose(simulate._expit(x), expit(x), rtol=1e-15, atol=0.0)
+        with np.errstate(over="raise", invalid="raise"):
+            far = simulate._expit(np.array([-1e4, -800.0, -710.0, 710.0, 800.0, 1e4]))
+        np.testing.assert_array_equal(far[[0, 1, 3, 4, 5]], [0.0, 0.0, 1.0, 1.0, 1.0])
+        assert 0.0 < far[2] < 1e-300
+
+    def test_softmax_equals_scipy_bit_for_bit(self, rng):
+        lin = rng.normal(scale=30.0, size=(5, 400))
+        assert simulate._softmax(lin).tobytes() == softmax(lin, axis=0).tobytes()
 
 
 class TestNullScenarioMoments:
