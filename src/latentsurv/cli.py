@@ -128,7 +128,7 @@ def fit(data, dz, fit_mode, gem_iters, seed, out):
     dataset = _load_dataset(data)
     with _fit_guard():
         candidate = evaluate.ModelCandidate(kind="fa_ecph_c", d_z=dz, gem_iters=gem_iters,
-                                            fit_mode=joint.FIT_MODES[fit_mode])
+                                            fit_mode=fit_mode)
         with _exit_on(OSError, "cannot write output: "):  # refused before the fit, not after
             out.parent.mkdir(parents=True, exist_ok=True)
         model = evaluate.fit_candidate(candidate, dataset, seed)
@@ -163,7 +163,7 @@ def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
         _fail("provide at least one of --dz / --gamma")
     with _exit_on(ValueError, ""):
         candidates = [evaluate.ModelCandidate(kind="fa_ecph_c", d_z=d, gem_iters=gem_iters,
-                                              fit_mode=joint.FIT_MODES[fit_mode]) for d in dz]
+                                              fit_mode=fit_mode) for d in dz]
         candidates += [evaluate.ModelCandidate(kind="ecph_c_l1", gamma=g) for g in gamma]
         split = data_mod.make_split(dataset.n_samples, test_fraction=test_fraction,
                                     n_folds=folds, seed=seed)

@@ -397,18 +397,26 @@ def load_dataset(manifest_path) -> Dataset:
     )
 
 
-def variance_filter(block: CovariateBlock, keep_fraction: float) -> CovariateBlock:
-    """Retain the ceil(keep_fraction * d_x) features with largest sample variance.
+def _observed_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of each feature's observed (non-NaN) cells as (d_x, 1)
+    columns, 0 without any; on a complete feature, ``mean``'s and ``var``'s bits."""
+    observed = ~np.isnan(values)
+    count = np.maximum(observed.sum(axis=1, keepdims=True), 1)
+    mean = np.where(observed, values, 0.0).sum(axis=1, keepdims=True) / count
+    dev = np.where(observed, values - mean, 0.0)
+    return mean, (dev * dev).sum(axis=1, keepdims=True) / count
 
-    Ties are broken by original feature index so the result is deterministic.
-    """
+
+def variance_filter(block: CovariateBlock, keep_fraction: float) -> CovariateBlock:
+    """Retain the ceil(keep_fraction * d_x) features with largest variance over
+    their observed cells (a feature with none ranks last), ties by feature index."""
     if not 0 < keep_fraction <= 1:
         raise ValueError("keep_fraction must be in (0, 1]")
     if block.d_x == 0:
         raise ValueError("empty block")
     k = math.ceil(keep_fraction * block.d_x)
-    var = np.var(block.values, axis=1)
-    order = np.argsort(-var, kind="stable")
+    var = _observed_moments(block.values)[1][:, 0]
+    order = np.lexsort((-var, np.isnan(block.values).all(axis=1)))  # stable: ties keep index order
     keep = np.sort(order[:k])
     return replace(
         block,
@@ -456,13 +464,12 @@ def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) ->
 
 
 def zscore_block(block: CovariateBlock) -> CovariateBlock:
-    """Optional per-feature standardization for continuous blocks."""
+    """Optional per-feature standardization for continuous blocks, by the mean
+    and sd of each feature's observed cells; missing (NaN) cells stay NaN."""
     if block.kind != "normal":
         raise ValueError("z-scoring only applies to normal blocks")
-    v = block.values
-    sd = v.std(axis=1, keepdims=True)
-    sd[sd == 0] = 1.0
-    return replace(block, values=(v - v.mean(axis=1, keepdims=True)) / sd)
+    mean, var = _observed_moments(block.values)
+    return replace(block, values=(block.values - mean) / np.where(var > 0, np.sqrt(var), 1.0))
 
 
 def adjust_zero_times(survival: Survival) -> Survival:

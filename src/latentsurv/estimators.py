@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from . import evaluate, joint
+from . import evaluate
 from .data import Dataset
 
 
@@ -48,7 +48,7 @@ class LatentSurvival(_BaseEstimator):
 
     def _candidate(self):
         return evaluate.ModelCandidate(kind="fa_ecph_c", d_z=self.d_z, gem_iters=self.gem_iters,
-                                       fit_mode=joint.FIT_MODES.get(self.fit_mode, self.fit_mode))
+                                       fit_mode=self.fit_mode)
 
     @property
     def heywood_flag_(self) -> bool:

@@ -96,13 +96,13 @@ class ModelCandidate:
     kind: str                      # "fa_ecph_c" | "ecph_c_l1"
     d_z: int | None = None
     gamma: float | None = None
-    fit_mode: str = joint_mod.FIT_MODES["fast"]
+    fit_mode: str = "fast"         # a key of joint.FIT_MODES
     gem_iters: int = 10
 
     def __post_init__(self):
         if self.kind not in ("fa_ecph_c", "ecph_c_l1"):
             raise ValueError(f"unknown candidate kind {self.kind!r}")
-        if self.fit_mode not in joint_mod.FIT_MODES.values():
+        if self.fit_mode not in joint_mod.FIT_MODES:
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
         if (self.d_z is None) == (self.gamma is None):
             raise ValueError("exactly one hyperparameter field must be set")
@@ -119,8 +119,7 @@ class ModelCandidate:
     def candidate_id(self) -> str:
         if self.kind == "ecph_c_l1":
             return f"l1_gamma{self.gamma:g}"
-        mode = {v: k for k, v in joint_mod.FIT_MODES.items()}[self.fit_mode]
-        return f"latent_dz{self.d_z}_{mode}"
+        return f"latent_dz{self.d_z}_{self.fit_mode}"
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def fit_candidate(candidate: ModelCandidate, train: Dataset, seed: int):
     through here: CLI ``fit``, CV folds, the ``cv`` refit, ``LatentSurvival``
     and ``L1ExponentialHazard``."""
     if candidate.kind == "fa_ecph_c":
-        if candidate.fit_mode == joint_mod.FIT_MODES["fast"]:
+        if candidate.fit_mode == "fast":
             return joint_mod.fit_fast(train, candidate.d_z, seed=seed)
         return joint_mod.fit_joint(train, candidate.d_z,
                                    gem_iters=candidate.gem_iters, seed=seed)

@@ -261,17 +261,19 @@ def _penalized_objective(w: np.ndarray, Xt: np.ndarray, t: np.ndarray, d: np.nda
         return -_part_log_likelihood(w, Xt, t, d) + gamma * np.abs(w).sum()
 
 
-def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f: float,
-                 gamma: float, step: int = 1) -> tuple[np.ndarray, float, bool]:
-    """One damped Newton step from w, whose penalized objective is f; proximal
-    Newton (Lee, Sun & Saunders 2014) when gamma > 0.
+def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
+                 gamma: float, step: int = 1) -> tuple[np.ndarray, bool]:
+    """One damped Newton step from w: an L1 path step, an MCEM M-step or one of
+    ``_newton_fit``'s; proximal Newton (Lee, Sun & Saunders 2014) when gamma > 0.
 
-    Minimizes Newton's quadratic model, by least squares when gamma = 0 and by
-    ``_lasso_cd`` otherwise, and halves the step until the Armijo condition
-    holds, so the objective never rises. Returns the new weights, their
-    objective and whether the fit is done: the predicted decrease fell below
-    NEWTON_REL_TOL times the objective, or no step decreases it (a warning).
+    Evaluates the penalized objective at w, minimizes Newton's quadratic model,
+    by least squares when gamma = 0 and by ``_lasso_cd`` otherwise, and halves
+    the step until the Armijo condition holds, so the objective never rises.
+    Returns the new weights and whether the fit is done: the predicted decrease
+    fell below NEWTON_REL_TOL times the objective, or no step decreases it (a
+    warning, and w comes back unchanged).
     """
+    f = _penalized_objective(w, Xt, t, d, gamma)
     A, y, weights = _working_response(w, Xt, t, d)
     if gamma > 0:
         v = _lasso_cd(A, y, gamma, w)
@@ -287,22 +289,15 @@ def _newton_step(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray, f:
     while not converged and f_trial > f - ARMIJO * size * decrease:
         if size < MIN_STEP:
             logger.warning("hazard fit did not converge: no step decreases the objective")
-            return w, f, True
+            return w, True
         size *= 0.5
         trial = w + size * (v - w)
         f_trial = _penalized_objective(trial, Xt, t, d, gamma)
     if f_trial <= f:
-        w, f = trial, f_trial
+        w = trial
         logger.debug("hazard fit step %d: step size %g, penalized objective %.17g",
-                     step, size, f)
-    return w, f, converged
-
-
-def _step_from(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
-               gamma: float) -> np.ndarray:
-    """One ``_newton_step`` from w at strength gamma: an L1 path step, or an MCEM M-step."""
-    f = _penalized_objective(w, Xt, t, d, gamma)
-    return _newton_step(Xt, t, d, w, f, gamma)[0]
+                     step, size, f_trial)
+    return w, converged
 
 
 def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
@@ -310,9 +305,8 @@ def _newton_fit(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, w: np.ndarray,
     """Newton with backtracking for min_w -loglik(w) + gamma * ||w||_1:
     ``_newton_step`` from w until it is done, or a warning after
     MAX_NEWTON_STEPS steps."""
-    f = _penalized_objective(w, Xt, t, d, gamma)
     for step in range(1, MAX_NEWTON_STEPS + 1):
-        w, f, done = _newton_step(Xt, t, d, w, f, gamma, step)
+        w, done = _newton_step(Xt, t, d, w, gamma, step)
         if done:
             return w
     logger.warning("hazard fit did not converge in %d steps", MAX_NEWTON_STEPS)
@@ -325,7 +319,7 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float) -> np.n
     At gamma = 0, Newton from the intercept-only start. At gamma > 0 the fit
     starts at 0, the solution for every strength from gamma_max, the largest
     gradient entry at 0, upwards. It then takes one proximal Newton step
-    (``_step_from``) at each gamma_max * PATH_RATIO^k (k = 1, 2, ...) still
+    (``_newton_step``) at each gamma_max * PATH_RATIO^k (k = 1, 2, ...) still
     above gamma, each from the last, and runs proximal Newton to convergence
     (``_newton_fit``) at gamma only: the intermediate points serve only as
     warm starts, so they need not be optimal.
@@ -343,7 +337,7 @@ def _fit_one(Xt: np.ndarray, t: np.ndarray, d: np.ndarray, gamma: float) -> np.n
         w = np.zeros(p1)
         level = np.abs(Xt @ (t - d)).max()  # the largest gradient entry at 0
         while (level := level * PATH_RATIO) > gamma:
-            w = _step_from(Xt, t, d, w, level)
+            w = _newton_step(Xt, t, d, w, level)[0]
     return _newton_fit(Xt, t, d, w, gamma)
 
 

@@ -2,14 +2,15 @@
 
 The marginal likelihood is intractable once the survival terms enter, so the
 E-step draws from each individual's conditional latent distribution with a
-random-walk Metropolis sampler (proposal covariance kappa * C_n from the
-factor-only posterior). One lockstep runner (``_metropolis``) runs every
-chain: the E-step's N chains and each kappa rung's tuning chains. The
-proposal scale is the first rung of the kappa ladder whose tuning chains
-meet fixed acceptance, n_eff and R-hat thresholds; n_eff comes from FFT
-autocorrelations. M-steps run the factor layer's conditional sweep against
-the Monte-Carlo moments, plus one Armijo-damped Newton step of ``hazard``
-per hazard on the kept draws, so its Monte-Carlo Q never falls.
+random-walk Metropolis sampler that starts at the factor-only posterior mean
+m_n of ``SampleTargets`` and proposes with covariance kappa * C_n. One
+lockstep runner (``_metropolis``) runs every chain: the E-step's N chains and
+each kappa rung's tuning chains. The proposal scale is the first rung of the
+kappa ladder whose tuning chains meet fixed acceptance, n_eff and R-hat
+thresholds; n_eff comes from FFT autocorrelations. M-steps run the factor
+layer's conditional sweep against the Monte-Carlo moments, plus one
+Armijo-damped Newton step of ``hazard`` per hazard on the kept draws, so its
+Monte-Carlo Q never falls.
 Prediction integrates the latent vector out analytically under the
 factor-only posterior with the learning-set averages of the variational
 parameters, the state a saved model keeps, so fitted and loaded models
@@ -27,12 +28,12 @@ import numpy as np
 from . import factor
 from .data import Dataset
 from .factor import FaModel, LatentPosterior, VariationalState
-from .hazard import (HazardParams, _design, _intercept_start, _require_positive_times,
-                     _step_from, fit_ecph)
+from .hazard import (HazardParams, _design, _intercept_start, _newton_step,
+                     _require_positive_times, fit_ecph)
 
 logger = logging.getLogger(__name__)
 
-# The two fit modes by command-line name; a JointModel records the value.
+# The two fit modes by the name a ModelCandidate and the CLI take; a JointModel records the value.
 FIT_MODES = {"fast": "fast_decoupled", "full": "full_mcem"}
 DEFAULT_KAPPA_LADDER = (6.0, 5.5, 5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0.25, 0.1)
 # A kappa rung passes when its TUNING_CHAINS chains accept between ACCEPT_LO
@@ -78,12 +79,14 @@ class JointModel:
 
 class SampleTargets:
     """Per-sample conditional log-densities log p(t, delta | z) + log p~(x | z) + log p(z),
-    up to constants in z. Evaluates one latent point per sample, for all samples at once."""
+    up to constants in z. Evaluates one latent point per sample, for all samples at once;
+    ``post`` is the factor-only posterior N(m_n, C_n) that starts and shapes the chains."""
 
     def __init__(self, block_params, variational, blocks, w_T: HazardParams,
                  w_C: HazardParams, times: np.ndarray, events: np.ndarray):
         # the precision includes the prior; h is (d_z, N)
         self.prec, self.h = factor._accumulate(blocks, block_params, variational)
+        self.post = factor._posterior_from_inverse(np.linalg.inv(self.prec), self.h)
         self.w_T = w_T.w
         self.w_C = w_C.w
         self.t = np.asarray(times, dtype=float)
@@ -94,6 +97,7 @@ class SampleTargets:
         """The targets of samples ``idx``, in that order (repeats allowed)."""
         out = copy.copy(self)
         out.prec, out.h = self.prec[idx], self.h[:, idx]
+        out.post = LatentPosterior(mean=self.post.mean[:, idx], cov=self.post.cov[idx])
         out.t, out.d = self.t[idx], self.d[idx]
         out.N = len(idx)
         return out
@@ -157,22 +161,24 @@ def effective_sample_size(chains: np.ndarray) -> float:
     return float(min(n_eff, m * n))
 
 
-def _metropolis(targets: SampleTargets, Z0: np.ndarray, chol: np.ndarray, rngs,
-               burn_in: int, n_keep: int) -> tuple[np.ndarray, np.ndarray]:
+def _metropolis(targets: SampleTargets, kappa: float, rngs,
+                mh: MhConfig) -> tuple[np.ndarray, np.ndarray]:
     """Random-walk Metropolis chains in lockstep, one per row of ``targets``:
-    chain m starts at Z0[m], proposes z + chol[m] @ eps and draws from its own
-    generator rngs[m], so it equals the same chain run alone. Returns the kept
-    draws (M, n_keep, d_z) and each chain's acceptance rate."""
-    M, d_z = Z0.shape
-    steps = burn_in + n_keep
+    chain m starts at its posterior mean m_m, proposes from N(z, kappa C_m)
+    and draws from its own generator rngs[m], so it equals the same chain run
+    alone. Returns the kept draws (M, mh.n_keep, d_z) after mh.burn_in steps
+    and each chain's acceptance rate."""
+    d_z, M = targets.post.mean.shape
+    steps = mh.burn_in + mh.n_keep
+    chol = np.linalg.cholesky(kappa * targets.post.cov)
     eps = np.empty((M, steps, d_z))
     logu = np.empty((M, steps))
     for m, rng in enumerate(rngs):
         eps[m] = rng.standard_normal((steps, d_z))
         logu[m] = np.log(rng.random(steps))
-    Z = Z0.copy()
+    Z = targets.post.mean.T.copy()
     lp = targets.logp_all(Z)
-    kept = np.empty((M, n_keep, d_z))
+    kept = np.empty((M, mh.n_keep, d_z))
     accepted = np.zeros(M)
     for s in range(steps):
         prop = Z + np.einsum("njk,nk->nj", chol, eps[:, s])
@@ -181,27 +187,23 @@ def _metropolis(targets: SampleTargets, Z0: np.ndarray, chol: np.ndarray, rngs,
         Z[accept] = prop[accept]
         lp[accept] = lp_prop[accept]
         accepted += accept
-        if s >= burn_in:
-            kept[:, s - burn_in] = Z
+        if s >= mh.burn_in:
+            kept[:, s - mh.burn_in] = Z
     return kept, accepted / steps
 
 
-def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
-               z0: np.ndarray, C_n: np.ndarray) -> float:
+def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int) -> float:
     """Walk the kappa ladder (descending) on sample 0: each rung runs its own
-    TUNING_CHAINS chains from z0 with proposal N(z, kappa C_n) through
-    ``_metropolis``. Return the first scale whose acceptance rate, and the
-    n_eff and R-hat of |z|^2, meet the thresholds, else the best composite
-    candidate with a warning."""
+    TUNING_CHAINS chains of sample 0 through ``_metropolis``, which starts
+    them at its posterior mean m_0 and proposes from N(z, kappa C_0). Return
+    the first scale whose acceptance rate, and the n_eff and R-hat of |z|^2,
+    meet the thresholds, else the best composite candidate with a warning."""
     rows = targets.rows([0] * TUNING_CHAINS)
-    Z0 = np.tile(z0, (TUNING_CHAINS, 1))
     results = []
     for i, kappa in enumerate(config.kappa_ladder):
         rngs = [np.random.default_rng(ss)
                 for ss in np.random.SeedSequence(seed + i).spawn(TUNING_CHAINS)]
-        chol = np.linalg.cholesky(kappa * C_n)
-        kept, rates = _metropolis(rows, Z0, np.broadcast_to(chol, (TUNING_CHAINS,) + chol.shape),
-                                  rngs, config.burn_in, config.n_keep)
+        kept, rates = _metropolis(rows, kappa, rngs, config)
         stat = np.einsum("msj,msj->ms", kept, kept)
         acceptance, n_eff = float(np.mean(rates)), effective_sample_size(stat)
         if (ACCEPT_LO <= acceptance <= ACCEPT_HI
@@ -209,10 +211,9 @@ def tune_kappa(targets: SampleTargets, config: MhConfig, seed: int,
             return kappa
         dist = max(ACCEPT_LO - acceptance, acceptance - ACCEPT_HI, 0.0)
         results.append((dist, -n_eff, kappa))
-    results.sort()
-    logger.warning("no kappa in the ladder met all thresholds; using best composite %.3g",
-                   results[0][2])
-    return results[0][2]
+    best = min(results)[2]
+    logger.warning("no kappa in the ladder met all thresholds; using best composite %.3g", best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,7 @@ def _hazard_mstep(w: HazardParams, samples: np.ndarray, times: np.ndarray,
     samples, so ``hazard``'s damped Newton step on them never lowers Q."""
     N, S, d_z = samples.shape
     Xt = _design(samples.reshape(N * S, d_z).T)
-    return HazardParams(_step_from(Xt, np.repeat(times, S), np.repeat(events, S), w.w, 0.0))
+    return HazardParams(_newton_step(Xt, np.repeat(times, S), np.repeat(events, S), w.w, 0.0)[0])
 
 
 def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
@@ -252,13 +253,11 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     data = [factor._fit_block(block) for block in dataset.blocks]
     for it in range(gem_iters):
         targets = SampleTargets(params, states, data, w_T, w_C, times, events)
-        post = factor._posterior_from_inverse(np.linalg.inv(targets.prec), targets.h)
         if kappa is None:
-            kappa = tune_kappa(targets, mh, tune_seed, post.mean[:, 0].copy(), post.cov[0])
+            kappa = tune_kappa(targets, mh, tune_seed)
         # one chain per sample, each with its own generator: (N, n_keep, d_z) draws
         rngs = [np.random.default_rng(ss) for ss in seed_root.spawn(1)[0].spawn(targets.N)]
-        samples, _ = _metropolis(targets, post.mean.T, np.linalg.cholesky(kappa * post.cov),
-                                 rngs, mh.burn_in, mh.n_keep)
+        samples, _ = _metropolis(targets, kappa, rngs, mh)
 
         # Monte-Carlo posterior moments for the factor M-steps
         mean = samples.mean(axis=1).T  # (d_z, N)

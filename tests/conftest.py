@@ -101,16 +101,12 @@ def single_block_estep(params, state, X, b=1):
     return diverse_estep([params], [state], [count_fit_block(X, b)])
 
 
-def metropolis_chains(targets, n, kappa, config, rngs, z0, C_n):
-    """Chains of sample n from z0 with proposal N(z, kappa C_n), one per
-    generator, run by ``joint._metropolis`` as ``tune_kappa`` runs a rung: the
+def metropolis_chains(targets, n, kappa, config, rngs):
+    """Chains of sample n from its posterior mean with proposal N(z, kappa C_n),
+    one per generator, run by ``joint._metropolis`` as ``tune_kappa`` runs a rung: the
     kept draws (M, n_keep, d_z), the mean acceptance rate, and the n_eff and
     R-hat of |z|^2."""
-    M = len(rngs)
-    chol = np.linalg.cholesky(kappa * C_n)
-    kept, rates = _metropolis(targets.rows([n] * M), np.tile(z0, (M, 1)),
-                              np.broadcast_to(chol, (M,) + chol.shape), rngs,
-                              config.burn_in, config.n_keep)
+    kept, rates = _metropolis(targets.rows([n] * len(rngs)), kappa, rngs, config)
     stat = np.einsum("msj,msj->ms", kept, kept)
     return kept, float(np.mean(rates)), effective_sample_size(stat), max(split_rhat(stat), 1.0)
 

@@ -347,8 +347,7 @@ def test_criterion_7_mh_calibration(capfd):
         cfg = MhConfig(burn_in=500, n_keep=4000)
         n = 0
         kept, _, chain_n_eff, _ = metropolis_chains(targets, n, 2.5, cfg,
-                                                    [np.random.default_rng(9)],
-                                                    post.mean[:, n].copy(), post.cov[n])
+                                                    [np.random.default_rng(9)])
         samples = kept[0].T
         n_eff = max(chain_n_eff, 10.0)
         for j in range(2):
@@ -361,14 +360,12 @@ def test_criterion_7_mh_calibration(capfd):
 
         # the tuned proposal scale meets every threshold on this target
         tune_cfg = MhConfig(burn_in=300, n_keep=600)
-        kappa = tune_kappa(targets, tune_cfg, seed=4, z0=post.mean[:, n].copy(),
-                           C_n=post.cov[n])
+        kappa = tune_kappa(targets, tune_cfg, seed=4)
         from latentsurv.joint import TUNING_CHAINS
         idx = tune_cfg.kappa_ladder.index(kappa)
         rngs = [np.random.default_rng(ss)
                 for ss in np.random.SeedSequence(4 + idx).spawn(TUNING_CHAINS)]
-        _, acceptance, n_eff, rhat = metropolis_chains(targets, n, kappa, tune_cfg, rngs,
-                                                       post.mean[:, n].copy(), post.cov[n])
+        _, acceptance, n_eff, rhat = metropolis_chains(targets, n, kappa, tune_cfg, rngs)
         assert 0.134 <= acceptance <= 0.334
         assert n_eff >= 10.0
         assert rhat <= 1.2

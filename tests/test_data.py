@@ -502,6 +502,25 @@ class TestVarianceFilter:
         with pytest.raises(ValueError):
             variance_filter(block, 0.0)
 
+    def test_ranks_by_variance_of_observed_cells(self):
+        """a's observed cells vary more than b's; a NaN variance once ranked a last."""
+        block = CovariateBlock(name="x", kind="normal", b=1,
+                               values=np.array([[1.0, 2.0, np.nan, 4.0],
+                                                [0.0, 0.1, 0.0, 0.1],
+                                                [5.0, -5.0, 5.0, -5.0]]),
+                               feature_names=("a", "b", "c"))
+        assert variance_filter(block, 0.34).feature_names == ("a", "c")
+
+    def test_feature_without_observed_cells_ranks_last(self):
+        values = np.ones((4, 3))
+        values[0] = np.nan
+        values[2, 1] = np.nan
+        block = CovariateBlock(name="x", kind="normal", b=1, values=values,
+                               feature_names=("f0", "f1", "f2", "f3"))
+        # f1..f3 have variance 0 over their observed cells and tie by index
+        assert variance_filter(block, 0.5).feature_names == ("f1", "f2")
+        assert variance_filter(block, 0.75).feature_names == ("f1", "f2", "f3")
+
 
 class TestImputeMissing:
     def test_feature_over_threshold_dropped(self):
@@ -646,6 +665,27 @@ def test_zscore_block(rng):
     out = zscore_block(block)
     np.testing.assert_allclose(out.values.mean(axis=1), 0, atol=1e-12)
     np.testing.assert_allclose(out.values.std(axis=1), 1, atol=1e-12)
+
+
+def test_zscore_block_keeps_observed_cells():
+    """Each feature is standardized over its observed cells and NaN cells stay
+    NaN; a complete feature comes out as the whole-row formula gives it, and a
+    feature with no observed cell stays all-NaN without a RuntimeWarning."""
+    values = np.array([[1.0, 2.0, np.nan, 4.0],
+                       [3.0, -1.0, 0.5, 7.0],
+                       [np.nan] * 4])
+    block = CovariateBlock(name="x", kind="normal", b=1, values=values,
+                           feature_names=("a", "b", "c"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = zscore_block(block).values
+    observed = np.array([1.0, 2.0, 4.0])
+    np.testing.assert_allclose(out[0, [0, 1, 3]],
+                               (observed - observed.mean()) / observed.std(), rtol=1e-15)
+    assert np.isnan(out[0, 2])
+    complete = values[1]
+    assert out[1].tobytes() == ((complete - complete.mean()) / complete.std()).tobytes()
+    assert np.isnan(out[2]).all()
 
 
 def test_dataset_subset_alignment(rng):

@@ -241,7 +241,7 @@ class TestModelCandidate:
     @pytest.mark.parametrize("fields", [
         {"kind": "nonsense", "d_z": 2},
         {"kind": "fa_ecph_c", "d_z": 2, "fit_mode": "bogus"},
-        {"kind": "ecph_c_l1", "gamma": 1.0, "fit_mode": "full"},
+        {"kind": "ecph_c_l1", "gamma": 1.0, "fit_mode": "full_mcem"},
         {"kind": "ecph_c_fixed", "gamma": 1.0},
     ])
     def test_unknown_kind_or_fit_mode_rejected(self, fields):
@@ -255,7 +255,7 @@ class TestModelCandidate:
 
     def test_candidate_ids(self):
         assert ModelCandidate(kind="fa_ecph_c", d_z=3).candidate_id == "latent_dz3_fast"
-        full = ModelCandidate(kind="fa_ecph_c", d_z=3, fit_mode="full_mcem")
+        full = ModelCandidate(kind="fa_ecph_c", d_z=3, fit_mode="full")
         assert full.candidate_id == "latent_dz3_full"
         assert ModelCandidate(kind="ecph_c_l1", gamma=0.5).candidate_id == "l1_gamma0.5"
 
@@ -474,7 +474,7 @@ class TestSelectModel:
         means and equal intervals are common; some reports Heywood-excluded or
         with no scored fold; the candidates passed, some of them, or none."""
         grid = ([ModelCandidate(kind="fa_ecph_c", d_z=d) for d in (1, 2, 3)]
-                + [ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="full_mcem")]
+                + [ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="full")]
                 + [ModelCandidate(kind="ecph_c_l1", gamma=g) for g in (0.0, 0.5, 8.0)])
         for trial in range(2000):
             k = int(rng.integers(1, 8))

@@ -383,6 +383,21 @@ class TestBinomialMstep:
             after = variational_log_marginal((params,), (state,), blocks)
             assert after >= mid2 - 1e-8 * abs(mid2)
 
+    def test_zero_second_moments_take_the_ridge(self, rng, caplog):
+        """A posterior with zero mean and covariance makes every feature's
+        accumulation zero, so the loading update warns and solves with a ridge."""
+        from tests.conftest import binomial_block
+        block = binomial_block(rng, 4, 6, d_z=2)
+        params = BlockParams(W=rng.normal(scale=0.3, size=(4, 2)),
+                             mu=rng.normal(scale=0.3, size=4), psi=None)
+        post = LatentPosterior(mean=np.zeros((2, 6)), cov=np.zeros((6, 2, 2)))
+        with caplog.at_level("WARNING", logger="latentsurv.factor"):
+            W = update_W(block.values - block.b / 2, block.b, params, post,
+                         VariationalState(xi=np.ones((4, 6))))
+        assert [r.getMessage() for r in caplog.records] == [
+            "semidefinite accumulation in loading update; adding ridge"]
+        assert W.shape == (4, 2) and np.isfinite(W).all()
+
 
 class TestMultinomialEstep:
     def test_zero_loadings_prior(self):

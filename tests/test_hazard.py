@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from latentsurv import hazard
 from latentsurv.data import make_split
 from latentsurv.hazard import (
     PATH_RATIO,
@@ -363,6 +364,59 @@ class TestPenalizedFit:
         assert not caplog.records
         assert_kkt(w_T, X, fold.survival, True, 0.5)
         assert_kkt(w_C, X, fold.survival, False, 0.5)
+
+
+class TestNonConvergenceReports:
+    """Each fitter that stops short of its tolerance says so, and returns finite
+    weights no worse than where it started; the caps are lowered for the test."""
+
+    def test_lasso_sweep_cap_warns(self, rng, monkeypatch, caplog):
+        X, surv = aliased_instance(rng)
+        Xt = np.vstack([np.ones(X.shape[1]), X])
+        w0 = _intercept_start(surv.time, surv.event, Xt.shape[0])
+        A, y, _ = hazard._working_response(w0, Xt, surv.time, surv.event)
+        monkeypatch.setattr(hazard, "LASSO_MAX_SWEEPS", 1)
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w = _lasso_cd(A, y, 0.5, w0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "lasso coordinate descent did not reach the gap tolerance"]
+        assert np.isfinite(w).all()
+
+        def model(v):
+            return 0.5 * np.sum((y - A @ v) ** 2) + 0.5 * np.abs(v).sum()
+
+        assert model(w) <= model(w0)
+        assert lasso_relative_gap(A, y, 0.5, w) > hazard.LASSO_GAP_TOL
+
+    def test_newton_step_cap_warns(self, rng, monkeypatch, caplog):
+        X, surv = aliased_instance(rng)
+        Xt = np.vstack([np.ones(X.shape[1]), X])
+        t, d = surv.time, surv.event
+        w0 = _intercept_start(t, d, Xt.shape[0])
+        monkeypatch.setattr(hazard, "MAX_NEWTON_STEPS", 1)
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w = _newton_fit(Xt, t, d, w0, 0.5)
+        assert [r.getMessage() for r in caplog.records] == [
+            "hazard fit did not converge in 1 steps"]
+        assert np.isfinite(w).all()
+        assert penalized_objective(w, Xt, t, d, 0.5) <= penalized_objective(w0, Xt, t, d, 0.5)
+
+    def test_newton_step_without_decrease_warns_and_keeps_its_start(self, monkeypatch, caplog):
+        """From an intercept far below its optimum the Newton step overshoots
+        so far that no step down to MIN_STEP (raised to 1 here, so one halving
+        is tried) passes the Armijo test."""
+        t = np.linspace(0.5, 2.0, 8)
+        d = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        Xt = np.ones((1, t.size))
+        w0 = np.array([-10.0])
+        monkeypatch.setattr(hazard, "MIN_STEP", 1.0)
+        with caplog.at_level("WARNING", logger="latentsurv.hazard"):
+            w, done = hazard._newton_step(Xt, t, d, w0, 0.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "hazard fit did not converge: no step decreases the objective"]
+        assert done
+        np.testing.assert_array_equal(w, w0)
+        assert penalized_objective(w, Xt, t, d, 0.0) <= penalized_objective(w0, Xt, t, d, 0.0)
 
 
 class TestLassoCd:

@@ -87,19 +87,18 @@ class TestConditionalLogDensity:
 class TestLockstepRunner:
     def test_chain_alone_equals_chain_beside_other_rows(self, rng):
         ds = make_dataset(rng, N=15, with_binomial=True, with_multinomial=True)
-        model, post = fit_fa(ds, 2)
+        model, _ = fit_fa(ds, 2)
         w = np.array([-0.1, 0.7, -0.4])
         targets = SampleTargets(model.block_params, model.variational, ds.blocks,
                                 HazardParams(w), HazardParams(w * 0.5),
                                 ds.times(), ds.events())
-        chol = np.linalg.cholesky(2.0 * post.cov)
+        mh = MhConfig(burn_in=50, n_keep=50)
         seeds = np.random.SeedSequence(11).spawn(targets.N)
-        kept, rates = _metropolis(targets, post.mean.T, chol,
-                                  [np.random.default_rng(ss) for ss in seeds], 50, 50)
+        kept, rates = _metropolis(targets, 2.0, [np.random.default_rng(ss) for ss in seeds], mh)
         assert 0.0 < rates.min() and rates.max() < 1.0
         for n in (0, 7, targets.N - 1):
-            alone, rate = _metropolis(targets.rows([n]), post.mean.T[n:n + 1], chol[n:n + 1],
-                                      [np.random.default_rng(seeds[n])], 50, 50)
+            alone, rate = _metropolis(targets.rows([n]), 2.0, [np.random.default_rng(seeds[n])],
+                                      mh)
             np.testing.assert_array_equal(alone[0], kept[n])
             assert rate[0] == rates[n]
 
@@ -107,7 +106,7 @@ class TestLockstepRunner:
         ds, model, post, targets = gaussian_only_setup(rng, beta=0.7)
         n, kappa, z0, C_n = 1, 2.0, post.mean[:, 1].copy(), post.cov[1]
         kept, acceptance, _, _ = metropolis_chains(targets, n, kappa, FAST_MH,
-                                                   [np.random.default_rng(5)], z0, C_n)
+                                                   [np.random.default_rng(5)])
         samples = kept[0].T
         # reference: the plain per-sample loop over the same generator stream
         gen = np.random.default_rng(5)
@@ -200,18 +199,15 @@ class TestDiagnostics:
 class TestMhSample:
     def test_determinism(self, rng):
         ds, model, post, targets = gaussian_only_setup(rng)
-        s1, *d1 = metropolis_chains(targets, 0, 2.0, FAST_MH, [np.random.default_rng(5)],
-                                    post.mean[:, 0].copy(), post.cov[0])
-        s2, *d2 = metropolis_chains(targets, 0, 2.0, FAST_MH, [np.random.default_rng(5)],
-                                    post.mean[:, 0].copy(), post.cov[0])
+        s1, *d1 = metropolis_chains(targets, 0, 2.0, FAST_MH, [np.random.default_rng(5)])
+        s2, *d2 = metropolis_chains(targets, 0, 2.0, FAST_MH, [np.random.default_rng(5)])
         np.testing.assert_array_equal(s1, s2)
         assert d1 == d2
 
     def test_diagnostics_bounds(self, rng):
         ds, model, post, targets = gaussian_only_setup(rng)
         _, acceptance, n_eff, rhat = metropolis_chains(
-            targets, 0, 2.0, FAST_MH, [np.random.default_rng(5)],
-            post.mean[:, 0].copy(), post.cov[0])
+            targets, 0, 2.0, FAST_MH, [np.random.default_rng(5)])
         assert 0.0 <= acceptance <= 1.0
         assert rhat >= 1.0 - 1e-9
         assert n_eff <= FAST_MH.n_keep
@@ -223,8 +219,7 @@ class TestMhSample:
         cfg = MhConfig(burn_in=500, n_keep=4000)
         n = 0
         kept, _, chain_n_eff, _ = metropolis_chains(targets, n, 2.5, cfg,
-                                                    [np.random.default_rng(9)],
-                                                    post.mean[:, n].copy(), post.cov[n])
+                                                    [np.random.default_rng(9)])
         samples = kept[0].T
         n_eff = max(chain_n_eff, 10.0)
         for j in range(2):
@@ -241,15 +236,13 @@ class TestTuneKappa:
     def test_easy_target_first_passing_entry(self, rng):
         ds, model, post, targets = gaussian_only_setup(rng)
         cfg = MhConfig(burn_in=200, n_keep=400)
-        kappa = tune_kappa(targets, cfg, seed=3, z0=post.mean[:, 0].copy(),
-                           C_n=post.cov[0])
+        kappa = tune_kappa(targets, cfg, seed=3)
         assert kappa in cfg.kappa_ladder
         # re-run the returned entry's run and confirm it passes the thresholds
         idx = cfg.kappa_ladder.index(kappa)
         rngs = [np.random.default_rng(ss)
                 for ss in np.random.SeedSequence(3 + idx).spawn(joint.TUNING_CHAINS)]
-        _, acceptance, n_eff, rhat = metropolis_chains(targets, 0, kappa, cfg, rngs,
-                                                       post.mean[:, 0].copy(), post.cov[0])
+        _, acceptance, n_eff, rhat = metropolis_chains(targets, 0, kappa, cfg, rngs)
         assert joint.ACCEPT_LO <= acceptance <= joint.ACCEPT_HI
         assert n_eff >= joint.MIN_N_EFF
         assert rhat <= joint.MAX_RHAT
@@ -263,8 +256,7 @@ class TestTuneKappa:
             caplog.clear()
             with caplog.at_level("WARNING"), warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                kappa = tune_kappa(targets, cfg, seed=3, z0=post.mean[:, 0].copy(),
-                                   C_n=post.cov[0])
+                kappa = tune_kappa(targets, cfg, seed=3)
             assert kappa in cfg.kappa_ladder
             assert any("composite" in r.message for r in caplog.records)
 
