@@ -102,7 +102,8 @@ def simulate_cmd(scenario, out):
     """Draw a synthetic dataset and write it in the manifest format."""
     with _exit_on((OSError, ValueError), "cannot load scenario: "):
         scn = serialize.load_scenario(scenario)
-    train, test, latents = simulate.simulate_dataset(scn)
+    with _exit_on(ValueError, "cannot simulate this scenario: "):
+        train, test, latents = simulate.simulate_dataset(scn)
     with _exit_on(OSError, "cannot write output: "):
         train_manifest = serialize.write_dataset(train, out, "train")
         click.echo(f"wrote {train_manifest}")

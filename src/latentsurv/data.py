@@ -116,7 +116,8 @@ class CovariateBlock:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned collection of covariate blocks and survival outcomes."""
+    """Aligned collection of covariate blocks, each under its own name, and
+    survival outcomes."""
 
     blocks: tuple[CovariateBlock, ...]
     survival: Survival
@@ -128,7 +129,10 @@ class Dataset:
         n = len(self.sample_ids)
         if self.survival.time.size != n:
             raise ValueError("survival length does not match sample_ids")
-        for blk in self.blocks:
+        names = [blk.name for blk in self.blocks]
+        for i, blk in enumerate(self.blocks):
+            if blk.name in names[:i]:
+                raise ValueError(f"block name {blk.name!r} is repeated")
             if blk.n_samples != n:
                 raise ValueError(f"block {blk.name!r} has {blk.n_samples} columns, expected {n}")
         if len(set(self.sample_ids)) != n:
@@ -409,7 +413,8 @@ def _observed_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def variance_filter(block: CovariateBlock, keep_fraction: float) -> CovariateBlock:
     """Retain the ceil(keep_fraction * d_x) features with largest variance over
-    their observed cells (a feature with none ranks last), ties by feature index."""
+    their observed cells (a feature with none ranks last), ties by feature index.
+    A multinomial block keeps every category or is refused."""
     if not 0 < keep_fraction <= 1:
         raise ValueError("keep_fraction must be in (0, 1]")
     if block.d_x == 0:
@@ -417,6 +422,10 @@ def variance_filter(block: CovariateBlock, keep_fraction: float) -> CovariateBlo
     k = math.ceil(keep_fraction * block.d_x)
     var = _observed_moments(block.values)[1][:, 0]
     order = np.lexsort((-var, np.isnan(block.values).all(axis=1)))  # stable: ties keep index order
+    if block.kind == "multinomial" and k < block.d_x:
+        raise ValueError(f"variance_filter would drop category "
+                         f"{block.feature_names[order[k:].min()]!r} of multinomial block "
+                         f"{block.name!r}, whose columns must keep summing to {block.b}")
     keep = np.sort(order[:k])
     return replace(
         block,
@@ -431,7 +440,8 @@ def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) ->
     nearest valid integer for count kinds).
 
     Observed entries are left bit-identical. Imputed multinomial columns are
-    re-normalized to sum b by adjusting the imputed entry.
+    re-normalized to sum b by adjusting the imputed entry; a multinomial block
+    that would lose a category is refused.
     """
     mask = np.isnan(block.values)
     if not mask.any():
@@ -439,10 +449,15 @@ def impute_missing(block: CovariateBlock, max_missing_fraction: float = 0.10) ->
     n = block.n_samples
     frac = mask.sum(axis=1) / max(n, 1)
     all_missing = frac >= 1.0
+    keep = (frac <= max_missing_fraction) & ~all_missing
+    if block.kind == "multinomial" and not keep.all():
+        i = int(np.argmin(keep))
+        raise ValueError(f"impute_missing would drop category {block.feature_names[i]!r} of "
+                         f"multinomial block {block.name!r}, missing in {frac[i]:.0%} of "
+                         f"samples (max_missing_fraction={max_missing_fraction:g})")
     if all_missing.any():
         logger.warning("block %r: %d features missing in all samples, dropped",
                        block.name, int(all_missing.sum()))
-    keep = (frac <= max_missing_fraction) & ~all_missing
     values = block.values[keep].copy()
     mask = mask[keep]
     names = tuple(name for name, k in zip(block.feature_names, keep) if k)

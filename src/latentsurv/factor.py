@@ -32,6 +32,9 @@ logger = logging.getLogger(__name__)
 HEYWOOD_REL_THRESHOLD = 1e-8
 PSI_FLOOR = 1e-12
 XI_LIMIT = 1e-8
+# fit_fa's stop rule, read at each call: the sweep cap and the bound's relative change
+_MAX_SWEEPS = 500
+_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -488,11 +491,10 @@ def _step_length(r: np.ndarray, v: np.ndarray) -> float:
     return min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
 
 
-def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
-           rel_tol: float = 1e-6) -> tuple[FaModel, LatentPosterior]:
+def fit_fa(dataset: Dataset, d_z: int) -> tuple[FaModel, LatentPosterior]:
     """EM accelerated by SQUAREM (Varadhan & Roland 2008, Scand. J. Stat. 35,
     scheme S3), until the bound's relative change between accepted points
-    falls below ``rel_tol``, or a WARNING after ``max_iters`` sweeps.
+    falls below ``_REL_TOL``, or a WARNING after ``_MAX_SWEEPS`` sweeps.
 
     The EM map F is the joint E-step plus one conditional sweep against that
     one posterior. Each update of the sweep maximises the expected bound under
@@ -502,7 +504,7 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
     F(x0 - 2 a r + a^2 v), with r = x1 - x0, v = x2 - 2 x1 + x0 and step
     a = min(-||r|| / ||v||, -1). It keeps that point if its bound is at least
     x0's, and x2 otherwise or when the extrapolation raises, so the bound
-    never falls. ``max_iters`` caps the sweeps (map steps), run in whole
+    never falls. ``_MAX_SWEEPS`` caps the sweeps (map steps), run in whole
     cycles of three, so a capped fit stops at 498 of 500. Overflow,
     invalid and divide-by-zero arithmetic raise ``FloatingPointError``.
 
@@ -521,7 +523,7 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
         params, states = zip(*(_init_block(block, d_z) for block in blocks))
         post, obj = _posterior_and_bound(params, states, data)
         sweeps, heywood, change = 0, False, math.nan
-        while sweeps + 3 <= max_iters:  # whole cycles only
+        while sweeps + 3 <= _MAX_SWEEPS:  # whole cycles only
             sweeps += 3
             p1, s1 = _conditional_sweep(data, params, states, post)
             p2, s2 = _conditional_sweep(data, p1, s1, diverse_estep(p1, s1, data))
@@ -540,12 +542,12 @@ def fit_fa(dataset: Dataset, d_z: int, max_iters: int = 500,
             heywood = heywood or _heywood(params, data)
             change = abs(new - obj) / max(abs(obj), 1.0)
             post, obj = new_post, new
-            if change < rel_tol:
+            if change < _REL_TOL:
                 logger.info("fit_fa converged after %d sweeps; change %.3g", sweeps, change)
                 break
         else:
-            logger.warning("fit_fa stopped at max_iters=%d before reaching rel_tol=%g; "
-                           "last relative change %.3g", max_iters, rel_tol, change)
+            logger.warning("fit_fa stopped at its %d-sweep cap before a relative change below "
+                           "%g; last relative change %.3g", _MAX_SWEEPS, _REL_TOL, change)
     model = FaModel(d_z=d_z, block_params=tuple(params),
                     variational=tuple(states), heywood_flag=heywood)
     return model, post

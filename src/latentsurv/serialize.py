@@ -70,19 +70,6 @@ def block_manifest_hash(blocks) -> str:
     return hashlib.sha256(json.dumps(manifest, separators=(",", ":")).encode()).hexdigest()
 
 
-def _v1_manifest_hash(blocks) -> str:
-    """The format-1 digest: the same fields joined with no separator, so that
-    features ('ab', 'c') and ('a', 'bc') collide."""
-    digest = hashlib.sha256()
-    for block in blocks:
-        digest.update(block.name.encode())
-        digest.update(block.kind.encode())
-        digest.update(str(block.b).encode())
-        for name in block.feature_names:
-            digest.update(name.encode())
-    return digest.hexdigest()
-
-
 def _arr(a):
     return None if a is None else np.asarray(a).tolist()
 
@@ -117,19 +104,19 @@ def model_to_dict(model: JointModel, blocks) -> dict:
 
 def model_from_dict(doc: dict) -> tuple[JointModel, str]:
     """Rebuild a model from its document; returns (model, the
-    ``block_manifest_hash`` of the blocks it lists). Formats 1 and 2 differ
-    only in the stored digest, which must be that of the listed blocks in the
-    document's format, and each listed block needs one W row per feature name.
+    ``block_manifest_hash`` of the blocks it lists). Only format
+    ``MODEL_FORMAT_VERSION`` is read; its stored digest must be that of the
+    listed blocks, and each listed block needs one W row per feature name.
 
     Stored variational parameters are the learning-set means, so the rebuilt
     state has one shared column per feature (what prediction uses anyway).
     """
     version = doc.get("format_version")
-    if version not in (1, MODEL_FORMAT_VERSION):
-        raise ValueError(f"unsupported model format {version!r}")
-    listed = [SimpleNamespace(**blk) for blk in doc["blocks"]]
-    digest = block_manifest_hash(listed)
-    if doc["manifest_hash"] != (_v1_manifest_hash(listed) if version == 1 else digest):
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format {version!r}; "
+                         f"this version reads format {MODEL_FORMAT_VERSION} only")
+    digest = block_manifest_hash([SimpleNamespace(**blk) for blk in doc["blocks"]])
+    if doc["manifest_hash"] != digest:
         raise ValueError("its manifest_hash is not the digest of the blocks it lists")
     params, states = [], []
     for blk in doc["blocks"]:

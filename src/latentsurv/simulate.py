@@ -127,16 +127,17 @@ def simulate_dataset(scenario: SimScenario):
                 feature_names=tuple(f"{spec.name}_{i}" for i in range(spec.d_x)))
             for spec, (W, mu, psi) in zip(scenario.blocks, realized)
         )
-        rate_T = np.exp(scenario.w_T @ Zt)
-        t = rng.exponential(1.0 / rate_T)
-        if censored:
-            rate_C = np.exp(scenario.w_C @ Zt)
-            c = rng.exponential(1.0 / rate_C)
-            tt = np.minimum(t, c)
-            delta = t <= c
-        else:
-            tt = t
-            delta = np.ones(n, dtype=bool)
+        # a rate that underflows to 0 draws an infinite time, which Survival
+        # refuses as an observed time
+        with np.errstate(divide="ignore"):
+            t = rng.exponential(1.0 / np.exp(scenario.w_T @ Zt))
+            if censored:
+                c = rng.exponential(1.0 / np.exp(scenario.w_C @ Zt))
+                tt = np.minimum(t, c)
+                delta = t <= c
+            else:
+                tt = t
+                delta = np.ones(n, dtype=bool)
         ids = tuple(f"{tag}{j:05d}" for j in range(n))
         return Dataset(blocks=blocks, survival=Survival(time=tt, event=delta), sample_ids=ids), Z
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latentsurv import factor
 from latentsurv.data import CovariateBlock, Dataset, Survival
 from latentsurv.factor import _FitBlock, diverse_estep
 from latentsurv.joint import _metropolis, effective_sample_size, split_rhat
@@ -127,6 +128,16 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def fit_fa_with(monkeypatch, dataset, d_z, max_sweeps=None, rel_tol=None):
+    """``fit_fa(dataset, d_z)`` with its sweep cap and relative tolerance, each
+    where given, set for the rest of the test."""
+    if max_sweeps is not None:
+        monkeypatch.setattr(factor, "_MAX_SWEEPS", max_sweeps)
+    if rel_tol is not None:
+        monkeypatch.setattr(factor, "_REL_TOL", rel_tol)
+    return factor.fit_fa(dataset, d_z)
 
 
 def traced_peak(fn, *args):

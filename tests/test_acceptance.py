@@ -37,6 +37,7 @@ from latentsurv.joint import (
 from latentsurv.simulate import BlockSpec, SimScenario, simulate_dataset
 from tests.conftest import (
     count_fit_block,
+    fit_fa_with,
     gaussian_log_likelihood,
     make_dataset,
     make_survival,
@@ -375,7 +376,7 @@ def test_criterion_7_mh_calibration(capfd):
 # 8. prediction formula vs numerical quadrature
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_prediction_quadrature(capfd):
+def test_criterion_8_prediction_quadrature(capfd, monkeypatch):
     with criterion(capfd, 8, "predicted times match Gauss-Hermite quadrature"):
         from numpy.polynomial.hermite_e import hermegauss
         nodes, weights = hermegauss(40)
@@ -383,7 +384,7 @@ def test_criterion_8_prediction_quadrature(capfd):
         for draw in range(50):
             d_z = 1 if draw < 25 else 2
             ds = make_dataset(rng, N=10, d_z=d_z, d_x_normal=6)
-            fa, _ = factor.fit_fa(ds, d_z, max_iters=25)
+            fa, _ = fit_fa_with(monkeypatch, ds, d_z, max_sweeps=25)
             w_T = np.concatenate([[rng.normal(scale=0.5)],
                                   rng.normal(scale=0.7, size=d_z)])
             model = JointModel(fa=fa, w_T=HazardParams(w_T),

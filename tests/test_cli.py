@@ -122,6 +122,27 @@ class TestSimulateCommand:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda doc: doc["blocks"][1].update(name=doc["blocks"][0]["name"]),
+         "block name 'expr' is repeated"),
+        (lambda doc: doc["w_T"].__setitem__(0, -800.0),
+         "invalid time inf: must be finite and at least 0"),
+    ], ids=["repeated_block_name", "event_rate_underflows"])
+    def test_unsimulable_scenario_exit_2(self, runner, tmp_path, edit, error):
+        """A scenario whose draw makes no dataset, two blocks of one name or
+        an event rate that underflows to 0 in the test set's draw, ends in one
+        error line and exit 2, and writes nothing."""
+        path = scenario_file(tmp_path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        result = runner.invoke(main, ["simulate", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == EXIT_BAD_INPUT, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: cannot simulate this scenario: {error}\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, runner, tmp_path):
         scn = scenario_file(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -176,6 +197,18 @@ class TestFitPredictProject:
                         "--out", str(model)])
         doc = json.loads(model.read_text())
         assert doc["fit_mode"] == "full_mcem"
+
+    def test_heywood_warning(self, runner, sim_dir, tmp_path):
+        """A constant normal feature has no residual variance: fit warns on
+        stderr and records the flag in the model file."""
+        manifest = corrupted_copy(sim_dir, tmp_path / "constant", "train", "expr",
+                                  lambda cells: [cells[0]] + ["1.0"] * (len(cells) - 1))
+        model = tmp_path / "model.json"
+        result = run_ok(runner, ["fit", "--data", str(manifest), "--dz", "2",
+                                 "--out", str(model)])
+        assert result.stderr == ("warning: near-zero residual variance detected in the "
+                                 "factor fit\n")
+        assert json.loads(model.read_text())["heywood_flag"] is True
 
     def test_missing_data_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["fit", "--data", str(tmp_path / "nope.json"),
@@ -476,10 +509,11 @@ class TestManifestDigest:
         result = self._predict(runner, model, ("a", "bc"), tmp_path)
         assert result.exit_code == EXIT_MANIFEST_MISMATCH
 
-    def test_format_1_model_still_predicts(self, runner, tmp_path):
+    def test_format_1_model_refused(self, runner, tmp_path):
         """A hand-written format-1 document, its digest the names and fields
-        concatenated: it predicts on its features and refuses others, also
-        those whose concatenation collides with its own."""
+        concatenated, is refused on the features it lists: predict and project
+        exit 2 through one error line that names the file and the supported
+        format, and write nothing."""
         v1_digest = hashlib.sha256("gnormal1abc".encode()).hexdigest()
         doc = {"format_version": 1, "d_z": 1, "heywood_flag": False,
                "manifest_hash": v1_digest,
@@ -490,10 +524,14 @@ class TestManifestDigest:
                "fit_mode": "fast_decoupled"}
         model = tmp_path / "v1.json"
         model.write_text(json.dumps(doc))
-        assert self._predict(runner, model, ("ab", "c"), tmp_path).exit_code == 0
-        for names in (("ab", "d"), ("a", "bc")):
-            result = self._predict(runner, model, names, tmp_path)
-            assert result.exit_code == EXIT_MANIFEST_MISMATCH
+        manifest = write_dataset(self._dataset(("ab", "c")), tmp_path / "data", "d")
+        for command in ("predict", "project"):
+            out = tmp_path / f"{command}.csv"
+            result = runner.invoke(main, [command, "--model", str(model),
+                                          "--data", str(manifest), "--out", str(out)])
+            assert_refused(result, model)
+            assert "unsupported model format 1; this version reads format 2" in result.output
+            assert not out.exists()
 
 
 class TestCvCommand:

@@ -150,6 +150,19 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="duplicate"):
             load_dataset(mpath)
 
+    def test_repeated_block_name_raises(self, tmp_path):
+        """Two blocks named x, a normal one of 2 features and a binomial one
+        of 1, write one x.csv, the binomial block's, which the manifest lists
+        twice: the loader refuses the repeated name."""
+        ids = ["s1", "s2", "s3"]
+        mpath = write_manifest(
+            tmp_path,
+            [("x", "normal", 1, ids, [("f1", 1.0, 2.0, 3.0), ("f2", 0.5, 0.5, 0.5)]),
+             ("x", "binomial", 1, ids, [("g1", 0, 1, 0)])],
+            ["s1,5.0,1", "s2,3.0,0", "s3,1.0,1"])
+        with pytest.raises(ValueError, match="block name 'x' is repeated"):
+            load_dataset(mpath)
+
     def test_missing_survival_dropped(self, tmp_path, caplog):
         mpath = write_manifest(
             tmp_path,
@@ -411,6 +424,17 @@ class TestBlockInvariants:
             CovariateBlock(name="x", kind="multinomial", b=1,
                            values=[[np.nan, 1.0], [1.0, 1.0]], feature_names=("a", "b"))
 
+    def test_repeated_block_name_rejected(self, rng):
+        blocks = (CovariateBlock(name="x", kind="normal", b=1,
+                                 values=rng.standard_normal((5, 4)),
+                                 feature_names=tuple(f"n{i}" for i in range(5))),
+                  CovariateBlock(name="x", kind="binomial", b=1,
+                                 values=rng.integers(0, 2, (3, 4)),
+                                 feature_names=("b0", "b1", "b2")))
+        with pytest.raises(ValueError, match="block name 'x' is repeated"):
+            Dataset(blocks=blocks, survival=make_survival(np.ones(4), np.ones(4)),
+                    sample_ids=("a", "b", "c", "d"))
+
     @pytest.mark.parametrize("cell", [np.inf, -np.inf])
     def test_infinite_cells_rejected(self, cell):
         with pytest.raises(ValueError, match="finite or NaN"):
@@ -522,6 +546,20 @@ class TestVarianceFilter:
         assert variance_filter(block, 0.75).feature_names == ("f1", "f2", "f3")
 
 
+    def test_multinomial_category_never_dropped(self):
+        """One-hot over four categories: halving drops two, which is refused
+        naming the block and the first category that would go; a fraction
+        that keeps all four returns them all."""
+        values = np.eye(4)[:, [0, 1, 1, 2, 3, 3, 3, 0]]
+        block = CovariateBlock(name="stage", kind="multinomial", b=1, values=values,
+                               feature_names=("i", "ii", "iii", "iv"))
+        with pytest.raises(ValueError, match="variance_filter would drop category 'ii' "
+                                             "of multinomial block 'stage'"):
+            variance_filter(block, 0.5)
+        for fraction in (0.8, 1.0):
+            assert variance_filter(block, fraction).values.tobytes() == values.tobytes()
+
+
 class TestImputeMissing:
     def test_feature_over_threshold_dropped(self):
         values = np.arange(40, dtype=float).reshape(2, 20)
@@ -599,6 +637,23 @@ class TestImputeMissing:
                                feature_names=("a", "b", "c"))
         out = impute_missing(block, max_missing_fraction=0.6)
         np.testing.assert_allclose(out.values.sum(axis=0), 1.0)
+
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.9])
+    def test_multinomial_category_never_dropped(self, fraction):
+        """Category b is missing in 2 of 4 samples, more than the fraction
+        allows, or, at 0.9, in all of them: refused, naming the block and the
+        category."""
+        values = np.array([[1.0, 0.0, 0.0, 1.0],
+                           [0.0, np.nan, np.nan, 0.0],
+                           [0.0, 1.0, 1.0, 0.0]])
+        if fraction == 0.9:
+            values[1] = np.nan
+        block = CovariateBlock(name="stage", kind="multinomial", b=1, values=values,
+                               feature_names=("a", "b", "c"))
+        with pytest.raises(ValueError, match="impute_missing would drop category 'b' of "
+                                             "multinomial block 'stage'"):
+            impute_missing(block, max_missing_fraction=fraction)
 
 
 class TestAdjustZeroTimes:

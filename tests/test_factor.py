@@ -33,6 +33,7 @@ from latentsurv.simulate import simulate_dataset
 from tests.conftest import (
     count_calls,
     count_fit_block,
+    fit_fa_with,
     gaussian_log_likelihood,
     make_dataset,
     make_survival,
@@ -633,12 +634,12 @@ class TestFitFa:
         with pytest.raises(ValueError, match="block 'expr'.*data.impute_missing"):
             fit_fa(ds, 2)
 
-    def test_mixed_objective_monotone_across_iterations(self, rng):
+    def test_mixed_objective_monotone_across_iterations(self, rng, monkeypatch):
         ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
         # re-run the fit loop manually by tracking the objective each iteration
         objs = []
         for cycles in range(1, 6):
-            model, _ = fit_fa(ds, 2, max_iters=3 * cycles, rel_tol=0.0)
+            model, _ = fit_fa_with(monkeypatch, ds, 2, max_sweeps=3 * cycles, rel_tol=0.0)
             objs.append(fa_objective(model, ds))
         diffs = np.diff(objs)
         assert np.all(diffs >= -1e-8 * np.abs(objs[:-1]))
@@ -662,24 +663,25 @@ class TestFitFa:
             assert new >= bound - 1e-12 * abs(bound)
             bound = new
 
-    def test_warns_at_iteration_cap(self, rng, caplog):
+    def test_warns_at_iteration_cap(self, rng, caplog, monkeypatch):
         ds = make_dataset(rng, N=30, with_binomial=True)
         with caplog.at_level("WARNING", logger="latentsurv.factor"):
-            fit_fa(ds, 2, max_iters=2)
+            fit_fa_with(monkeypatch, ds, 2, max_sweeps=2)
         [record] = caplog.records
-        assert "max_iters=2" in record.message and "rel_tol=1e-06" in record.message
+        assert "stopped at its 2-sweep cap" in record.message
+        assert "relative change below 1e-06" in record.message
         assert "last relative change" in record.message
 
-    def test_converged_fit_is_silent(self, rng, caplog):
+    def test_converged_fit_is_silent(self, rng, caplog, monkeypatch):
         ds = make_dataset(rng, N=30, with_binomial=True)
         with caplog.at_level("WARNING", logger="latentsurv.factor"):
-            fit_fa(ds, 2, rel_tol=1e-3)
+            fit_fa_with(monkeypatch, ds, 2, rel_tol=1e-3)
         assert not caplog.records
 
-    def test_logs_convergence_at_info(self, rng, caplog):
+    def test_logs_convergence_at_info(self, rng, caplog, monkeypatch):
         ds = make_dataset(rng, N=30, with_binomial=True)
         with caplog.at_level("INFO", logger="latentsurv.factor"):
-            fit_fa(ds, 2, rel_tol=1e-3)
+            fit_fa_with(monkeypatch, ds, 2, rel_tol=1e-3)
         [record] = caplog.records
         assert record.levelname == "INFO" and "converged after" in record.message
 
@@ -703,7 +705,7 @@ class TestFitFa:
             return out
 
         monkeypatch.setattr(factor, "_conditional_sweep", sweep)
-        fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
+        fit_fa_with(monkeypatch, ds, 2, max_sweeps=k, rel_tol=0.0)
         sweeps = len(in_sweeps)
         # one bound per cycle, plus the first
         fallbacks = bounds[0] - 1 - cycles[0]
@@ -716,7 +718,7 @@ class TestFitFa:
     def test_sweeps_capped_by_max_iters(self, rng, monkeypatch, k):
         ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
         sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
-        fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
+        fit_fa_with(monkeypatch, ds, 2, max_sweeps=k, rel_tol=0.0)
         assert sweeps[0] % 3 == 0 and sweeps[0] <= k
         assert sweeps[0] == k - k % 3  # the last whole cycle that fits
 
@@ -736,7 +738,7 @@ class TestFitFa:
         assert calls[0] == 4
         calls[0] = 0
         sweeps = count_calls(monkeypatch, factor, "_conditional_sweep")
-        fit_fa(ds, 2, max_iters=5)
+        fit_fa_with(monkeypatch, ds, 2, max_sweeps=5)
         assert sweeps[0] == 3
         assert calls[0] == 2 * (1 + 3 + 1)
 
@@ -745,13 +747,13 @@ class TestFitFa:
         falls back to its two plain EM steps, and the bound still never falls."""
         ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
         monkeypatch.setattr(factor, "_step_length", lambda r, v: -1e6)
-        objs = [fa_objective(fit_fa(ds, 2, max_iters=3 * c, rel_tol=0.0)[0], ds)
-                for c in range(6)]
+        objs = [fa_objective(fit_fa_with(monkeypatch, ds, 2, max_sweeps=3 * c, rel_tol=0.0)[0],
+                             ds) for c in range(6)]
         assert np.all(np.diff(objs) >= -1e-10 * np.abs(objs[:-1]))
         # one refused cycle (three sweeps of the cap of five; its extrapolated
         # point raises before its sweep) is two plain EM steps, here taken by hand
         cycles = count_calls(monkeypatch, factor, "_step_length")
-        cycle, post = fit_fa(ds, 2, max_iters=5, rel_tol=0.0)
+        cycle, post = fit_fa_with(monkeypatch, ds, 2, max_sweeps=5, rel_tol=0.0)
         assert cycles[0] == 1
         data = [factor._fit_block(block) for block in ds.blocks]
         params, states = zip(*(factor._init_block(block, 2) for block in ds.blocks))
@@ -766,7 +768,7 @@ class TestFitFa:
 
     def test_select_fast_draw_converges_under_the_default_cap(self, caplog):
         """The slowest fit of the benchmark's select_fast workload at its
-        default seed (d_z = 5 on the learning set of fold 2) stops on rel_tol."""
+        default seed (d_z = 5 on the learning set of fold 2) stops on the tolerance."""
         from perfbench.workloads import SelectFast  # the draw is the benchmark's own
         workload = SelectFast()
         train = workload.setup(workload.default_seed, None)["train"]
@@ -790,9 +792,9 @@ class TestFitFa:
                 fit_fa(ds, 2)
 
     @pytest.mark.parametrize("k", [0, 1, 5])
-    def test_returned_posterior_is_estep_at_returned_parameters(self, rng, k):
+    def test_returned_posterior_is_estep_at_returned_parameters(self, rng, monkeypatch, k):
         ds = make_dataset(rng, N=30, with_binomial=True, with_multinomial=True)
-        model, post = fit_fa(ds, 2, max_iters=k, rel_tol=0.0)
+        model, post = fit_fa_with(monkeypatch, ds, 2, max_sweeps=k, rel_tol=0.0)
         ref = diverse_estep(model.block_params, model.variational, ds.blocks)
         np.testing.assert_array_equal(post.mean, ref.mean)
         np.testing.assert_array_equal(post.cov, ref.cov)
@@ -845,9 +847,9 @@ class TestFaObjective:
             bound = variational_log_marginal((params,), (state,), (block,))
             assert bound <= exact + 1e-10
 
-    def test_rotation_invariance(self, rng):
+    def test_rotation_invariance(self, rng, monkeypatch):
         ds = make_dataset(rng, N=25, with_binomial=True)
-        model, _ = fit_fa(ds, 2, max_iters=10)
+        model, _ = fit_fa_with(monkeypatch, ds, 2, max_sweeps=10)
         theta = 0.7
         Q = np.array([[math.cos(theta), -math.sin(theta)],
                       [math.sin(theta), math.cos(theta)]])
