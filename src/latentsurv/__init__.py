@@ -19,7 +19,6 @@ from .data import (
     variance_filter,
     zscore_block,
 )
-from .estimators import L1ExponentialHazard, LatentSurvival
 from .evaluate import (
     CvReport,
     ModelCandidate,
@@ -42,9 +41,7 @@ __all__ = [
     "FaModel",
     "HazardParams",
     "JointModel",
-    "L1ExponentialHazard",
     "LatentPosterior",
-    "LatentSurvival",
     "MhConfig",
     "ModelCandidate",
     "ParseError",

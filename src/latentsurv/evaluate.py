@@ -110,6 +110,8 @@ class ModelCandidate:
             raise ValueError("latent-factor candidates need d_z")
         if self.d_z is not None and self.d_z < 1:
             raise ValueError(f"d_z={self.d_z} must be at least 1")
+        if self.gem_iters < 0:
+            raise ValueError(f"gem_iters={self.gem_iters} must be non-negative")
         if self.gamma is not None and not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma={self.gamma} must be finite and non-negative")
         if self.kind == "ecph_c_l1" and self.gamma is None:
@@ -147,8 +149,7 @@ def fit_candidate(candidate: ModelCandidate, train: Dataset, seed: int):
     """Fit one candidate on a learning set; returns a ``JointModel`` for latent
     candidates and otherwise the event hazard's ``HazardParams`` on the stacked
     features, the only part an L1 candidate is scored on. Every fit goes
-    through here: CLI ``fit``, CV folds, the ``cv`` refit, ``LatentSurvival``
-    and ``L1ExponentialHazard``."""
+    through here: CLI ``fit``, CV folds and the ``cv`` refit."""
     if candidate.kind == "fa_ecph_c":
         if candidate.fit_mode == "fast":
             return joint_mod.fit_fast(train, candidate.d_z, seed=seed)

@@ -108,6 +108,16 @@ def _sample_block(spec: BlockSpec, W, mu, psi, Z: np.ndarray,
     return rng.multinomial(spec.b, _softmax(lin).T).T.astype(float)
 
 
+def _rate(w: np.ndarray, Zt: np.ndarray, hazard: str) -> np.ndarray:
+    """Each sample's hazard rate exp(w · z̃); a rate that overflows is refused,
+    since it would draw a time of 0."""
+    with np.errstate(over="ignore"):
+        rate = np.exp(w @ Zt)
+    if np.isinf(rate).any():
+        raise ValueError(f"the {hazard} hazard rate exp(w · z) overflows")
+    return rate
+
+
 def simulate_dataset(scenario: SimScenario):
     """Draw (train, test) datasets. Training samples carry censoring via the
     competing censoring hazard; test samples observe the event directly.
@@ -130,9 +140,9 @@ def simulate_dataset(scenario: SimScenario):
         # a rate that underflows to 0 draws an infinite time, which Survival
         # refuses as an observed time
         with np.errstate(divide="ignore"):
-            t = rng.exponential(1.0 / np.exp(scenario.w_T @ Zt))
+            t = rng.exponential(1.0 / _rate(scenario.w_T, Zt, "event"))
             if censored:
-                c = rng.exponential(1.0 / np.exp(scenario.w_C @ Zt))
+                c = rng.exponential(1.0 / _rate(scenario.w_C, Zt, "censoring"))
                 tt = np.minimum(t, c)
                 delta = t <= c
             else:

@@ -127,11 +127,17 @@ class TestSimulateCommand:
          "block name 'expr' is repeated"),
         (lambda doc: doc["w_T"].__setitem__(0, -800.0),
          "invalid time inf: must be finite and at least 0"),
-    ], ids=["repeated_block_name", "event_rate_underflows"])
+        (lambda doc: doc["w_T"].__setitem__(0, 800.0),
+         "the event hazard rate exp(w · z) overflows"),
+        (lambda doc: doc["w_C"].__setitem__(0, 800.0),
+         "the censoring hazard rate exp(w · z) overflows"),
+    ], ids=["repeated_block_name", "event_rate_underflows", "event_rate_overflows",
+            "censoring_rate_overflows"])
     def test_unsimulable_scenario_exit_2(self, runner, tmp_path, edit, error):
-        """A scenario whose draw makes no dataset, two blocks of one name or
-        an event rate that underflows to 0 in the test set's draw, ends in one
-        error line and exit 2, and writes nothing."""
+        """A scenario whose draw makes no dataset, two blocks of one name, an
+        event rate that underflows to 0 in the test set's draw, or an event or
+        censoring rate that overflows, ends in one error line and exit 2, and
+        writes nothing."""
         path = scenario_file(tmp_path)
         doc = json.loads(path.read_text())
         edit(doc)
@@ -209,6 +215,42 @@ class TestFitPredictProject:
         assert result.stderr == ("warning: near-zero residual variance detected in the "
                                  "factor fit\n")
         assert json.loads(model.read_text())["heywood_flag"] is True
+
+    @pytest.mark.parametrize("block_edit, line_edit, message", [
+        ((0, {"kind": "gaussian"}), None, "unknown block kind 'gaussian'"),
+        ((1, {"b": 0}), None, "trial count b must be a positive integer"),
+        (None, ("survival", 0, lambda line: "id,time,event"),
+         "expected header sample_id,time_days,event"),
+        (None, ("survival", 2, lambda line: "tr00000" + line[line.index(","):]),
+         "train_survival.csv:3: duplicate sample id 'tr00000'"),
+        ((1, {"kind": "multinomial"}), ("mut", 1, lambda line: line.replace(",1.0,", ",-1,", 1)),
+         "multinomial entries must be non-negative integers"),
+    ], ids=["unknown_block_kind", "zero_trial_count", "survival_header", "repeated_survival_id",
+            "negative_multinomial_cell"])
+    def test_bad_dataset_exit_2(self, runner, sim_dir, tmp_path, block_edit, line_edit,
+                                message):
+        """The loader refuses a bad manifest entry, survival file or block
+        cell: ``fit`` ends with one error line that says why, and exit 2."""
+        data = tmp_path / "bad"
+        shutil.copytree(sim_dir, data)
+        if block_edit:
+            manifest = data / "train_manifest.json"
+            doc = json.loads(manifest.read_text())
+            doc["blocks"][block_edit[0]].update(block_edit[1])
+            manifest.write_text(json.dumps(doc))
+        if line_edit:
+            name, row, edit = line_edit
+            path = data / f"train_{name}.csv"
+            lines = path.read_text().splitlines()
+            lines[row] = edit(lines[row])
+            path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["fit", "--data", str(data / "train_manifest.json"),
+                                      "--dz", "2", "--out", str(tmp_path / "refused.json")])
+        assert result.exit_code == EXIT_BAD_INPUT, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: cannot load dataset: ")
+        assert result.output.count("\n") == 1 and message in result.output
+        assert not (tmp_path / "refused.json").exists()
 
     def test_missing_data_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["fit", "--data", str(tmp_path / "nope.json"),

@@ -12,10 +12,13 @@ from latentsurv.evaluate import (
     ModelCandidate,
     UndefinedCIndexError,
     c_index,
+    fit_candidate,
+    predict_candidate,
     run_cv,
     select_model,
 )
-from latentsurv.hazard import PenaltyConfig, ecph_predict, fit_ecph
+from latentsurv.hazard import HazardParams, PenaltyConfig, ecph_predict, fit_ecph
+from latentsurv.joint import fit_fast, fit_joint, joint_predict
 from tests.conftest import count_calls, make_dataset, normal_block, make_survival
 from latentsurv.data import Dataset
 
@@ -258,6 +261,72 @@ class TestModelCandidate:
         full = ModelCandidate(kind="fa_ecph_c", d_z=3, fit_mode="full")
         assert full.candidate_id == "latent_dz3_full"
         assert ModelCandidate(kind="ecph_c_l1", gamma=0.5).candidate_id == "l1_gamma0.5"
+
+    def test_negative_gem_iters_refused(self):
+        with pytest.raises(ValueError, match="gem_iters=-3 must be non-negative"):
+            ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="full", gem_iters=-3)
+
+
+class TestFitCandidate:
+    def test_latent_candidate_is_fit_fast_and_joint_predict(self, rng):
+        ds = make_dataset(rng, N=30)
+        candidate = ModelCandidate(kind="fa_ecph_c", d_z=2)
+        fitted = fit_candidate(candidate, ds, seed=0)
+        want = fit_fast(ds, 2, seed=0)
+        np.testing.assert_array_equal(fitted.w_T.w, want.w_T.w)
+        np.testing.assert_array_equal(fitted.w_C.w, want.w_C.w)
+        np.testing.assert_array_equal(predict_candidate(candidate, fitted, ds),
+                                      joint_predict(want, ds.blocks))
+
+    def test_full_candidate_is_fit_joint(self, rng):
+        ds = make_dataset(rng, N=20)
+        candidate = ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="full", gem_iters=1)
+        fitted = fit_candidate(candidate, ds, seed=0)
+        want = fit_joint(ds, 2, gem_iters=1, seed=0)
+        assert fitted.fit_mode == "full_mcem"
+        np.testing.assert_array_equal(predict_candidate(candidate, fitted, ds),
+                                      joint_predict(want, ds.blocks))
+
+    def test_l1_candidate_is_the_event_part_of_fit_ecph(self, rng, monkeypatch):
+        """One ``_fit_one`` per fit, the event part of ``fit_ecph`` bit for
+        bit, and its predictions."""
+        import latentsurv.evaluate as evaluate_mod
+        ds = make_dataset(rng, N=30)
+        candidate = ModelCandidate(kind="ecph_c_l1", gamma=0.5)
+        w_T, _ = fit_ecph(ds.stacked_values(), ds.survival, penalty=PenaltyConfig(0.5, 0.5))
+        fits = count_calls(monkeypatch, evaluate_mod, "_fit_one")
+        fitted = fit_candidate(candidate, ds, seed=0)
+        assert fits[0] == 1
+        assert isinstance(fitted, HazardParams)
+        np.testing.assert_array_equal(fitted.w, w_T.w)
+        np.testing.assert_array_equal(predict_candidate(candidate, fitted, ds),
+                                      ecph_predict(w_T, ds.stacked_values()))
+
+    def test_large_penalty_predicts_a_constant(self, rng):
+        ds = make_dataset(rng, N=25)
+        candidate = ModelCandidate(kind="ecph_c_l1", gamma=1e6)
+        preds = predict_candidate(candidate, fit_candidate(candidate, ds, seed=0), ds)
+        assert np.allclose(preds, preds[0])
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_gamma_refused(self, rng, gamma, monkeypatch):
+        """An L1 fit with a bad gamma is refused before any hazard fit starts."""
+        import latentsurv.evaluate as evaluate_mod
+        ds = make_dataset(rng, N=10)
+        fits = count_calls(monkeypatch, evaluate_mod, "_fit_one")
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            fit_candidate(ModelCandidate(kind="ecph_c_l1", gamma=gamma), ds, seed=0)
+        assert fits[0] == 0
+
+    def test_bad_fit_mode(self, rng, monkeypatch):
+        """A latent fit with an unknown fit mode is refused before either fit starts."""
+        import latentsurv.joint as joint_mod
+        ds = make_dataset(rng, N=10)
+        fast = count_calls(monkeypatch, joint_mod, "fit_fast")
+        full = count_calls(monkeypatch, joint_mod, "fit_joint")
+        with pytest.raises(ValueError, match="unknown fit_mode 'bogus'"):
+            fit_candidate(ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="bogus"), ds, seed=0)
+        assert fast[0] == full[0] == 0
 
 
 class TestCvReport:

@@ -8,7 +8,7 @@ import pytest
 
 from latentsurv import factor
 from latentsurv.data import Dataset
-from latentsurv.estimators import LatentSurvival
+from latentsurv.evaluate import ModelCandidate, fit_candidate
 from latentsurv.factor import BlockParams, FaModel, LatentPosterior, fit_fa
 from latentsurv.hazard import HazardParams
 from latentsurv import joint
@@ -354,13 +354,14 @@ class TestFitJoint:
 
     def test_negative_gem_iters_refused(self, rng, monkeypatch):
         """A negative iteration count is refused before the factor fit, also
-        through the estimator, instead of returning the initialization."""
+        on the candidate path, instead of returning the initialization."""
         ds = make_dataset(rng, N=20)
         calls = count_calls(monkeypatch, factor, "fit_fa")
         with pytest.raises(ValueError, match="gem_iters=-3 must be non-negative"):
             fit_joint(ds, 2, gem_iters=-3, mh=FAST_MH, seed=0)
         with pytest.raises(ValueError, match="gem_iters=-3 must be non-negative"):
-            LatentSurvival(d_z=2, fit_mode="full", gem_iters=-3).fit(ds)
+            fit_candidate(ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="full",
+                                         gem_iters=-3), ds, seed=0)
         assert calls[0] == 0
 
     def test_reproducible(self, rng):
