@@ -29,7 +29,7 @@ from .evaluate import (
 )
 from .factor import BlockParams, FaModel, LatentPosterior, VariationalState, fit_fa
 from .hazard import HazardParams, PenaltyConfig, ecph_log_likelihood, ecph_predict, fit_ecph
-from .joint import JointModel, MhConfig, fit_fast, fit_joint, joint_predict
+from .joint import JointModel, fit_fast, fit_joint, joint_predict
 from .simulate import BlockSpec, SimScenario, simulate_dataset
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "HazardParams",
     "JointModel",
     "LatentPosterior",
-    "MhConfig",
     "ModelCandidate",
     "ParseError",
     "PenaltyConfig",

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -55,8 +55,7 @@ def _echo_config(out_dir: Path):
     ctx = click.get_current_context()
     doc = {"command": ctx.info_name,
            "options": {param.name: ctx.params[param.name] for param in ctx.command.params}}
-    serialize.atomic_write(out_dir / f"{ctx.info_name}_config.json",
-                           json.dumps(doc, indent=1, default=str))
+    serialize.write_document(out_dir / f"{ctx.info_name}_config.json", doc, default=str)
 
 
 def _load_dataset(path):
@@ -119,8 +118,8 @@ def simulate_cmd(scenario, out):
 @click.option("--dz", required=True, type=int, help="Latent dimension.")
 @click.option("--fit-mode", type=click.Choice(list(joint.FIT_MODES)), default="fast",
               show_default=True)
-@click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True,
-              help="Monte Carlo EM iterations (full mode).")
+@click.option("--gem-iters", type=click.IntRange(min=0), default=joint.GEM_ITERS,
+              show_default=True, help="Monte Carlo EM iterations (full mode).")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path),
               help="Output model JSON path.")
@@ -150,7 +149,8 @@ def fit(data, dz, fit_mode, gem_iters, seed, out):
               help="Comma-separated L1 penalties for the baseline.")
 @click.option("--fit-mode", type=click.Choice(list(joint.FIT_MODES)), default="fast",
               show_default=True)
-@click.option("--gem-iters", type=click.IntRange(min=0), default=10, show_default=True)
+@click.option("--gem-iters", type=click.IntRange(min=0), default=joint.GEM_ITERS,
+              show_default=True)
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--test-fraction", type=float, default=0.25, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -179,7 +179,9 @@ def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
 
     report_doc = {
         "selected": selected,
-        "reports": [dataclasses.asdict(r) for r in reports],
+        # a candidate without a scored fold has no mean or std: null, like test_cindex
+        "reports": [{k: None if k in ("mean", "std") and math.isnan(v) else v
+                     for k, v in dataclasses.asdict(r).items()} for r in reports],
         "test_indices": list(split.test_indices),
         "test_cindex": None,  # stays None when undefined or under two held-out samples
     }
@@ -194,7 +196,7 @@ def cv(data, dz, gamma, fit_mode, gem_iters, folds, test_fraction, seed, out):
             with contextlib.suppress(evaluate.UndefinedCIndexError):
                 report_doc["test_cindex"] = evaluate.c_index(test.times(), test.events(), preds)
     with _exit_on(OSError, "cannot write output: "):
-        serialize.atomic_write(out / "cv_report.json", json.dumps(report_doc, indent=1))
+        serialize.write_document(out / "cv_report.json", report_doc)
         serialize.write_table(out / "cv_folds.csv", ["candidate", "fold", "c_index"],
                               ([r.candidate_id, str(v), repr(c)]
                                for r in reports for v, c in enumerate(r.fold_cindices)))

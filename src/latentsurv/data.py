@@ -126,6 +126,8 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        if not self.blocks:
+            raise ValueError("a dataset needs at least one covariate block")
         n = len(self.sample_ids)
         if self.survival.time.size != n:
             raise ValueError("survival length does not match sample_ids")
@@ -187,13 +189,33 @@ class SplitPlan:
         return tuple(i for v, f in enumerate(self.folds) if v != fold for i in f)
 
 
+def _finite_float(token: str) -> float:
+    """A JSON number literal as a double, refused where it overflows one."""
+    value = float(token)
+    if math.isinf(value):
+        raise ValueError(f"number {token} overflows a double")
+    return value
+
+
+def _finite_int(token: str) -> int:
+    _finite_float(token)
+    return int(token)
+
+
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_document(path, build, what: str):
     """Read the JSON document at ``path`` and return ``build(document)``. A
-    file that is not JSON, or a document that ``build`` refuses for its shape
-    or its values, raises ParseError naming the file."""
+    file that is not strict JSON (NaN, Infinity and -Infinity are not JSON
+    numbers, and no number may overflow a double), or a document that
+    ``build`` refuses for its shape or its values, raises ParseError naming
+    the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return build(json.load(fh))
+            return build(json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
+                                   parse_constant=_no_constant))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from exc
 

@@ -97,7 +97,7 @@ class ModelCandidate:
     d_z: int | None = None
     gamma: float | None = None
     fit_mode: str = "fast"         # a key of joint.FIT_MODES
-    gem_iters: int = 10
+    gem_iters: int = joint_mod.GEM_ITERS
 
     def __post_init__(self):
         if self.kind not in ("fa_ecph_c", "ecph_c_l1"):
@@ -153,8 +153,7 @@ def fit_candidate(candidate: ModelCandidate, train: Dataset, seed: int):
     if candidate.kind == "fa_ecph_c":
         if candidate.fit_mode == "fast":
             return joint_mod.fit_fast(train, candidate.d_z, seed=seed)
-        return joint_mod.fit_joint(train, candidate.d_z,
-                                   gem_iters=candidate.gem_iters, seed=seed)
+        return joint_mod.fit_joint(train, candidate.d_z, candidate.gem_iters, seed)
     Xt, t, d = _aligned(train.stacked_values(), train.survival)
     _require_positive_times(train.survival)
     return HazardParams(_fit_one(Xt, t, d, candidate.gamma))

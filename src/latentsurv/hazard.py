@@ -364,11 +364,8 @@ def fit_ecph(X: np.ndarray, survival: Survival,
     return HazardParams(w_T), HazardParams(w_C)
 
 
-def ecph_predict(params_T: HazardParams, x: np.ndarray) -> float | np.ndarray:
-    """Expected event time exp(-w^T x~); accepts a vector or a (p x N) matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim <= 1:
-        xt = np.concatenate([[1.0], x.ravel()])
-        return float(np.exp(-params_T.w @ xt))
-    return np.exp(-params_T.w @ _design(x))
+def ecph_predict(params_T: HazardParams, X: np.ndarray) -> np.ndarray:
+    """Expected event time exp(-w^T x~) of each sample of the (p x N) covariates
+    X, read as ``fit_ecph`` reads them: a 1-d X is one feature of N samples."""
+    return np.exp(-params_T.w @ _design(X))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import factor
-from .data import Dataset
+from .data import Dataset, Survival
 from .factor import FaModel, LatentPosterior, VariationalState
 from .hazard import (HazardParams, _design, _intercept_start, _newton_step,
                      _require_positive_times, fit_ecph)
@@ -35,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 # The two fit modes by the name a ModelCandidate and the CLI take; a JointModel records the value.
 FIT_MODES = {"fast": "fast_decoupled", "full": "full_mcem"}
+GEM_ITERS = 10  # a full fit's GEM iterations, unless its caller gives them
 DEFAULT_KAPPA_LADDER = (6.0, 5.5, 5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0.25, 0.1)
 # A kappa rung passes when its TUNING_CHAINS chains accept between ACCEPT_LO
 # and ACCEPT_HI of the proposals, with n_eff >= MIN_N_EFF and R-hat <= MAX_RHAT.
@@ -56,6 +57,9 @@ class MhConfig:
         if any(k <= 0 for k in ladder) or not all(a > b for a, b in zip(ladder, ladder[1:])):
             raise ValueError("kappa ladder must be positive and strictly decreasing")
         object.__setattr__(self, "kappa_ladder", ladder)
+
+
+_MH = MhConfig()  # the sampler settings of every full fit, read at each call
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,13 @@ class SampleTargets:
     ``post`` is the factor-only posterior N(m_n, C_n) that starts and shapes the chains."""
 
     def __init__(self, block_params, variational, blocks, w_T: HazardParams,
-                 w_C: HazardParams, times: np.ndarray, events: np.ndarray):
+                 w_C: HazardParams, survival: Survival):
         # the precision includes the prior; h is (d_z, N)
         self.prec, self.h = factor._accumulate(blocks, block_params, variational)
         self.post = factor._posterior_from_inverse(np.linalg.inv(self.prec), self.h)
         self.w_T = w_T.w
         self.w_C = w_C.w
-        self.t = np.asarray(times, dtype=float)
-        self.d = np.asarray(events, dtype=float)
+        self.t, self.d = survival.time, survival.event
         self.N = self.h.shape[1]
 
     def rows(self, idx) -> SampleTargets:
@@ -230,15 +233,14 @@ def _hazard_mstep(w: HazardParams, samples: np.ndarray, times: np.ndarray,
     return HazardParams(_newton_step(Xt, np.repeat(times, S), np.repeat(events, S), w.w, 0.0)[0])
 
 
-def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
-              mh: MhConfig | None = None, seed: int = 0) -> JointModel:
+def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = GEM_ITERS, seed: int = 0) -> JointModel:
     """Approximate generalized EM for ``gem_iters`` >= 0 iterations: Metropolis
-    E-step, the factor layer's conditional sweep against the Monte-Carlo
-    moments, per hazard one Armijo-damped Newton step of ``hazard`` on the
-    kept draws (``_hazard_mstep``), which never lowers its Monte-Carlo Q."""
+    E-step with the sampler settings ``_MH``, the factor layer's conditional
+    sweep against the Monte-Carlo moments, per hazard one Armijo-damped Newton
+    step of ``hazard`` on the kept draws (``_hazard_mstep``), which never
+    lowers its Monte-Carlo Q."""
     if gem_iters < 0:
         raise ValueError(f"gem_iters={gem_iters} must be non-negative")
-    mh = mh or MhConfig()
     _require_positive_times(dataset.survival)
     times = dataset.times()
     events = dataset.events()
@@ -252,12 +254,12 @@ def fit_joint(dataset: Dataset, d_z: int, gem_iters: int = 10,
     kappa = None
     data = [factor._fit_block(block) for block in dataset.blocks]
     for it in range(gem_iters):
-        targets = SampleTargets(params, states, data, w_T, w_C, times, events)
+        targets = SampleTargets(params, states, data, w_T, w_C, dataset.survival)
         if kappa is None:
-            kappa = tune_kappa(targets, mh, tune_seed)
+            kappa = tune_kappa(targets, _MH, tune_seed)
         # one chain per sample, each with its own generator: (N, n_keep, d_z) draws
         rngs = [np.random.default_rng(ss) for ss in seed_root.spawn(1)[0].spawn(targets.N)]
-        samples, _ = _metropolis(targets, kappa, rngs, mh)
+        samples, _ = _metropolis(targets, kappa, rngs, _MH)
 
         # Monte-Carlo posterior moments for the factor M-steps
         mean = samples.mean(axis=1).T  # (d_z, N)

@@ -40,6 +40,12 @@ def atomic_write(path, text):
         raise
 
 
+def write_document(path, doc, default=None):
+    """Write ``doc`` as strict JSON, the form ``data.load_document`` reads: a
+    NaN or infinite number raises ValueError rather than being written."""
+    atomic_write(path, json.dumps(doc, indent=1, allow_nan=False, default=default))
+
+
 def write_table(path, header, rows):
     """Write a comma-separated table of string cells: the header, then one
     line per row, each written as it is drawn from ``rows``. Lines come out as
@@ -135,7 +141,7 @@ def model_from_dict(doc: dict) -> tuple[JointModel, str]:
 
 
 def save_model(model: JointModel, blocks, path):
-    atomic_write(path, json.dumps(model_to_dict(model, blocks), indent=1))
+    write_document(path, model_to_dict(model, blocks))
 
 
 def load_model(path) -> tuple[JointModel, str]:
@@ -174,5 +180,5 @@ def write_dataset(dataset: Dataset, out_dir, prefix: str) -> Path:
                 ([sid, repr(t), str(int(e))] for sid, t, e in
                  zip(dataset.sample_ids, dataset.times().tolist(), dataset.events().tolist())))
     manifest_path = out_dir / f"{prefix}_manifest.json"
-    atomic_write(manifest_path, json.dumps(manifest, indent=1))
+    write_document(manifest_path, manifest)
     return manifest_path

@@ -344,7 +344,7 @@ def test_criterion_7_mh_calibration(capfd):
         model, post = factor.fit_fa(ds, 2)
         w_null = HazardParams(np.array([-0.1, 0.0, 0.0]))
         targets = SampleTargets(model.block_params, model.variational, ds.blocks,
-                                w_null, w_null, ds.times(), ds.events())
+                                w_null, w_null, ds.survival)
         cfg = MhConfig(burn_in=500, n_keep=4000)
         n = 0
         kept, _, chain_n_eff, _ = metropolis_chains(targets, n, 2.5, cfg,

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from latentsurv import evaluate
+from latentsurv import cli, evaluate, joint
 from latentsurv.cli import (
     EXIT_ALL_EXCLUDED,
     EXIT_BAD_INPUT,
@@ -379,6 +380,23 @@ def test_every_command_echoes_its_options(runner, tmp_path):
         assert list(doc["options"]) == list(options)
 
 
+def test_gem_iters_defaults_are_joint_gem_iters():
+    """fit_joint, ModelCandidate and both commands' --gem-iters take their
+    default GEM iteration count from its one home, joint.GEM_ITERS."""
+    assert inspect.signature(joint.fit_joint).parameters["gem_iters"].default == joint.GEM_ITERS
+    assert evaluate.ModelCandidate(kind="fa_ecph_c", d_z=1).gem_iters == joint.GEM_ITERS
+    for command in (cli.fit, cli.cv):
+        [option] = [param for param in command.params if param.name == "gem_iters"]
+        assert option.default == joint.GEM_ITERS
+
+
+def strict_json(text):
+    """``text`` parsed as strict JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+    return json.loads(text, parse_constant=refuse)
+
+
 def assert_refused(result, path):
     """Exit 2 through one ``error:`` line that names ``path``, no traceback."""
     assert result.exit_code == EXIT_BAD_INPUT, result.output
@@ -491,6 +509,42 @@ def test_model_arrays_not_fitting_exit_2(runner, fitted, tmp_path, command, edit
     assert_refused(runner.invoke(main, [command, "--model", str(path), "--data",
                                         str(fitted / "train_manifest.json"),
                                         "--out", str(out)]), path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, edit, literal", [
+    ("model", lambda doc: doc["w_T"].__setitem__(0, "@"), "NaN"),
+    ("model", lambda doc: doc["blocks"][0]["W"][0].__setitem__(0, "@"), "Infinity"),
+    ("model", lambda doc: doc["blocks"][1]["xi_mean"].__setitem__(0, "@"), "NaN"),
+    ("model", lambda doc: doc["w_C"].__setitem__(1, "@"), "-1e400"),
+    ("scenario", lambda doc: doc["blocks"][0].update(w_scale="@"), "NaN"),
+    ("scenario", lambda doc: doc["blocks"][0].update(psi_range=[0.5, "@"]), "Infinity"),
+    ("scenario", lambda doc: doc["w_T"].__setitem__(0, "@"), "-Infinity"),
+    ("scenario", lambda doc: doc["w_T"].__setitem__(0, "@"), "1" + "0" * 400),
+    ("manifest", lambda doc: doc["blocks"][1].update(b="@"), "Infinity"),
+], ids=["model_w_T_nan", "model_W_infinity", "model_xi_mean_nan", "model_w_C_1e400",
+        "scenario_w_scale_nan", "scenario_psi_range_infinity", "scenario_w_T_minus_infinity",
+        "scenario_w_T_integer_overflow", "manifest_b_infinity"])
+def test_non_finite_json_number_exit_2(runner, fitted, tmp_path, kind, edit, literal):
+    """NaN, Infinity and -Infinity are not JSON numbers, and a number literal
+    that overflows a double reads as an infinity: a model, scenario or
+    manifest holding either is bad input naming the file, and nothing is
+    written."""
+    if kind == "manifest":  # a manifest sits beside the files it names
+        for f in fitted.glob("train_*"):
+            shutil.copy(f, tmp_path)
+    source = {"model": fitted / "model.json", "scenario": scenario_file(tmp_path),
+              "manifest": fitted / "train_manifest.json"}[kind]
+    doc = json.loads(source.read_text())
+    edit(doc)
+    path = tmp_path / f"edited_{kind}.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    out = tmp_path / "out"
+    args = {"model": ["predict", "--model", str(path), "--data",
+                      str(fitted / "train_manifest.json")],
+            "scenario": ["simulate", "--scenario", str(path)],
+            "manifest": ["fit", "--data", str(path), "--dz", "2"]}[kind]
+    assert_refused(runner.invoke(main, [*args, "--out", str(out)]), path)
     assert not out.exists()
 
 
@@ -616,6 +670,21 @@ class TestCvCommand:
         doc = json.loads((tmp_path / "cv" / "cv_report.json").read_text())
         assert doc["test_indices"] == [] and doc["test_cindex"] is None
 
+    def test_report_of_a_candidate_failing_every_fold_is_strict_json(self, runner, tmp_path):
+        """A candidate that fails every fold has no mean or std: the report
+        holds null there, as for an undefined test_cindex, and every JSON
+        file the command writes parses as strict JSON."""
+        sim, out = tmp_path / "sim", tmp_path / "cv"
+        run_ok(runner, ["simulate", "--scenario", str(scenario_file(tmp_path)), "--out", str(sim)])
+        run_ok(runner, ["cv", "--data", str(sim / "train_manifest.json"), "--dz", "2,40",
+                        "--folds", "3", "--out", str(out)])
+        docs = {path.name: strict_json(path.read_text()) for path in out.glob("*.json")}
+        assert set(docs) == {"cv_report.json", "cv_config.json", "selected_model.json"}
+        [failed] = [r for r in docs["cv_report.json"]["reports"]
+                    if r["candidate_id"] == "latent_dz40_fast"]
+        assert failed["fold_cindices"] == [] and failed["error_folds"] == [0, 1, 2]
+        assert failed["mean"] is None and failed["std"] is None
+
     def test_no_candidates_exit_2(self, runner, tmp_path):
         scn = scenario_file(tmp_path, n_train=30, n_test=0)
         sim = tmp_path / "sim"
@@ -690,6 +759,35 @@ def test_out_of_range_options_exit_2(runner, tmp_path, args):
     assert result.exit_code == EXIT_BAD_INPUT, result.output
     assert isinstance(result.exception, SystemExit)
     assert not (tmp_path / "out").exists()
+
+
+class TestNoCovariateBlock:
+    ERROR = "a dataset needs at least one covariate block"
+
+    def test_simulate_refuses_a_scenario_without_blocks(self, runner, tmp_path):
+        path = scenario_file(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "blocks": []}))
+        out = tmp_path / "sim"
+        result = runner.invoke(main, ["simulate", "--scenario", str(path), "--out", str(out)])
+        assert result.exit_code == EXIT_BAD_INPUT, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: cannot simulate this scenario: {self.ERROR}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["fit", "--dz", "2"], ["cv", "--gamma", "0.5"],
+                                      ["cv", "--dz", "1"]])
+    def test_commands_refuse_a_manifest_without_blocks(self, runner, fitted, tmp_path, args):
+        """Bad input, not a failed fit or an excluded candidate: one error line
+        and exit 2 before any fit, and nothing written."""
+        shutil.copy(fitted / "train_survival.csv", tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"blocks": [], "survival": "train_survival.csv"}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--data", str(manifest), "--out", str(out)])
+        assert result.exit_code == EXIT_BAD_INPUT, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: cannot load dataset: {self.ERROR}\n"
+        assert not out.exists()
 
 
 class TestSerializationThroughCli:

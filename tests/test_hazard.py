@@ -516,15 +516,15 @@ class TestLassoCd:
 
 class TestPredict:
     def test_zero_params(self):
-        assert ecph_predict(HazardParams([0.0, 0.0]), np.array([3.0])) == 1.0
+        assert ecph_predict(HazardParams([0.0, 0.0]), np.array([[3.0]])).tolist() == [1.0]
 
     def test_baseline_only(self):
-        assert ecph_predict(HazardParams([math.log(2), 0.0]),
-                            np.array([9.0])) == pytest.approx(0.5)
+        got = ecph_predict(HazardParams([math.log(2), 0.0]), np.array([[9.0]]))
+        assert got.tolist() == [pytest.approx(0.5)]
 
     def test_unit_effect(self):
-        got = ecph_predict(HazardParams([0.0, 1.0]), np.array([1.0]))
-        assert got == pytest.approx(math.exp(-1), rel=1e-12)
+        got = ecph_predict(HazardParams([0.0, 1.0]), np.array([[1.0]]))
+        assert got.tolist() == [pytest.approx(math.exp(-1), rel=1e-12)]
 
     def test_matrix_input(self, rng):
         params = HazardParams(rng.normal(size=4))
@@ -532,7 +532,17 @@ class TestPredict:
         out = ecph_predict(params, X)
         assert out.shape == (7,)
         assert np.all(out > 0)
-        assert out[2] == pytest.approx(ecph_predict(params, X[:, 2]))
+        assert out[2] == pytest.approx(ecph_predict(params, X[:, [2]])[0])
+
+    def test_vector_is_one_feature_as_fit_ecph_reads_it(self, rng):
+        """A 1-d covariate array is one feature across N samples, in the fit
+        and in the prediction: N predictions, those of x[None, :]."""
+        x = rng.standard_normal(30)
+        survival = make_survival(rng.exponential(1.0, 30), rng.random(30) < 0.7)
+        w_T, _ = fit_ecph(x, survival)
+        got = ecph_predict(w_T, x)
+        assert got.shape == (30,)
+        np.testing.assert_array_equal(got, ecph_predict(w_T, x[None, :]))
 
 
 class TestL1Support:

@@ -32,6 +32,12 @@ from tests.conftest import (count_calls, make_dataset, make_survival, metropolis
 FAST_MH = MhConfig(burn_in=100, n_keep=100)
 
 
+@pytest.fixture
+def fast_mh(monkeypatch):
+    """Full fits in the test sample with FAST_MH."""
+    monkeypatch.setattr(joint, "_MH", FAST_MH)
+
+
 def gaussian_only_setup(rng, N=12, d_z=2, beta=0.0):
     ds = make_dataset(rng, N=N, d_z=d_z)
     model, post = fit_fa(ds, d_z)
@@ -39,8 +45,7 @@ def gaussian_only_setup(rng, N=12, d_z=2, beta=0.0):
     w[0] = -0.1
     w[1:] = beta
     targets = SampleTargets(model.block_params, model.variational, ds.blocks,
-                            HazardParams(w), HazardParams(w * 0.5),
-                            ds.times(), ds.events())
+                            HazardParams(w), HazardParams(w * 0.5), ds.survival)
     return ds, model, post, targets
 
 
@@ -50,8 +55,7 @@ class TestConditionalLogDensity:
         w0 = np.array([0.3, 0.0, 0.0])
         n = 3
         row = SampleTargets(model.block_params, model.variational, ds.blocks,
-                            HazardParams(w0), HazardParams(w0),
-                            ds.times(), ds.events()).rows([n])
+                            HazardParams(w0), HazardParams(w0), ds.survival).rows([n])
         C = post.cov[n]
         m = post.mean[:, n]
         prec = np.linalg.inv(C)
@@ -90,8 +94,7 @@ class TestLockstepRunner:
         model, _ = fit_fa(ds, 2)
         w = np.array([-0.1, 0.7, -0.4])
         targets = SampleTargets(model.block_params, model.variational, ds.blocks,
-                                HazardParams(w), HazardParams(w * 0.5),
-                                ds.times(), ds.events())
+                                HazardParams(w), HazardParams(w * 0.5), ds.survival)
         mh = MhConfig(burn_in=50, n_keep=50)
         seeds = np.random.SeedSequence(11).spawn(targets.N)
         kept, rates = _metropolis(targets, 2.0, [np.random.default_rng(ss) for ss in seeds], mh)
@@ -342,10 +345,11 @@ class TestNewtonMstep:
             assert after >= before - 1e-12 * abs(before), (before, after)
 
 
+@pytest.mark.usefixtures("fast_mh")
 class TestFitJoint:
     def test_zero_gem_iters_is_decoupled_initialization(self, rng):
         ds = make_dataset(rng, N=25)
-        model = fit_joint(ds, 2, gem_iters=0, mh=FAST_MH, seed=0)
+        model = fit_joint(ds, 2, gem_iters=0, seed=0)
         t_sum = ds.times().sum()
         n_ev = ds.events().sum()
         assert model.w_T.w[0] == pytest.approx(math.log(n_ev / t_sum))
@@ -358,16 +362,39 @@ class TestFitJoint:
         ds = make_dataset(rng, N=20)
         calls = count_calls(monkeypatch, factor, "fit_fa")
         with pytest.raises(ValueError, match="gem_iters=-3 must be non-negative"):
-            fit_joint(ds, 2, gem_iters=-3, mh=FAST_MH, seed=0)
+            fit_joint(ds, 2, gem_iters=-3, seed=0)
         with pytest.raises(ValueError, match="gem_iters=-3 must be non-negative"):
             fit_candidate(ModelCandidate(kind="fa_ecph_c", d_z=2, fit_mode="full",
                                          gem_iters=-3), ds, seed=0)
         assert calls[0] == 0
 
+    def test_samples_with_the_module_settings(self, rng, monkeypatch):
+        """Every chain of a full fit, tuning and E-step, runs with the
+        settings in ``joint._MH`` at the time of the call; the fit takes no
+        settings argument, and the package exports no ``MhConfig``."""
+        settings = MhConfig(kappa_ladder=(3.0, 1.0), burn_in=20, n_keep=30)
+        monkeypatch.setattr(joint, "_MH", settings)
+        configs = []
+        metropolis = joint._metropolis
+
+        def recorded(targets, kappa, rngs, mh):
+            configs.append(mh)
+            return metropolis(targets, kappa, rngs, mh)
+
+        monkeypatch.setattr(joint, "_metropolis", recorded)
+        ds = make_dataset(rng, N=15)
+        model = fit_joint(ds, 2, gem_iters=2, seed=0)
+        assert len(configs) >= 3 and all(mh is settings for mh in configs)
+        assert model.kappa_used in settings.kappa_ladder
+        with pytest.raises(TypeError):
+            fit_joint(ds, 2, gem_iters=2, mh=settings, seed=0)
+        with pytest.raises(ImportError):
+            from latentsurv import MhConfig as exported  # noqa: F401
+
     def test_reproducible(self, rng):
         ds = make_dataset(rng, N=20)
-        m1 = fit_joint(ds, 2, gem_iters=2, mh=FAST_MH, seed=11)
-        m2 = fit_joint(ds, 2, gem_iters=2, mh=FAST_MH, seed=11)
+        m1 = fit_joint(ds, 2, gem_iters=2, seed=11)
+        m2 = fit_joint(ds, 2, gem_iters=2, seed=11)
         np.testing.assert_array_equal(m1.w_T.w, m2.w_T.w)
         np.testing.assert_array_equal(m1.w_C.w, m2.w_C.w)
         assert m1.kappa_used == m2.kappa_used
@@ -379,7 +406,7 @@ class TestFitJoint:
         calls = count_calls(monkeypatch, factor, "_accumulate")
         fit_fa(ds, 2)
         fa_calls = calls[0]
-        fit_joint(ds, 2, gem_iters=3, mh=FAST_MH, seed=0)
+        fit_joint(ds, 2, gem_iters=3, seed=0)
         assert calls[0] - 2 * fa_calls == 3
 
     def test_zero_time_refused_before_the_factor_fit(self, rng, monkeypatch):
@@ -392,7 +419,7 @@ class TestFitJoint:
                      sample_ids=ds.sample_ids)
         calls = count_calls(monkeypatch, factor, "fit_fa")
         with pytest.raises(ValueError, match="sample 3 has time 0.*adjust_zero_times"):
-            fit_joint(ds, 2, gem_iters=1, mh=FAST_MH, seed=0)
+            fit_joint(ds, 2, gem_iters=1, seed=0)
         with pytest.raises(ValueError, match="sample 3 has time 0.*adjust_zero_times"):
             fit_fast(ds, 2)
         assert calls[0] == 0
@@ -405,7 +432,7 @@ class TestFitJoint:
             w_C=np.array([0.0, 0.0]),
             n_train=300, n_test=0, seed=21)
         train, _, _ = simulate_dataset(scn)
-        model = fit_joint(train, 1, gem_iters=3, mh=FAST_MH, seed=2)
+        model = fit_joint(train, 1, gem_iters=3, seed=2)
         # survival carries no latent signal; fitted effects stay near zero
         assert abs(model.w_T.beta[0]) < 0.25
 
